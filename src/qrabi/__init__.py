@@ -19,7 +19,6 @@ from .critical import (
 from .edsolver import QuantumState, ground_state, sector_gap
 from .errors import (
     DerivativeInvalidError,
-    GaugeAlignmentError,
     NonconvergenceError,
     ParameterDomainError,
     QrabiError,
@@ -46,7 +45,6 @@ __all__ = [
     "DerivativeInvalidError",
     "FitResult",
     "FockHamiltonian",
-    "GaugeAlignmentError",
     "ModelParams",
     "NonconvergenceError",
     "ParameterDomainError",

@@ -4,8 +4,8 @@ Subcommands: qfi-sweep, pp-sweep, gc, fit, map, verify. Curves are written as
 CSV (via the sweep-store format), fit and peak summaries as JSON; plotting is
 left to external tools.
 
-Exit codes: 0 success, 2 configuration error, 3 partial failure,
-4 nonconvergence.
+Exit codes: 0 success, 2 configuration error, 3 partial numerical failure.
+An unexpected internal error ends with a Python traceback and exit status 1.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ import click
 import numpy as np
 
 from . import critical, observables, polaron, qfi, store
-from .edsolver import ground_state
+from .edsolver import RESPONSE_RESIDUAL_TOL, ground_state
 from .errors import NonconvergenceError, QrabiError
 from .model import ModelParams, build_hamiltonian, parity_operator
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
-EXIT_NONCONVERGENCE = 4
 
 DEFAULT_FREQS = critical.DEFAULT_FIT_GRID
 
@@ -59,8 +58,6 @@ def main():
 @click.option("--method", type=click.Choice(["ed", "pp", "both"]), default="ed",
               show_default=True)
 @click.option("--tol", default=1e-10, show_default=True, type=float)
-@click.option("--step-h", default=None, type=float,
-              help="Finite-difference step for the ED QFI (default 1e-6*gc0).")
 @click.option("--gc2-variant", default="alphaFS", show_default=True,
               type=click.Choice(sorted(critical.GC2_COEFFS)))
 @click.option("--out", default="qfi_sweep", show_default=True,
@@ -70,7 +67,7 @@ def main():
 @click.option("--jobs", default=None, type=int,
               help="Worker threads across grid points (default: logical cores).")
 def cmd_qfi_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, method, tol,
-                  step_h, gc2_variant, out, cache, jobs):
+                  gc2_variant, out, cache, jobs):
     """QFI versus coupling at fixed frequency ratios (one record per ratio)."""
     grid = _gbar_grid(gbar_min, gbar_max, gbar_steps)
     cache_dir = _cache_dir(cache)
@@ -81,14 +78,14 @@ def cmd_qfi_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, method, tol,
         meta = {
             "kind": "qfi-sweep", "omega": omega, "Omega": Omega,
             "grid": [gbar_min, gbar_max, gbar_steps],
-            "tolerances": {"tol": tol, "step_h": step_h, "method": method},
+            "tolerances": {"tol": tol, "method": method},
             "omega_ratio": ratio, "gc2_variant": gc2_variant,
         }
         digest = store.compute_hash(meta)
         record = store.lookup(cache_dir, digest)
         if record is None:
             record, partial = _compute_qfi_sweep(
-                omega, Omega, grid, method, tol, step_h, gc2_variant, meta, jobs)
+                omega, Omega, grid, method, tol, gc2_variant, meta, jobs)
             any_partial = any_partial or partial
             if not partial:
                 store.store(cache_dir, record)
@@ -99,7 +96,7 @@ def cmd_qfi_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, method, tol,
         sys.exit(EXIT_PARTIAL)
 
 
-def _compute_qfi_sweep(omega, Omega, grid, method, tol, step_h, gc2_variant, meta, jobs):
+def _compute_qfi_sweep(omega, Omega, grid, method, tol, gc2_variant, meta, jobs):
     base = ModelParams(omega, Omega, 0.0)
     gc2_val = critical.gc2(omega, Omega, gc2_variant).value
     columns = ["g", "gbar", "g_over_gc2"]
@@ -112,8 +109,8 @@ def _compute_qfi_sweep(omega, Omega, grid, method, tol, step_h, gc2_variant, met
         def work(k):
             params = base.with_g(float(grid[k]) * base.gc0)
             try:
-                return qfi.qfi_ed(params, h=step_h, tol=tol, check_step=False).f_q_gbar
-            except (NonconvergenceError, QrabiError):
+                return qfi.qfi_ed(params, tol=tol).f_q_gbar
+            except QrabiError:
                 return math.nan
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -340,10 +337,16 @@ def cmd_verify(tol):
     except NonconvergenceError:
         check("g=0 ground energy = -Omega/2", False)
 
-    sample = qfi.qfi_ed(ModelParams(0.1, 1.0, 0.2), tol=tol, check_step=False)
-    check("F_Q >= 0", sample.f_q_g >= 0)
-    rel = 4.0 * sample.first_derivative_term ** 2 / sample.f_q_g
-    check("<psi'|psi> negligible", rel < 1e-10)
+    try:
+        sample = qfi.qfi_ed(ModelParams(0.1, 1.0, 0.2), tol=tol)
+    except QrabiError as exc:
+        check(f"ED QFI ({exc})", False)
+    else:
+        check("F_Q >= 0", sample.f_q_g >= 0)
+        rel = 4.0 * sample.first_derivative_term ** 2 / sample.f_q_g
+        check("<psi'|psi> negligible", rel < 1e-10)
+        check(f"linear-response residual {sample.residual:.1e} < {RESPONSE_RESIDUAL_TOL:.0e} "
+              f"(cutoff {sample.cutoff})", sample.residual < RESPONSE_RESIDUAL_TOL)
 
     residuals = [critical.gc_xi_residual(r, 1.0) for r in np.geomspace(1e-3, 3.0, 50)]
     check("gc_xi defining-equation residual < 1e-10", max(residuals) < 1e-10)

@@ -1,10 +1,18 @@
-"""Converged ground states of the truncated Hamiltonian.
+"""Converged ground states of the truncated Hamiltonian and their coupling
+derivative.
 
 The ground state lives in the parity sector P = sigma_x (-1)^n = -1, where the
-Hamiltonian reduces to a real symmetric tridiagonal matrix over photon number
+Hamiltonian reduces to a real symmetric tridiagonal matrix T over photon number
 (the spin-x orientation is fixed to (-1)^(n+1) by the parity constraint).
 Solves use that reduction at every cutoff; the dense full-space solver in
 ``model`` remains available as a cross-check oracle.
+
+The cutoff search starts from the photon number of the displaced oscillator
+and grows geometrically until the energy and the basis tail have converged.
+Because dH/dg = sigma_z (a + a^dag) conserves parity, the derivative of the
+ground state with respect to g stays in the sector and follows from one
+banded linear solve at the converged cutoff (first-order perturbation theory
+without the spectrum); ``ground_state_response`` returns both.
 """
 
 from __future__ import annotations
@@ -13,15 +21,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from . import kernels
-from .errors import NonconvergenceError, ParameterDomainError
+from .errors import NonconvergenceError, ParameterDomainError, QrabiError
 from .model import ModelParams
 
 HARD_CUTOFF_LIMIT = 16384
 TAIL_FRACTION = 0.9
 TAIL_WEIGHT_TOL = 1e-12
+CUTOFF_GROWTH = 1.5
+START_WIDTHS = 12.0
+START_MARGIN = 32
+RESPONSE_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -102,12 +114,16 @@ def state_from_sector_vector(params: ModelParams, cutoff: int, energy: float,
 
 
 def initial_cutoff(params: ModelParams) -> int:
-    """Displaced states need N of order g_tilde^2; start safely above that."""
-    n0 = max(32, math.ceil(8.0 * params.g_tilde ** 2))
-    n = 32
-    while n < n0:
-        n *= 2
-    return n
+    """Start cutoff nbar + 12 sqrt(nbar) + 32 with nbar = (g/omega)^2.
+
+    nbar is the photon number of the oscillator displaced by g/omega, the
+    superradiant limit of the ground state, whose Poisson photon distribution
+    has width sqrt(nbar); below the transition nbar overestimates the photon
+    number. Twelve widths put the truncation error far below the default
+    energy tolerance, so the first growth step normally confirms convergence.
+    """
+    nbar = (params.g / params.omega) ** 2
+    return math.ceil(nbar + START_WIDTHS * math.sqrt(nbar)) + START_MARGIN
 
 
 def _tail_weight(vec: np.ndarray) -> float:
@@ -119,8 +135,9 @@ def ground_state(params: ModelParams, tol: float = 1e-10,
                  max_cutoff: int = HARD_CUTOFF_LIMIT, parity: int = -1):
     """Adaptively converged lowest state of one parity sector.
 
-    Doubles the cutoff until the relative energy change is below ``tol`` and
-    the tail weight beyond 0.9*N is below 1e-12.
+    Grows the cutoff by 1.5x from ``initial_cutoff`` until the relative energy
+    change from the previous cutoff is at most ``tol`` and the tail weight
+    beyond 0.9*N is below 1e-12.
     """
     if tol <= 0:
         raise ParameterDomainError(f"tol must be > 0, got {tol}")
@@ -129,7 +146,7 @@ def ground_state(params: ModelParams, tol: float = 1e-10,
     energy, vec = float(vals[0]), vecs[:, 0]
     delta = math.inf
     while cutoff < max_cutoff:
-        new_cutoff = min(2 * cutoff, max_cutoff)
+        new_cutoff = min(math.ceil(CUTOFF_GROWTH * cutoff), max_cutoff)
         vals, vecs = sector_eigenpairs(params, new_cutoff, parity)
         new_energy, new_vec = float(vals[0]), vecs[:, 0]
         delta = abs(new_energy - energy)
@@ -150,9 +167,91 @@ def ground_state(params: ModelParams, tol: float = 1e-10,
 
 
 def ground_state_fixed(params: ModelParams, cutoff: int, parity: int = -1) -> QuantumState:
-    """Lowest sector state at a fixed cutoff (for common-cutoff stencils)."""
+    """Lowest sector state at a fixed cutoff (no convergence check)."""
     vals, vecs = sector_eigenpairs(params, cutoff, parity)
     return state_from_sector_vector(params, cutoff, float(vals[0]), vecs[:, 0], parity)
+
+
+@dataclass(frozen=True)
+class GroundStateResponse:
+    """Converged sector ground state and its derivative with respect to g.
+
+    ``dvec`` is d(sector vector)/dg for the gauge-fixed ``state.coeffs_plus``,
+    orthogonal to it; ``residual`` is the relative residual of the linear
+    solve that produced it. The lift to the full space is an isometry, so
+    sector inner products are full-space inner products.
+    """
+
+    state: QuantumState
+    dvec: np.ndarray
+    residual: float
+
+    @property
+    def fisher_information(self) -> float:
+        """F_Q with respect to g, 4 <d psi|d psi> (the <d psi|psi> term is zero)."""
+        return 4.0 * float(self.dvec @ self.dvec)
+
+    @property
+    def first_derivative_term(self) -> float:
+        """<d psi|psi>, zero up to roundoff by construction."""
+        return float(self.state.coeffs_plus @ self.dvec)
+
+    @property
+    def dx_plus_dg(self) -> float:
+        """d<x>_+/dg = sqrt(2) (V psi).dvec, from <x>_+ = psi.V.psi/sqrt(2)."""
+        return math.sqrt(2.0) * float(_coupling_apply(self.state.coeffs_plus) @ self.dvec)
+
+
+def _tridiagonal_apply(diag, off: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    out = diag * vec
+    out[:-1] += off * vec[1:]
+    out[1:] += off * vec[:-1]
+    return out
+
+
+def _coupling_apply(vec: np.ndarray) -> np.ndarray:
+    """V vec with V = dT/dg, the sector off-diagonal sqrt(n)."""
+    return _tridiagonal_apply(0.0, np.sqrt(np.arange(1, vec.size)), vec)
+
+
+def ground_state_response(params: ModelParams, tol: float = 1e-10) -> GroundStateResponse:
+    """Converged ground state psi (parity -1 sector) and its coupling derivative x.
+
+    x solves (T - E0) x = -(V psi - <V> psi) with x orthogonal to psi. T - E0
+    is singular along psi (exactly so at g = 0). Pinning x to zero at the
+    largest component m of psi, with row and column m replaced by those of
+    the identity, leaves a positive-definite tridiagonal matrix; it is solved
+    with one refinement step, then psi is projected out of x. Raises
+    QrabiError when the relative residual of the unpinned system exceeds 1e-8.
+    """
+    state, _ = ground_state(params, tol=tol)
+    psi = state.coeffs_plus
+    diag, off = sector_tridiagonal(params, state.cutoff)
+    diag = diag - state.energy
+    vpsi = _coupling_apply(psi)
+    rhs = -(vpsi - float(psi @ vpsi) * psi)
+
+    m = int(np.argmax(np.abs(psi)))
+    pinned_diag = diag.copy()
+    pinned_diag[m] = 1.0
+    pinned_off = off.copy()
+    pinned_off[max(m - 1, 0):m + 1] = 0.0
+    pinned_rhs = rhs.copy()
+    pinned_rhs[m] = 0.0
+    bands = np.array([np.r_[0.0, pinned_off], pinned_diag, np.r_[pinned_off, 0.0]])
+    x = solve_banded((1, 1), bands, pinned_rhs)
+    x += solve_banded((1, 1), bands,
+                      pinned_rhs - _tridiagonal_apply(pinned_diag, pinned_off, x))
+    x -= float(psi @ x) * psi
+
+    residual = float(np.linalg.norm(_tridiagonal_apply(diag, off, x) - rhs)
+                     / np.linalg.norm(rhs))
+    if not residual <= RESPONSE_RESIDUAL_TOL:
+        raise QrabiError(
+            f"linear-response residual {residual:.2e} exceeds {RESPONSE_RESIDUAL_TOL:.0e} "
+            f"at cutoff {state.cutoff}"
+        )
+    return GroundStateResponse(state=state, dvec=x, residual=residual)
 
 
 def sector_gap(params: ModelParams, cutoff: int) -> float:

@@ -20,10 +20,6 @@ class NonconvergenceError(QrabiError, RuntimeError):
         self.payload = payload
 
 
-class GaugeAlignmentError(QrabiError, RuntimeError):
-    """Raised when finite-difference states cannot be sign-aligned (step too large)."""
-
-
 class DerivativeInvalidError(QrabiError, RuntimeError):
     """Raised when finite-difference derivatives are requested across a branch jump."""
 

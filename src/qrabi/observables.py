@@ -12,10 +12,9 @@ import numpy as np
 
 from . import polaron as pp
 from .critical import gc0 as gc0_estimate, gc2 as gc2_estimate
-from .edsolver import expectation_x, ground_state
-from .errors import ParameterDomainError
+from .edsolver import GroundStateResponse, expectation_x, ground_state_response
+from .errors import ParameterDomainError, QrabiError
 from .model import ModelParams
-from .qfi import qfi_ed
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,23 @@ def _finite_difference(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.gradient(y, x)
 
 
+def _x_and_slope(response: GroundStateResponse) -> tuple[float, float, float]:
+    """(<x>_+, <x>_-, d|<x>_+|/dg) of an ED ground-state response.
+
+    The slope is 0 where <x>_+ = 0 (g = 0): |<x>_+| is even in g, so its
+    symmetric derivative vanishes at the kink.
+    """
+    xp, xm = expectation_x(response.state)
+    return xp, xm, float(np.sign(xp)) * response.dx_plus_dg
+
+
 def susceptibility_sweep(omega: float, Omega: float, gbar_grid, method: str = "ED",
                          tol: float = 1e-10) -> list[ObservableSample]:
     """|<x>_+-| per grid point and its coupling derivative.
 
-    With method="PP" the main-polaron velocity and acceleration are attached.
+    ED derivatives are exact (linear response at each point); PP derivatives
+    are central differences on the grid, and with method="PP" the
+    main-polaron velocity and acceleration are attached.
     """
     gbar = np.asarray(gbar_grid, dtype=float)
     if np.any(np.diff(gbar) < 0):
@@ -65,9 +76,10 @@ def susceptibility_sweep(omega: float, Omega: float, gbar_grid, method: str = "E
     if method == "ED":
         xp = np.empty(gbar.size)
         xm = np.empty(gbar.size)
-        for k, gb in enumerate(gbar):
-            state, _ = ground_state(base.with_g(float(g[k])), tol=tol)
-            xp[k], xm[k] = expectation_x(state)
+        d_abs = np.empty(gbar.size)
+        for k in range(gbar.size):
+            response = ground_state_response(base.with_g(float(g[k])), tol=tol)
+            xp[k], xm[k], d_abs[k] = _x_and_slope(response)
     elif method == "PP":
         sweep = pp.continuation_sweep(omega, Omega, gbar)
         xp = np.array([
@@ -78,15 +90,15 @@ def susceptibility_sweep(omega: float, Omega: float, gbar_grid, method: str = "E
         x_pol = zeta * np.array([sweep.params_at(k).g_tilde for k in range(gbar.size)])
         velocity = np.gradient(x_pol, g)
         acceleration = np.gradient(velocity, g)
+        if gbar.size >= 2 and np.ptp(g) > 0:
+            d_abs = _finite_difference(np.abs(xp), g)
+        else:
+            d_abs = np.zeros_like(xp)
     else:
         raise ParameterDomainError(f"unknown method {method!r}")
 
     # spin-up amplitude by convention; spin-down is its mirror
     abs_x = np.abs(xp)
-    if gbar.size >= 2 and np.ptp(g) > 0:
-        d_abs = _finite_difference(abs_x, g)
-    else:
-        d_abs = np.zeros_like(abs_x)
 
     samples = []
     for k in range(gbar.size):
@@ -117,7 +129,11 @@ class CoincidenceMap:
 
 def coincidence_map(omega_grid, gbar_grid, Omega: float = 1.0,
                     tol: float = 1e-10) -> CoincidenceMap:
-    """Dense (omega, g_bar) maps of F_Q and d|<x>|/dg, row-normalized."""
+    """Dense (omega, g_bar) maps of F_Q and d|<x>|/dg, row-normalized.
+
+    Both come from one ground-state response per cell. A row whose solve
+    fails with a QrabiError is recorded in ``failed_rows`` and left NaN.
+    """
     omega_grid = np.asarray(omega_grid, dtype=float)
     gbar_grid = np.asarray(gbar_grid, dtype=float)
     if np.any(np.diff(omega_grid) < 0) or np.any(np.diff(gbar_grid) < 0):
@@ -131,17 +147,13 @@ def coincidence_map(omega_grid, gbar_grid, Omega: float = 1.0,
     for i, omega in enumerate(omega_grid):
         base = ModelParams(float(omega), Omega, 0.0)
         try:
-            row_q = np.array([
-                qfi_ed(base.with_g(gb * base.gc0), tol=tol, check_step=False).f_q_gbar
-                for gb in gbar_grid
-            ])
-            row_s = np.array([
-                s.d_abs_x_dg
-                for s in susceptibility_sweep(float(omega), Omega, gbar_grid, tol=tol)
-            ])
-        except Exception:
+            responses = [ground_state_response(base.with_g(gb * base.gc0), tol=tol)
+                         for gb in gbar_grid]
+        except QrabiError:
             failed.append(i)
             continue
+        row_q = np.array([r.fisher_information for r in responses])
+        row_s = np.array([_x_and_slope(r)[2] for r in responses])
         qfi[i] = row_q / np.max(row_q)
         sus[i] = row_s / np.max(row_s)
         qfi_argmax[i] = gbar_grid[int(np.argmax(row_q))]

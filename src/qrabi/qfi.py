@@ -1,6 +1,9 @@
 """Quantum Fisher information engines.
 
-ED route: gauge-fixed central differences of parity-sector ground states.
+ED route: exact linear response of the converged parity-sector ground state,
+F_Q = 4 <d psi|d psi> with |d psi> from one banded solve
+(``edsolver.ground_state_response``); the sum-over-states fidelity
+susceptibility evaluated without the spectrum.
 Polaron route: analytic assembly from the closed-form overlap derivatives and
 finite-difference parameter flows of a continuation sweep.
 """
@@ -15,17 +18,18 @@ import numpy as np
 
 from . import polaron as pp
 from .critical import CriticalEstimate
-from .edsolver import ground_state, ground_state_fixed, sector_gap
-from .errors import GaugeAlignmentError, ParameterDomainError, QrabiError
+from .edsolver import ground_state_response
+from .errors import ParameterDomainError, QrabiError
 from .model import ModelParams
-
-DEGENERACY_GAP_FACTOR = 1e-8
-RICHARDSON_MAX_HALVINGS = 3
 
 
 @dataclass(frozen=True)
 class QfiSample:
-    """One QFI evaluation; f_q_g and f_q_gbar differ by the exact factor gc0^2."""
+    """One QFI evaluation; f_q_g and f_q_gbar differ by the exact factor gc0^2.
+
+    ED samples carry the converged ``cutoff`` and the relative ``residual`` of
+    the linear solve behind them.
+    """
 
     g: float
     g_bar: float
@@ -33,7 +37,8 @@ class QfiSample:
     f_q_gbar: float
     method: str
     first_derivative_term: float
-    step: float | None = None
+    cutoff: int | None = None
+    residual: float | None = None
     kinetic_energy_form: float | None = None
 
 
@@ -47,88 +52,25 @@ class PeakEstimate:
     flat_peak: bool = False
 
 
-def _aligned(ref: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    ovl = float(ref @ vec)
-    if abs(ovl) < 0.5:
-        raise GaugeAlignmentError(
-            f"state overlap {ovl:.3f} below 0.5; finite-difference step too large"
-        )
-    return -vec if ovl < 0 else vec
+def qfi_ed(params: ModelParams, *, tol: float = 1e-10, check_step: bool = False) -> QfiSample:
+    """QFI with respect to g by exact linear response at the converged cutoff.
 
-
-def _stencil_fq(params: ModelParams, h: float, cutoff: int) -> tuple[float, float]:
-    """(F_Q(g), <psi'|psi>) by central differences at a fixed common cutoff."""
-    center = ground_state_fixed(params, cutoff)
-    plus = ground_state_fixed(params.with_g(params.g + h), cutoff)
-    minus = ground_state_fixed(params.with_g(params.g - h), cutoff)
-    d0 = center.full_vector()
-    dp = _aligned(d0, plus.full_vector())
-    dm = _aligned(d0, minus.full_vector())
-    dpsi = (dp - dm) / (2.0 * h)
-    first = float(dpsi @ d0)
-    f_q = 4.0 * (float(dpsi @ dpsi) - first ** 2)
-    return f_q, first
-
-
-def qfi_ed(params: ModelParams, h: float | None = None, tol: float = 1e-10,
-           check_step: bool = True) -> QfiSample:
-    """QFI with respect to g by gauge-fixed numerical differentiation.
-
-    With ``check_step`` the Richardson ratio (F(2h)-F(h))/(F(h)-F(h/2)) is
-    required to sit near 4; the step is halved automatically otherwise.
+    ``check_step`` is accepted for compatibility and has no effect: there is
+    no differentiation step to check.
     """
-    # default step balances O(h^2) truncation of <psi'|psi> against roundoff
-    gc0 = params.gc0
-    if h is None:
-        h = 1e-6 * gc0 if gc0 > 0 else 1e-8
-    if h <= 0:
-        raise ParameterDomainError(f"step h must be > 0, got {h}")
-    if params.g - 2.0 * h < 0 and params.g - h < 0:
-        raise ParameterDomainError("g - h must be >= 0")
-
-    # common cutoff: the largest adaptive cutoff over the stencil, which by
-    # monotonicity in g is attained at the largest coupling
-    top = params.with_g(params.g + 2.0 * h)
-    _, report = ground_state(top, tol=tol)
-    cutoff = report.final_cutoff
-
-    # the vanishing of <psi'|psi> assumes a non-degenerate ground state
-    if params.Omega > 0 and sector_gap(params, cutoff) < DEGENERACY_GAP_FACTOR * params.Omega:
-        warnings.warn("near-degenerate ground state; <psi'|psi> may not vanish")
-
-    for _ in range(RICHARDSON_MAX_HALVINGS + 1):
-        f_h, first = _stencil_fq(params, h, cutoff)
-        if not check_step or params.g - 2.0 * h < 0:
-            break
-        f_2h, _ = _stencil_fq(params, 2.0 * h, cutoff)
-        f_h2, _ = _stencil_fq(params, 0.5 * h, cutoff)
-        denom = f_h - f_h2
-        if denom == 0 or abs(f_2h - f_h) <= 1e-12 * abs(f_h):
-            break  # differences converged below noise
-        ratio = (f_2h - f_h) / denom
-        if abs(ratio - 4.0) <= 2.0:
-            break
-        h *= 0.5
-    g_bar = params.g_bar if params.Omega > 0 else math.nan
+    response = ground_state_response(params, tol=tol)
+    f_q = response.fisher_information
     return QfiSample(
-        g=params.g, g_bar=g_bar, f_q_g=f_h, f_q_gbar=f_h * gc0 ** 2,
-        method="ED", first_derivative_term=first, step=h,
+        g=params.g, g_bar=params.g_bar if params.Omega > 0 else math.nan,
+        f_q_g=f_q, f_q_gbar=f_q * params.gc0 ** 2, method="ED",
+        first_derivative_term=response.first_derivative_term,
+        cutoff=response.state.cutoff, residual=response.residual,
     )
 
 
-def fidelity(params: ModelParams, delta: float, tol: float = 1e-10) -> float:
-    """|<psi(g)|psi(g+delta)>| at a common cutoff (direct overlap, no differences)."""
-    _, report = ground_state(params.with_g(params.g + abs(delta)), tol=tol)
-    cutoff = report.final_cutoff
-    a = ground_state_fixed(params, cutoff).full_vector()
-    b = ground_state_fixed(params.with_g(params.g + delta), cutoff).full_vector()
-    return abs(float(a @ b))
-
-
-def fidelity_susceptibility(params: ModelParams, h: float | None = None,
-                            tol: float = 1e-10) -> float:
+def fidelity_susceptibility(params: ModelParams, tol: float = 1e-10) -> float:
     """chi_F = F_Q/4 for the coupling parameter."""
-    return qfi_ed(params, h=h, tol=tol).f_q_g / 4.0
+    return qfi_ed(params, tol=tol).f_q_g / 4.0
 
 
 def qfi_pp_full(sweep: pp.PolaronSweep, index: int) -> QfiSample:
@@ -243,8 +185,7 @@ def find_peak(omega: float, Omega: float, method: str = "ED",
 
     if method == "ED":
         def f(gbar):
-            return qfi_ed(base.with_g(gbar * base.gc0), tol=tol,
-                          check_step=False).f_q_gbar
+            return qfi_ed(base.with_g(gbar * base.gc0), tol=tol).f_q_gbar
 
         values = np.array([f(gb) for gb in grid])
     else:

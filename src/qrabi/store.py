@@ -19,7 +19,10 @@ import numpy as np
 from .errors import SchemaError
 
 SCHEMA_VERSION = 1
-CODE_VERSION = "qrabi-0.1.0"
+# Identity of the numerics behind a record; it enters the content hash, so
+# changing it turns every record computed by older numerics into a miss.
+# Change it whenever a computation that feeds a record changes.
+CODE_VERSION = "qrabi-0.1.0+ed-linear-response"
 MAGIC = "#qrm-sweep"
 
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
 from qrabi.model import ModelParams
 from qrabi.polaron import Polaron, PolaronAnsatz, overlap, weights_from_angle
@@ -108,3 +109,42 @@ def grid_ground_energy(params: ModelParams, n: int = 2400, lim: float = 14.0) ->
     coupling = (Omega / 2.0) * np.eye(n)
     ham = np.block([[kin + v_plus, coupling], [coupling, kin + v_minus]])
     return float(np.linalg.eigvalsh(ham)[0])
+
+
+def sector_ground_vector(params: ModelParams, cutoff: int) -> np.ndarray:
+    """Lowest eigenvector (arbitrary sign) of the parity -1 sector Hamiltonian.
+
+    In the sector, sigma_x = -(-1)^n at photon number n and g sigma_z (a + a^dag)
+    hops n -> n +- 1, so the matrix is tridiagonal with diagonal
+    omega n - (Omega/2)(-1)^n and off-diagonal g sqrt(n).
+    """
+    n = np.arange(cutoff + 1)
+    diag = params.omega * n - 0.5 * params.Omega * (-1.0) ** n
+    off = params.g * np.sqrt(n[1:])
+    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    return vecs[:, 0]
+
+
+def aligned(ref: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """vec with the sign that makes its overlap with ref positive."""
+    ovl = float(ref @ vec)
+    if abs(ovl) < 0.5:
+        raise ValueError(f"state overlap {ovl:.3f} below 0.5; step too large")
+    return -vec if ovl < 0 else vec
+
+
+def fd_qfi(params: ModelParams, h: float, cutoff: int) -> float:
+    """F_Q with respect to g from gauge-aligned central differences at a fixed cutoff."""
+    center = sector_ground_vector(params, cutoff)
+    plus = aligned(center, sector_ground_vector(params.with_g(params.g + h), cutoff))
+    minus = aligned(center, sector_ground_vector(params.with_g(params.g - h), cutoff))
+    dpsi = (plus - minus) / (2.0 * h)
+    first = float(dpsi @ center)
+    return 4.0 * (float(dpsi @ dpsi) - first ** 2)
+
+
+def overlap_fidelity(params: ModelParams, delta: float, cutoff: int) -> float:
+    """|<psi(g)|psi(g + delta)>| by direct overlap at a fixed cutoff."""
+    a = sector_ground_vector(params, cutoff)
+    b = sector_ground_vector(params.with_g(params.g + delta), cutoff)
+    return abs(float(a @ b))

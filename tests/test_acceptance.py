@@ -45,7 +45,7 @@ def test_criterion_01_decoupled_limit_exactness(capsys):
     t0 = time.perf_counter()
     state, _ = ground_state(ModelParams(0.1, 1.0, 0.0))
     energy_ok = abs(state.energy + 0.5) < 1e-12
-    sample = qfi.qfi_ed(ModelParams(0.1, 1.0, 1e-4), h=1e-5, check_step=False)
+    sample = qfi.qfi_ed(ModelParams(0.1, 1.0, 1e-4))
     oracle = 4.0 / (0.1 + 1.0) ** 2
     qfi_ok = abs(sample.f_q_g / oracle - 1.0) < 1e-4
     elapsed = time.perf_counter() - t0
@@ -61,7 +61,7 @@ def test_criterion_02_vanishing_first_derivative_term(capsys):
     for omega in (0.05, 0.1, 0.5):
         base = ModelParams(omega, 1.0, 0.0)
         for gbar in np.linspace(0.5, 1.5, 50):
-            s = qfi.qfi_ed(base.with_g(float(gbar) * base.gc0), check_step=False)
+            s = qfi.qfi_ed(base.with_g(float(gbar) * base.gc0))
             worst_first = max(worst_first, abs(s.first_derivative_term))
             # F_Q - 4<psi'|psi'> = -4 <psi'|psi>^2 by construction
             worst_rel = max(worst_rel, 4.0 * s.first_derivative_term ** 2 / s.f_q_g)
@@ -136,7 +136,7 @@ def test_criterion_07_pp_fidelity_to_ed(capsys, sweep_01):
         state, _ = ground_state(params)
         bound_ok &= sweep.ansatz[k].energy >= state.energy - 1e-12
         pp = qfi.qfi_pp_full(sweep, k).f_q_gbar
-        ed = qfi.qfi_ed(params, check_step=False).f_q_gbar
+        ed = qfi.qfi_ed(params).f_q_gbar
         worst_qfi = max(worst_qfi, abs(pp / ed - 1.0))
         if gbar >= 1.35:
             x_pp = observables.x_expectation_pp(sweep.ansatz[k], params)

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import grid_ground_energy
+from qrabi import edsolver
 from qrabi.edsolver import (
     expectation_x,
     ground_state,
     ground_state_fixed,
+    ground_state_response,
     photon_number,
     position_wavefunction,
     sector_eigenpairs,
     sector_gap,
 )
-from qrabi.errors import NonconvergenceError, ParameterDomainError
+from qrabi.errors import NonconvergenceError, ParameterDomainError, QrabiError
 from qrabi.model import ModelParams, build_hamiltonian
 
 
@@ -134,6 +136,12 @@ def test_photon_number_monotone_across_transition():
 def test_sector_gap_positive():
     params = ModelParams(0.1, 1.0, 0.1)
     assert sector_gap(params, 128) > 0
+
+
+def test_response_residual_above_bound_raises(monkeypatch):
+    monkeypatch.setattr(edsolver, "RESPONSE_RESIDUAL_TOL", 0.0)
+    with pytest.raises(QrabiError, match="residual"):
+        ground_state_response(ModelParams(0.1, 1.0, 0.2))
 
 
 def test_invalid_tol():

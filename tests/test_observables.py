@@ -3,7 +3,7 @@ import pytest
 
 from conftest import ansatz_wavefunction, random_ansatz
 from qrabi import observables
-from qrabi.errors import ParameterDomainError
+from qrabi.errors import NonconvergenceError, ParameterDomainError
 from qrabi.model import ModelParams
 from qrabi.polaron import PolaronAnsatz
 
@@ -41,6 +41,15 @@ def test_susceptibility_sweep_ed_parity_and_peak():
     sus = np.array([s.d_abs_x_dg for s in samples])
     peak_gbar = grid[int(np.argmax(sus))]
     assert peak_gbar == pytest.approx(1.29, abs=0.06)
+
+
+def test_susceptibility_sweep_ed_exact_matches_gradient():
+    grid = np.linspace(1.0, 1.6, 241)
+    samples = observables.susceptibility_sweep(0.1, 1.0, grid, method="ED")
+    g = np.array([s.g for s in samples])
+    exact = np.array([s.d_abs_x_dg for s in samples])
+    numeric = np.gradient(np.array([s.abs_x for s in samples]), g)
+    assert np.allclose(numeric[1:-1], exact[1:-1], rtol=5e-4, atol=0.0)
 
 
 def test_susceptibility_sweep_pp_matches_ed_past_transition():
@@ -81,3 +90,27 @@ def test_coincidence_map_small():
     # overlays: gc0 is the unit line, gc2 tracks the ridge
     assert np.allclose(cmap.gc0_overlay, 1.0)
     assert np.allclose(cmap.qfi_argmax, cmap.gc2_overlay, rtol=0.02)
+
+
+def test_coincidence_map_failed_row(monkeypatch):
+    real = observables.ground_state_response
+
+    def flaky(params, tol=1e-10):
+        if params.omega == 0.3:
+            raise NonconvergenceError("cutoff limit reached")
+        return real(params, tol=tol)
+
+    monkeypatch.setattr(observables, "ground_state_response", flaky)
+    cmap = observables.coincidence_map([0.1, 0.3], np.linspace(1.0, 1.8, 9))
+    assert cmap.failed_rows == (1,)
+    assert np.all(np.isnan(cmap.qfi[1])) and np.isnan(cmap.qfi_argmax[1])
+    assert np.allclose(np.max(cmap.qfi[0]), 1.0)
+
+
+def test_coincidence_map_propagates_programming_errors(monkeypatch):
+    def broken(params, tol=1e-10):
+        raise TypeError("not a numerical failure")
+
+    monkeypatch.setattr(observables, "ground_state_response", broken)
+    with pytest.raises(TypeError):
+        observables.coincidence_map([0.1], np.linspace(1.0, 1.8, 9))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import aligned, fd_qfi, overlap_fidelity
 from qrabi import polaron, qfi
 from qrabi.errors import ParameterDomainError, QrabiError
 from qrabi.model import ModelParams
@@ -11,13 +12,15 @@ from qrabi.model import ModelParams
 def test_perturbative_limit():
     # second-order perturbation theory: F_Q(g->0) = 4/(omega+Omega)^2
     params = ModelParams(0.1, 1.0, 1e-4)
-    sample = qfi.qfi_ed(params, h=1e-5, check_step=False)
+    sample = qfi.qfi_ed(params)
     assert sample.f_q_g == pytest.approx(4.0 / 1.1 ** 2, rel=1e-4)
+    # exact at g = 0, where the response is a single Fock state
+    assert qfi.qfi_ed(params.with_g(0.0)).f_q_g == pytest.approx(4.0 / 1.1 ** 2, rel=1e-12)
 
 
 def test_unit_conversion_identity():
     params = ModelParams(0.1, 1.0, 0.2)
-    sample = qfi.qfi_ed(params, check_step=False)
+    sample = qfi.qfi_ed(params)
     assert sample.f_q_gbar == pytest.approx(sample.f_q_g * params.gc0 ** 2, rel=1e-14)
     assert sample.f_q_g >= 0.0
 
@@ -25,35 +28,61 @@ def test_unit_conversion_identity():
 def test_first_derivative_term_negligible():
     base = ModelParams(0.1, 1.0, 0.0)
     for gbar in (0.7, 1.0, 1.3):
-        sample = qfi.qfi_ed(base.with_g(gbar * base.gc0), check_step=False)
+        sample = qfi.qfi_ed(base.with_g(gbar * base.gc0))
         assert abs(sample.first_derivative_term) < 1e-8
         # F_Q and 4<psi'|psi'> agree: the cross term is negligible
         assert 4.0 * sample.first_derivative_term ** 2 < 1e-8 * sample.f_q_g
 
 
 def test_richardson_step_control():
+    # the central-difference oracle converges to the exact value at O(h^2):
+    # the Richardson ratio (F(2h)-F(h))/(F(h)-F(h/2)) sits near 4
     params = ModelParams(0.1, 1.0, 0.2)
-    sample = qfi.qfi_ed(params, h=1e-4 * params.gc0, check_step=True)
-    reference = qfi.qfi_ed(params, check_step=False)
-    assert sample.f_q_g == pytest.approx(reference.f_q_g, rel=1e-5)
+    reference = qfi.qfi_ed(params)
+    h = 1e-4 * params.gc0
+    f_2h, f_h, f_h2 = (fd_qfi(params, k * h, reference.cutoff) for k in (2.0, 1.0, 0.5))
+    assert abs((f_2h - f_h) / (f_h - f_h2) - 4.0) <= 2.0
+    assert f_h == pytest.approx(reference.f_q_g, rel=1e-5)
+
+
+@pytest.mark.parametrize("omega", [0.005, 0.1, 0.5])
+def test_linear_response_matches_fd_oracle(omega):
+    base = ModelParams(omega, 1.0, 0.0)
+    for gbar in np.linspace(0.5, 3.0, 11):
+        params = base.with_g(float(gbar) * base.gc0)
+        sample = qfi.qfi_ed(params)
+        oracle = fd_qfi(params, 1e-6 * base.gc0, sample.cutoff)
+        assert sample.f_q_g == pytest.approx(oracle, rel=1e-7)
+
+
+def test_qfi_ed_converges_at_low_frequency():
+    # the start cutoff follows the photon number (g/omega)^2 ~ 560 and 2250
+    base = ModelParams(0.001, 1.0, 0.0)
+    for gbar in (1.5, 3.0):
+        sample = qfi.qfi_ed(base.with_g(gbar * base.gc0))
+        assert sample.cutoff < 8192
+        assert sample.residual < 1e-8
+        assert sample.f_q_g > 0
 
 
 def test_invalid_steps_rejected():
+    # there is no differentiation step any more; a step argument is refused
     params = ModelParams(0.1, 1.0, 0.2)
+    with pytest.raises(TypeError):
+        qfi.qfi_ed(params, h=1e-6)
     with pytest.raises(ParameterDomainError):
-        qfi.qfi_ed(params, h=0.0)
-    with pytest.raises(ParameterDomainError):
-        qfi.qfi_ed(ModelParams(0.1, 1.0, 1e-9), h=1e-3)
+        qfi.qfi_ed(params, tol=0.0)
 
 
 def test_fidelity_consistency():
     # 2(1-F)/delta^2 estimates chi_F = F_Q/4
     params = ModelParams(0.1, 1.0, ModelParams(0.1, 1.0, 0.0).gc0)
     delta = 1e-3 * params.gc0
-    f = qfi.fidelity(params, delta)
+    cutoff = qfi.qfi_ed(params.with_g(params.g + delta)).cutoff
+    f = overlap_fidelity(params, delta, cutoff)
     chi = qfi.fidelity_susceptibility(params)
     assert 2.0 * (1.0 - f) / delta ** 2 == pytest.approx(chi, rel=0.01)
-    assert qfi.fidelity(params, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert overlap_fidelity(params, 0.0, cutoff) == pytest.approx(1.0, abs=1e-12)
 
 
 def _sweep(omega, lo, hi, n):
@@ -66,7 +95,7 @@ def test_pp_full_matches_ed_near_transition():
     for k in (4, 8, 12):
         gbar = float(sweep.gbar[k])
         pp = qfi.qfi_pp_full(sweep, k)
-        ed = qfi.qfi_ed(base.with_g(gbar * base.gc0), check_step=False)
+        ed = qfi.qfi_ed(base.with_g(gbar * base.gc0))
         assert pp.f_q_gbar == pytest.approx(ed.f_q_gbar, rel=0.08)
         assert abs(pp.first_derivative_term) < 1e-10  # analytic manifold chain rule
 
@@ -140,7 +169,7 @@ def test_qfi_continuity_in_g():
     base = ModelParams(0.2, 1.0, 0.0)
     grid = np.linspace(1.2, 1.6, 17)
     vals = np.array([
-        qfi.qfi_ed(base.with_g(gb * base.gc0), check_step=False).f_q_gbar for gb in grid
+        qfi.qfi_ed(base.with_g(gb * base.gc0)).f_q_gbar for gb in grid
     ])
     assert np.max(np.abs(np.diff(vals) / vals[:-1])) < 0.2
 
@@ -148,5 +177,5 @@ def test_qfi_continuity_in_g():
 def test_gauge_invariance_of_alignment():
     ref = np.array([0.9, 0.1, 0.4])
     vec = -ref
-    aligned = qfi._aligned(ref / np.linalg.norm(ref), vec / np.linalg.norm(vec))
-    assert float(aligned @ ref) > 0
+    flipped = aligned(ref / np.linalg.norm(ref), vec / np.linalg.norm(vec))
+    assert float(flipped @ ref) > 0
