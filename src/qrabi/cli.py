@@ -84,10 +84,11 @@ def cmd_qfi_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, method, tol,
         digest = store.compute_hash(meta)
         record = store.lookup(cache_dir, digest)
         if record is None:
-            record, partial = _compute_qfi_sweep(
+            record, failed = _compute_qfi_sweep(
                 omega, Omega, grid, method, tol, gc2_variant, meta, jobs)
-            any_partial = any_partial or partial
-            if not partial:
+            any_partial = any_partial or failed
+            # a record with failed points is never cached, so a rerun retries them
+            if not failed:
                 store.store(cache_dir, record)
         path = f"{out}_w{ratio:g}.csv"
         store.save(record, path)
@@ -118,12 +119,10 @@ def _compute_qfi_sweep(omega, Omega, grid, method, tol, gc2_variant, meta, jobs)
         status = np.where(np.isfinite(ed_vals), 0.0, 1.0)
     pp_vals = np.full(n, np.nan)
     if want_pp:
-        pad = grid[1] - grid[0] if n > 1 else 1e-3
-        sweep = polaron.continuation_sweep(
-            omega, Omega, np.concatenate([[grid[0] - pad], grid, [grid[-1] + pad]]))
+        sweep = polaron.continuation_sweep(omega, Omega, grid)
         for k in range(n):
             try:
-                pp_vals[k] = qfi.qfi_pp_full(sweep, k + 1).f_q_gbar
+                pp_vals[k] = qfi.qfi_pp_full(sweep, k).f_q_gbar
             except QrabiError:
                 pass
     cols = [grid * base.gc0, grid, grid * base.gc0 / gc2_val]
@@ -139,8 +138,7 @@ def _compute_qfi_sweep(omega, Omega, grid, method, tol, gc2_variant, meta, jobs)
     failed = ~np.isfinite(ed_vals) if want_ed else ~np.isfinite(pp_vals)
     cols.append(failed.astype(float))
     record = store.SweepRecord(meta=meta, columns=columns, data=np.column_stack(cols))
-    partial = bool(np.mean(failed) > 0.10)
-    return record, partial
+    return record, bool(np.any(failed))
 
 
 @main.command("pp-sweep")
@@ -156,12 +154,10 @@ def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out):
     sweep = polaron.continuation_sweep(omega, Omega, grid)
     rows = []
     for k, ans in enumerate(sweep.ansatz):
-        fq = math.nan
-        if 0 < k < grid.size - 1:
-            try:
-                fq = qfi.qfi_pp_full(sweep, k).f_q_gbar
-            except QrabiError:
-                pass
+        try:
+            fq = qfi.qfi_pp_full(sweep, k).f_q_gbar
+        except QrabiError:
+            fq = math.nan
         rows.append([
             grid[k], ans.energy, ans.alpha, ans.beta, ans.zeta_alpha,
             ans.zeta_beta, ans.xi_alpha, ans.xi_beta,

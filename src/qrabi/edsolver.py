@@ -81,11 +81,19 @@ def sector_tridiagonal(params: ModelParams, cutoff: int, parity: int = -1):
     return diag, off
 
 
-def sector_eigenpairs(params: ModelParams, cutoff: int, parity: int = -1, n_states: int = 1):
-    """Lowest eigenpairs in one parity sector; vectors are columns."""
+def sector_eigenpairs(params: ModelParams, cutoff: int, parity: int = -1, n_states: int = 1,
+                      vectors: bool = True):
+    """Lowest eigenpairs in one parity sector; vectors are columns.
+
+    With ``vectors=False`` only the eigenvalues are computed and the vector
+    array has no columns.
+    """
     diag, off = sector_tridiagonal(params, cutoff, parity)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_states - 1))
-    return vals, vecs
+    select = (0, n_states - 1)
+    if not vectors:
+        vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=select)
+        return vals, np.empty((diag.size, 0))
+    return eigh_tridiagonal(diag, off, select="i", select_range=select)
 
 
 def _gauge_fix(vec: np.ndarray) -> np.ndarray:
@@ -142,8 +150,10 @@ def ground_state(params: ModelParams, tol: float = 1e-10,
     if tol <= 0:
         raise ParameterDomainError(f"tol must be > 0, got {tol}")
     cutoff = min(initial_cutoff(params), max_cutoff)
-    vals, vecs = sector_eigenpairs(params, cutoff, parity)
-    energy, vec = float(vals[0]), vecs[:, 0]
+    # the start cutoff only supplies the reference energy; the tail-weight
+    # test and the returned state use the vectors of the grown cutoffs
+    vals, _ = sector_eigenpairs(params, cutoff, parity, vectors=False)
+    energy = float(vals[0])
     delta = math.inf
     while cutoff < max_cutoff:
         new_cutoff = min(math.ceil(CUTOFF_GROWTH * cutoff), max_cutoff)
@@ -154,10 +164,10 @@ def ground_state(params: ModelParams, tol: float = 1e-10,
             delta <= tol * max(abs(new_energy), 1e-30)
             and _tail_weight(new_vec) < TAIL_WEIGHT_TOL
         )
-        energy, vec, cutoff = new_energy, new_vec, new_cutoff
+        energy, cutoff = new_energy, new_cutoff
         if converged:
             report = ConvergenceReport(final_cutoff=cutoff, energy_delta=delta, tol=tol)
-            return state_from_sector_vector(params, cutoff, energy, vec, parity), report
+            return state_from_sector_vector(params, cutoff, energy, new_vec, parity), report
     report = ConvergenceReport(final_cutoff=cutoff, energy_delta=delta, tol=tol)
     raise NonconvergenceError(
         f"cutoff limit {max_cutoff} reached without convergence "

@@ -21,7 +21,8 @@ class NonconvergenceError(QrabiError, RuntimeError):
 
 
 class DerivativeInvalidError(QrabiError, RuntimeError):
-    """Raised when finite-difference derivatives are requested across a branch jump."""
+    """Raised when parameter flows are undefined: index outside the sweep, or an
+    energy Hessian that is not positive definite."""
 
 
 class SchemaError(QrabiError, ValueError):

@@ -1,20 +1,25 @@
 """Two-polaron variational ansatz: Gaussian matrix elements, energy
-minimization, continuation sweeps and parameter derivatives.
+minimization, continuation sweeps and parameter flows.
 
 The spin-up component is psi_+(x) = alpha*phi_a(x) + beta*phi_b(x) with
 Gaussian polarons phi_i = (xi_i/pi)^(1/4) exp[-xi_i (x + x_i)^2 / 2],
 x_i = zeta_i * g_tilde, and psi_-(x) = -psi_+(-x) (parity -1). Weights obey
 alpha^2 + beta^2 + 2 alpha beta <phi_a|phi_b> = 1.
+
+The energy is minimized by L-BFGS-B over p = (psi, zeta_a, zeta_b, ln xi_a,
+ln xi_b) with its closed-form gradient. The flows dp/dg_bar at a minimum
+follow from the implicit-function theorem, -H^-1 d_gbar grad E, so they do
+not depend on the grid the sweep was taken on.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from . import kernels
@@ -24,6 +29,8 @@ from .model import ModelParams
 NORMALIZATION_TOL = 1e-8
 ZETA_BOUND = 1.4
 LOG_XI_BOUNDS = (math.log(0.02), math.log(8.0))
+FLOW_STEP = 1e-5            # central-difference step of the gradient, in p and g_bar
+ACTIVE_BOUND_TOL = 1e-10    # a component this close to its bound is held by it
 
 
 class Polaron(NamedTuple):
@@ -89,54 +96,30 @@ def _check_xi(*xis):
 def overlap(p_i: Polaron, p_j: Polaron) -> float:
     """<phi_i|phi_j> in closed form."""
     _check_xi(p_i.xi, p_j.xi)
-    s = p_i.xi + p_j.xi
-    d2 = (p_i.x - p_j.x) ** 2
-    return (
-        math.sqrt(2.0)
-        * (p_i.xi * p_j.xi) ** 0.25
-        / math.sqrt(s)
-        * math.exp(-p_i.xi * p_j.xi * d2 / (2.0 * s))
-    )
+    return kernels.gaussian_overlap(p_i.xi, p_i.x, p_j.xi, p_j.x)[0]
 
 
 def _pair_entries(xi_i, x_i, xi_j, x_j):
-    """Closed-form inner products for one ordered pair (i, j)."""
+    """Closed-form inner products for one ordered pair (i, j).
+
+    Each is S_ij times a rational factor; S_ij and the first derivatives come
+    from ``kernels.gaussian_overlap``.
+    """
+    s_ij, lx_i, lxi_i, _, _ = kernels.gaussian_overlap(xi_i, x_i, xi_j, x_j)
     s = xi_i + xi_j
     d = x_i - x_j
     d2 = d * d
-    f_e = math.exp(d2 * xi_i * xi_j / (2.0 * s))
-    root2 = math.sqrt(2.0)
-    s_ij = root2 * (xi_i * xi_j) ** 0.25 / (math.sqrt(s) * f_e)
-    dx_phi = root2 * xi_i ** 1.25 * xi_j ** 1.25 * (x_j - x_i) / (s ** 1.5 * f_e)
-    dxi_phi = (
-        root2
-        * xi_j ** 0.25
-        * (xi_j ** 2 - xi_i ** 2 - 2.0 * xi_i * xi_j ** 2 * d2)
-        / (4.0 * xi_i ** 0.75 * s ** 2.5 * f_e)
-    )
-    dx_dx = root2 * xi_i ** 1.25 * xi_j ** 1.25 * (s - xi_i * xi_j * d2) / (s ** 2.5 * f_e)
-    dx_dxi = (
-        xi_i ** 1.25
-        * xi_j ** 0.25
-        * d
-        * (xi_j ** 2 + xi_i ** 2 * (2.0 * xi_j * d2 - 5.0) - 4.0 * xi_i * xi_j)
-        / (2.0 * root2 * s ** 3.5 * f_e)
-    )
-    dxi_dx = (
-        xi_j ** 1.25
-        * xi_i ** 0.25
-        * (-d)
-        * (xi_i ** 2 + xi_j ** 2 * (2.0 * xi_i * d2 - 5.0) - 4.0 * xi_i * xi_j)
-        / (2.0 * root2 * s ** 3.5 * f_e)
-    )
-    dxi_dxi = (
-        (
-            4.0 * xi_i ** 3 * xi_j ** 3 * d2 * d2
-            + s * (2.0 * xi_i * xi_j * d2 - s) * (xi_i ** 2 + xi_j ** 2 - 10.0 * xi_i * xi_j)
-        )
-        / (8.0 * root2 * s ** 4.5 * xi_i ** 0.75 * xi_j ** 0.75 * f_e)
-    )
-    return s_ij, dx_phi, dxi_phi, dx_dx, dx_dxi, dxi_dx, dxi_dxi
+    p = xi_i * xi_j
+    dx_dx = s_ij * p * (s - p * d2) / s ** 2
+    dx_dxi = s_ij * xi_i * d * (xi_j ** 2 + xi_i ** 2 * (2.0 * xi_j * d2 - 5.0)
+                                - 4.0 * p) / (4.0 * s ** 3)
+    dxi_dx = -s_ij * xi_j * d * (xi_i ** 2 + xi_j ** 2 * (2.0 * xi_i * d2 - 5.0)
+                                 - 4.0 * p) / (4.0 * s ** 3)
+    dxi_dxi = s_ij * (
+        4.0 * p ** 3 * d2 * d2
+        + s * (2.0 * p * d2 - s) * (xi_i ** 2 + xi_j ** 2 - 10.0 * p)
+    ) / (16.0 * s ** 4 * p)
+    return s_ij, s_ij * lx_i, s_ij * lxi_i, dx_dx, dx_dxi, dxi_dx, dxi_dxi
 
 
 def derivative_overlaps(ansatz: PolaronAnsatz, params: ModelParams) -> OverlapTable:
@@ -169,8 +152,8 @@ def energy(ansatz: PolaronAnsatz, params: ModelParams) -> float:
 # --- normalization-manifold parameterization ------------------------------
 #
 # (alpha, beta) = (cos psi, sin psi) / sqrt(1 + S sin(2 psi)) with the mixing
-# angle psi in [0, pi/2], so the constraint holds identically, both weights
-# stay non-negative and bounded, and the optimizer runs unconstrained in psi.
+# angle psi in [0, pi/2], so the constraint holds identically and both weights
+# stay non-negative and bounded.
 
 
 def weights_from_angle(psi: float, s: float) -> np.ndarray:
@@ -212,15 +195,29 @@ def _ansatz_to_vector(ansatz: PolaronAnsatz, params: ModelParams) -> np.ndarray:
     ])
 
 
-def _objective(p: np.ndarray, params: ModelParams) -> float:
+def _objective(p: np.ndarray, params: ModelParams) -> tuple[float, np.ndarray]:
+    """Energy and its gradient in p = (psi, zeta_a, zeta_b, ln xi_a, ln xi_b).
+
+    The fixed-weight gradient of ``kernels.pp_energy`` is chained through the
+    manifold map (alpha, beta)(psi, S) and the overlap S(x_a, xi_a, x_b, xi_b).
+    """
     psi, za, zb, lxa, lxb = p
     gt = params.g_tilde
     xi_a, xi_b = math.exp(lxa), math.exp(lxb)
     xa, xb = za * gt, zb * gt
-    s = overlap(Polaron(xi_a, xa), Polaron(xi_b, xb))
+    s, s_xa, s_xia, s_xb, s_xib = kernels.gaussian_overlap(xi_a, xa, xi_b, xb)
     w_a, w_b = weights_from_angle(psi, s)
-    return kernels.pp_energy(w_a, w_b, xa, xb, xi_a, xi_b,
-                             params.omega, params.Omega, params.g_tilde)
+    e, g = kernels.pp_energy(w_a, w_b, xa, xb, xi_a, xi_b,
+                             params.omega, params.Omega, gt, gradient=True)
+    w_psi, w_s = weight_derivatives(psi, s)
+    e_lns = s * float(g[:2] @ w_s)          # dE/d ln S through the weights
+    return e, np.array([
+        float(g[:2] @ w_psi),
+        gt * (g[2] + e_lns * s_xa),
+        gt * (g[3] + e_lns * s_xb),
+        xi_a * (g[4] + e_lns * s_xia),
+        xi_b * (g[5] + e_lns * s_xib),
+    ])
 
 
 def semiclassical_zeta(g_bar: float) -> float:
@@ -258,16 +255,13 @@ _BOUNDS = [
 
 
 def _minimize_from(p0: np.ndarray, params: ModelParams):
-    res = minimize(
-        _objective, p0, args=(params,), method="Nelder-Mead", bounds=_BOUNDS,
-        options={"xatol": 1e-11, "fatol": 1e-13, "maxiter": 8000, "maxfev": 8000},
+    # ftol = 0: stop on the projected gradient or when a step no longer lowers
+    # the energy; the longer memory resolves the flat directions of
+    # near-merged polarons below the transition
+    return minimize(
+        _objective, p0, args=(params,), jac=True, method="L-BFGS-B", bounds=_BOUNDS,
+        options={"ftol": 0.0, "gtol": 1e-11, "maxiter": 2000, "maxcor": 20},
     )
-    # restart with a fresh simplex to escape premature simplex collapse
-    res2 = minimize(
-        _objective, res.x, args=(params,), method="Nelder-Mead", bounds=_BOUNDS,
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 8000, "maxfev": 8000},
-    )
-    return res2 if res2.fun <= res.fun else res
 
 
 def canonicalize(ansatz: PolaronAnsatz) -> PolaronAnsatz:
@@ -363,82 +357,71 @@ def continuation_sweep(omega: float, Omega: float, gbar_grid) -> PolaronSweep:
     return PolaronSweep(omega, Omega, gbar, results, discontinuities=flagged)
 
 
-def _central_derivative(x, y):
-    """First and second derivative at the middle of three (possibly nonuniform) points."""
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    h1, h2 = x1 - x0, x2 - x1
-    d1 = (y2 * h1 ** 2 + y1 * (h2 ** 2 - h1 ** 2) - y0 * h2 ** 2) / (h1 * h2 * (h1 + h2))
-    d2 = 2.0 * (y2 * h1 - y1 * (h1 + h2) + y0 * h2) / (h1 * h2 * (h1 + h2))
-    return d1, d2
-
-
 def parameter_derivatives(sweep: PolaronSweep, index: int) -> dict:
-    """Central finite-difference flows of the variational parameters at a grid point.
+    """Flows of the variational parameters at a sweep point.
 
-    The weight derivatives are propagated through the normalization manifold
-    (chain rule in the mixing angle and the overlap S), which keeps the assembled
-    <psi'|psi> at machine zero.
+    At a minimum grad E(p, g_bar) = 0, so by the implicit-function theorem
+    dp/dg_bar = -H^-1 d_gbar grad E over the components off their bounds; a
+    component held by an active bound does not flow. H and d_gbar grad E are
+    central differences of the closed-form gradient at the point itself, so
+    no grid neighbour enters. The weight flows are propagated through the
+    normalization manifold (chain rule in the mixing angle and the overlap
+    S), which keeps the assembled <psi'|psi> at machine zero.
     """
-    if index <= 0 or index >= len(sweep.ansatz) - 1:
-        raise DerivativeInvalidError(f"index {index} has no two-sided neighbors")
-    if index in sweep.discontinuities or (index - 1) in sweep.discontinuities:
-        raise DerivativeInvalidError(f"branch discontinuity flagged at index {index}")
-    idx = (index - 1, index, index + 1)
-    gb = [float(sweep.gbar[k]) for k in idx]
-    ans = [sweep.ansatz[k] for k in idx]
+    if not 0 <= index < len(sweep.ansatz):
+        raise DerivativeInvalidError(
+            f"index {index} outside the sweep of {len(sweep.ansatz)} points")
+    ansatz = sweep.ansatz[index]
     params = sweep.params_at(index)
-    a1 = ans[1]
+    gbar = float(sweep.gbar[index])
+    p = _ansatz_to_vector(ansatz, params)
+    lo, hi = np.array(_BOUNDS).T
+    free = np.flatnonzero((p > lo + ACTIVE_BOUND_TOL) & (p < hi - ACTIVE_BOUND_TOL))
 
-    dzeta = np.empty(2)
-    dxi = np.empty(2)
-    d2zeta = np.empty(2)
-    for comp, (zsel, xsel) in enumerate(
-        [(lambda a: a.zeta_alpha, lambda a: a.xi_alpha),
-         (lambda a: a.zeta_beta, lambda a: a.xi_beta)]
-    ):
-        dzeta[comp], d2zeta[comp] = _central_derivative(gb, [zsel(a) for a in ans])
-        dxi[comp], _ = _central_derivative(gb, [xsel(a) for a in ans])
+    def grad(q, at=params):
+        return _objective(q, at)[1][free]
+
+    h = FLOW_STEP
+    hess = np.empty((free.size, free.size))
+    for col, k in enumerate(free):
+        step = np.zeros(p.size)
+        step[k] = h
+        hess[:, col] = (grad(p + step) - grad(p - step)) / (2.0 * h)
+    hess = 0.5 * (hess + hess.T)
+    base = ModelParams(sweep.omega, sweep.Omega, 0.0)
+    mixed = (grad(p, base.with_g((gbar + h) * base.gc0))
+             - grad(p, base.with_g((gbar - h) * base.gc0))) / (2.0 * h)
+    try:
+        factor = cho_factor(hess)
+    except np.linalg.LinAlgError:
+        raise DerivativeInvalidError(
+            f"energy Hessian not positive definite at index {index}") from None
+    dp = np.zeros(p.size)
+    dp[free] = -cho_solve(factor, mixed)
+    dpsi = dp[0]
+    dzeta = dp[1:3]
+    dxi = np.array([ansatz.xi_alpha, ansatz.xi_beta]) * dp[3:5]
 
     # dx_i/dg_bar = (dzeta_i/dg_bar * g_bar + zeta_i) * sqrt(Omega/(2*omega))
     scale = math.sqrt(sweep.Omega / (2.0 * sweep.omega))
-    zeta = np.array([a1.zeta_alpha, a1.zeta_beta])
-    dx = (dzeta * gb[1] + zeta) * scale
-
-    # mixing-angle flow along the sweep
-    psis = [angle_from_weights(a.alpha, a.beta) for a in ans]
-    dpsi, _ = _central_derivative(gb, psis)
+    zeta = np.array([ansatz.zeta_alpha, ansatz.zeta_beta])
+    dx = (dzeta * gbar + zeta) * scale
 
     # dS/dg_bar assembled from the same closed forms used in the QFI
-    table = derivative_overlaps(a1, params)
+    table = derivative_overlaps(ansatz, params)
     ds = (
         table.dx_phi[0, 1] * dx[0] + table.dxi_phi[0, 1] * dxi[0]
         + table.dx_phi[1, 0] * dx[1] + table.dxi_phi[1, 0] * dxi[1]
     )
-    pa, pb = a1.polarons(params)
-    s = overlap(pa, pb)
-    d_w_psi, d_w_s = weight_derivatives(psis[1], s)
+    d_w_psi, d_w_s = weight_derivatives(p[0], table.s[0, 1])
     dweights = d_w_psi * dpsi + d_w_s * ds
 
     return {
         "dzeta": dzeta,
         "dxi": dxi,
-        "d2zeta": d2zeta,
         "dx": dx,
         "dweights": dweights,
         "dpsi": dpsi,
         "ds": ds,
         "overlap_table": table,
     }
-
-
-def sweep_energy_check(sweep: PolaronSweep, ed_energies) -> np.ndarray:
-    """Variational-gap diagnostics E_PP - E_ED per grid point (must be >= 0)."""
-    pp = np.array([a.energy for a in sweep.ansatz])
-    return pp - np.asarray(ed_energies, dtype=float)
-
-
-def smoothness_warning(sweep: PolaronSweep, threshold: float = 0.05):
-    dz = np.abs(np.diff([a.zeta_alpha for a in sweep.ansatz]))
-    if np.any(dz > threshold):
-        warnings.warn("zeta branch shows jumps above smoothness threshold")

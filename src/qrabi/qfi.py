@@ -5,7 +5,9 @@ F_Q = 4 <d psi|d psi> with |d psi> from one banded solve
 (``edsolver.ground_state_response``); the sum-over-states fidelity
 susceptibility evaluated without the spectrum.
 Polaron route: analytic assembly from the closed-form overlap derivatives and
-finite-difference parameter flows of a continuation sweep.
+the implicit-function parameter flows at each optimized point
+(``polaron.parameter_derivatives``), defined at every point of a sweep,
+endpoints included, and independent of its grid spacing.
 """
 
 from __future__ import annotations
@@ -135,18 +137,10 @@ def qfi_pp_simplified(sweep: pp.PolaronSweep, index: int) -> QfiSample:
 
 
 def qfi_pp_at(omega: float, Omega: float, gbar: float,
-              warm: pp.PolaronAnsatz | None = None, delta: float = 1e-3) -> QfiSample:
-    """Polaron QFI at an arbitrary coupling via a local three-point sweep."""
-    base = ModelParams(omega, Omega, 0.0)
-    grid = np.array([gbar - delta, gbar, gbar + delta])
-    ansaetze = []
-    w = warm
-    for gb in grid:
-        ans = optimize_at(base, float(gb), w)
-        ansaetze.append(ans)
-        w = ans
-    sweep = pp.PolaronSweep(omega, Omega, grid, ansaetze)
-    return qfi_pp_full(sweep, 1)
+              warm: pp.PolaronAnsatz | None = None) -> QfiSample:
+    """Polaron QFI at an arbitrary coupling: one optimization, flows at the point."""
+    ans = optimize_at(ModelParams(omega, Omega, 0.0), gbar, warm)
+    return qfi_pp_full(pp.PolaronSweep(omega, Omega, np.array([gbar]), [ans]), 0)
 
 
 def optimize_at(base: ModelParams, gbar: float, warm=None) -> pp.PolaronAnsatz:
@@ -189,13 +183,9 @@ def find_peak(omega: float, Omega: float, method: str = "ED",
 
         values = np.array([f(gb) for gb in grid])
     else:
-        step = grid[1] - grid[0]
-        sweep = pp.continuation_sweep(
-            omega, Omega, np.concatenate([[grid[0] - step], grid, [grid[-1] + step]])
-        )
-        values = np.array([qfi_pp_full(sweep, k).f_q_gbar
-                           for k in range(1, len(grid) + 1)])
-        warm_by_gbar = dict(zip(np.round(grid, 12), sweep.ansatz[1:-1]))
+        sweep = pp.continuation_sweep(omega, Omega, grid)
+        values = np.array([qfi_pp_full(sweep, k).f_q_gbar for k in range(len(grid))])
+        warm_by_gbar = dict(zip(np.round(grid, 12), sweep.ansatz))
 
         def f(gbar):
             key = min(warm_by_gbar, key=lambda gk: abs(gk - gbar))

@@ -2,7 +2,9 @@
 
 Everything here is deliberately independent of the package internals: direct
 quadrature, dense grid diagonalization, and explicit Gaussian algebra, used to
-validate the closed forms and solvers against first principles.
+validate the closed forms and solvers against first principles. The polaron
+optimizer oracles (derivative-free minimization, re-optimized finite
+differences) evaluate the package's energy, which the quadrature oracles check.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import minimize
 
+from qrabi import kernels, polaron
 from qrabi.model import ModelParams
 from qrabi.polaron import Polaron, PolaronAnsatz, overlap, weights_from_angle
 
@@ -148,3 +152,46 @@ def overlap_fidelity(params: ModelParams, delta: float, cutoff: int) -> float:
     a = sector_ground_vector(params, cutoff)
     b = sector_ground_vector(params.with_g(params.g + delta), cutoff)
     return abs(float(a @ b))
+
+
+def vector_energy(p, params: ModelParams) -> float:
+    """Ansatz energy at p = (psi, zeta_a, zeta_b, ln xi_a, ln xi_b), energy only."""
+    psi, za, zb, lxa, lxb = p
+    gt = params.g_tilde
+    xi_a, xi_b = math.exp(lxa), math.exp(lxb)
+    w_a, w_b = weights_from_angle(psi, overlap(Polaron(xi_a, za * gt), Polaron(xi_b, zb * gt)))
+    return kernels.pp_energy(w_a, w_b, za * gt, zb * gt, xi_a, xi_b,
+                             params.omega, params.Omega, gt)
+
+
+def nelder_mead_energy(params: ModelParams) -> float:
+    """Lowest energy of two chained Nelder-Mead runs from each optimizer seed.
+
+    The derivative-free minimizer the gradient optimizer replaced, kept as its
+    oracle: same seeds, same bounds, energies only.
+    """
+    best = math.inf
+    for p0 in polaron._seed_vectors(params, None):
+        x = p0
+        for xatol, fatol in ((1e-11, 1e-13), (1e-12, 1e-14)):
+            res = minimize(vector_energy, x, args=(params,), method="Nelder-Mead",
+                           bounds=polaron._BOUNDS,
+                           options={"xatol": xatol, "fatol": fatol,
+                                    "maxiter": 8000, "maxfev": 8000})
+            best = min(best, res.fun)
+            x = res.x
+    return best
+
+
+def optimized_flow_oracle(sweep, index: int, h: float = 1e-3) -> np.ndarray:
+    """d(psi, zeta_a, zeta_b, xi_a, xi_b)/dg_bar by central differences of
+    ansaetze re-optimized at g_bar +- h, warm-started from the sweep point."""
+    base = ModelParams(sweep.omega, sweep.Omega, 0.0)
+    gbar = float(sweep.gbar[index])
+    ends = []
+    for gb in (gbar - h, gbar + h):
+        a = polaron.optimize(base.with_g(gb * base.gc0), warm_start=sweep.ansatz[index],
+                             multi_start=False)
+        ends.append(np.array([math.atan2(a.beta, a.alpha), a.zeta_alpha, a.zeta_beta,
+                              a.xi_alpha, a.xi_beta]))
+    return (ends[1] - ends[0]) / (2.0 * h)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qrabi import store
+from qrabi import qfi, store
 from qrabi.cli import main
 
 
@@ -66,6 +66,32 @@ def test_qfi_sweep_and_cache_reuse(runner, tmp_path):
     assert np.array_equal(rec2.data, rec.data)
 
 
+def test_qfi_sweep_with_failed_point_is_not_cached(runner, tmp_path, monkeypatch):
+    # at w/W = 0.001 only gbar = 7.5 needs more photons than the cutoff limit
+    # allows: 1 failed point of 11, which must not be cached or exit 0
+    calls = []
+    qfi_ed = qfi.qfi_ed
+
+    def counted(params, **kwargs):
+        calls.append(params.g_bar)
+        return qfi_ed(params, **kwargs)
+
+    monkeypatch.setattr(qfi, "qfi_ed", counted)
+    cache = tmp_path / "cache"
+    args = ["qfi-sweep", "-w", "0.001", "--gbar-min", "7.0", "--gbar-max", "7.5",
+            "--gbar-steps", "11", "--out", str(tmp_path / "q"), "--cache", str(cache)]
+    result = _invoke(runner, args)
+    assert result.exit_code == 3
+    rec = store.load(tmp_path / "q_w0.001.csv")
+    assert list(rec.column("status")) == [0.0] * 10 + [1.0]
+    assert not list(cache.glob("*.sweep"))
+    assert len(calls) == 11
+
+    result = _invoke(runner, args)
+    assert result.exit_code == 3
+    assert len(calls) == 22
+
+
 def test_qfi_sweep_env_cache_override(runner, tmp_path, monkeypatch):
     env_cache = tmp_path / "envcache"
     monkeypatch.setenv("QRM_CACHE_DIR", str(env_cache))
@@ -99,9 +125,8 @@ def test_pp_sweep(runner, tmp_path):
     assert rec.data.shape == (5, 9)
     assert np.all(rec.column("alpha") > 0)
     assert np.all(rec.column("zeta_alpha") >= rec.column("zeta_beta"))
-    # interior points carry a QFI value, endpoints are marked -1
-    assert rec.column("F_Q_pp")[0] == -1.0
-    assert np.all(rec.column("F_Q_pp")[1:-1] > 0)
+    # the flows are taken at each point, so the endpoints carry a QFI value too
+    assert np.all(rec.column("F_Q_pp") > 0)
 
 
 def test_fit_command(runner, tmp_path):

@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ansatz_wavefunction,
     gaussian,
     grid_ground_energy,
+    nelder_mead_energy,
     numeric_pair_oracle,
+    optimized_flow_oracle,
     random_ansatz,
+    vector_energy,
 )
-from qrabi import polaron
+from qrabi import kernels, polaron
 from qrabi.errors import DerivativeInvalidError, ParameterDomainError
 from qrabi.model import ModelParams
 from qrabi.polaron import (
@@ -267,8 +272,96 @@ def test_parameter_derivatives_step_consistency():
 
 
 def test_parameter_derivatives_needs_interior_index():
+    # the flows need no grid neighbours: the endpoints match the re-optimized
+    # finite-difference oracle like any other point; outside the sweep raises
     sweep = continuation_sweep(0.1, 1.0, np.linspace(1.1, 1.3, 5))
-    with pytest.raises(DerivativeInvalidError):
+    for index in (0, 4):
+        d = parameter_derivatives(sweep, index)
+        ift = np.array([d["dpsi"], *d["dzeta"], *d["dxi"]])
+        np.testing.assert_allclose(ift, optimized_flow_oracle(sweep, index), rtol=1e-3)
+    for index in (-1, 5):
+        with pytest.raises(DerivativeInvalidError):
+            parameter_derivatives(sweep, index)
+
+
+# --- closed-form gradient and the gradient optimizer --------------------------
+
+
+def _central(f, p, k, h=1e-4):
+    # fourth-order central difference in component k
+    def at(t):
+        q = np.array(p, dtype=float)
+        q[k] += t
+        return f(q)
+    return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
+
+
+_ratio = st.floats(0.02, 0.5)
+_gbar = st.floats(0.5, 2.0)
+_angle = st.floats(0.0, math.pi / 2)
+_log_xi = st.floats(*polaron.LOG_XI_BOUNDS)
+
+
+@st.composite
+def _polaron_vectors(draw):
+    """(psi, zeta_a, zeta_b, ln xi_a, ln xi_b), near-merged or split."""
+    reach = 0.05 if draw(st.booleans()) else polaron.ZETA_BOUND
+    return np.array([draw(_angle), draw(st.floats(0.0, reach)),
+                     -draw(st.floats(0.0, reach)), draw(_log_xi), draw(_log_xi)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratio=_ratio, gbar=_gbar, p=_polaron_vectors())
+def test_closed_form_gradient_matches_central_differences(ratio, gbar, p):
+    base = ModelParams(ratio, 1.0, 0.0)
+    params = base.with_g(gbar * base.gc0)
+    e, grad = polaron._objective(p, params)
+    assert e == vector_energy(p, params)
+    fd = np.array([_central(lambda q: vector_energy(q, params), p, k) for k in range(5)])
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratio=_ratio, gbar=_gbar, p=_polaron_vectors())
+def test_kernel_gradient_at_fixed_weights(ratio, gbar, p):
+    base = ModelParams(ratio, 1.0, 0.0)
+    params = base.with_g(gbar * base.gc0)
+    gt = params.g_tilde
+    raw = [math.cos(p[0]), math.sin(p[0]), p[1] * gt, p[2] * gt, math.exp(p[3]), math.exp(p[4])]
+
+    def energy_of(q):
+        return kernels.pp_energy(*q, params.omega, params.Omega, gt)
+
+    e, grad = kernels.pp_energy(*raw, params.omega, params.Omega, gt, gradient=True)
+    assert e == energy_of(raw)
+    fd = np.array([_central(energy_of, raw, k, h=1e-4 * max(1.0, abs(raw[k])))
+                   for k in range(6)])
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.02])
+@pytest.mark.parametrize("gbar", [0.8, 1.2, 1.6])
+def test_optimize_reaches_nelder_mead_energy(ratio, gbar):
+    base = ModelParams(ratio, 1.0, 0.0)
+    params = base.with_g(gbar * base.gc0)
+    assert optimize(params).energy <= nelder_mead_energy(params) + 1e-12
+
+
+@pytest.mark.parametrize("ratio, gbar", [(0.1, 1.0), (0.1, 1.3), (0.1, 1.6),
+                                         (0.02, 1.2), (0.02, 1.6)])
+def test_implicit_flows_match_reoptimized_differences(ratio, gbar):
+    sweep = continuation_sweep(ratio, 1.0, [gbar])
+    d = parameter_derivatives(sweep, 0)
+    ift = np.array([d["dpsi"], *d["dzeta"], *d["dxi"]])
+    np.testing.assert_allclose(ift, optimized_flow_oracle(sweep, 0), rtol=1e-3)
+
+
+def test_flows_refuse_an_indefinite_hessian():
+    # equal-weight polarons at +-0.5 g_tilde with unit widths: a saddle of the
+    # energy at g_bar = 1.3, not a minimum, so the flows are undefined there
+    base = ModelParams(0.1, 1.0, 0.0)
+    saddle = polaron._vector_to_ansatz(np.array([math.pi / 4, 0.5, -0.5, 0.0, 0.0]),
+                                       base.with_g(1.3 * base.gc0))
+    sweep = polaron.PolaronSweep(0.1, 1.0, np.array([1.3]), [saddle])
+    with pytest.raises(DerivativeInvalidError, match="not positive definite"):
         parameter_derivatives(sweep, 0)
-    with pytest.raises(DerivativeInvalidError):
-        parameter_derivatives(sweep, 4)

@@ -95,12 +95,14 @@ def test_cache_lookup_hit_and_miss(tmp_path):
 
 
 def test_record_of_older_numerics_is_a_miss(tmp_path):
-    # records saved before the ED QFI became exact linear response carry the
-    # old code version; the same request now hashes differently
-    old = _record({"code_version": "qrabi-0.1.0"})
-    store.store(tmp_path, old)
-    assert store.lookup(tmp_path, old.content_hash()) is not None
-    assert store.lookup(tmp_path, _record().content_hash()) is None
+    # records saved by older numerics carry their code version (finite-
+    # difference ED QFI; Nelder-Mead PP with neighbour-difference flows); the
+    # same request now hashes differently
+    for version in ("qrabi-0.1.0", "qrabi-0.1.0+ed-linear-response"):
+        old = _record({"code_version": version})
+        store.store(tmp_path, old)
+        assert store.lookup(tmp_path, old.content_hash()) is not None
+        assert store.lookup(tmp_path, _record().content_hash()) is None
 
 
 def test_store_releases_lock(tmp_path):
