@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -64,14 +63,11 @@ def main():
               help="Output path prefix; one file per frequency.")
 @click.option("--cache", default=".qrabi_cache", show_default=True,
               help="Cache directory (env QRM_CACHE_DIR overrides).")
-@click.option("--jobs", default=None, type=int,
-              help="Worker threads across grid points (default: logical cores).")
 def cmd_qfi_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, method, tol,
-                  gc2_variant, out, cache, jobs):
+                  gc2_variant, out, cache):
     """QFI versus coupling at fixed frequency ratios (one record per ratio)."""
     grid = _gbar_grid(gbar_min, gbar_max, gbar_steps)
     cache_dir = _cache_dir(cache)
-    jobs = jobs or os.cpu_count() or 1
     any_partial = False
     for ratio in omega_ratio:
         omega, Omega = float(ratio), 1.0
@@ -85,7 +81,7 @@ def cmd_qfi_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, method, tol,
         record = store.lookup(cache_dir, digest)
         if record is None:
             record, failed = _compute_qfi_sweep(
-                omega, Omega, grid, method, tol, gc2_variant, meta, jobs)
+                omega, Omega, grid, method, tol, gc2_variant, meta)
             any_partial = any_partial or failed
             # a record with failed points is never cached, so a rerun retries them
             if not failed:
@@ -97,7 +93,7 @@ def cmd_qfi_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, method, tol,
         sys.exit(EXIT_PARTIAL)
 
 
-def _compute_qfi_sweep(omega, Omega, grid, method, tol, gc2_variant, meta, jobs):
+def _compute_qfi_sweep(omega, Omega, grid, method, tol, gc2_variant, meta):
     base = ModelParams(omega, Omega, 0.0)
     gc2_val = critical.gc2(omega, Omega, gc2_variant).value
     columns = ["g", "gbar", "g_over_gc2"]
@@ -105,18 +101,13 @@ def _compute_qfi_sweep(omega, Omega, grid, method, tol, gc2_variant, meta, jobs)
     want_pp = method in ("pp", "both")
     n = grid.size
     ed_vals = np.full(n, np.nan)
-    status = np.zeros(n)
     if want_ed:
-        def work(k):
-            params = base.with_g(float(grid[k]) * base.gc0)
+        for k in range(n):
             try:
-                return qfi.qfi_ed(params, tol=tol).f_q_gbar
+                ed_vals[k] = qfi.qfi_ed(base.with_g(float(grid[k]) * base.gc0),
+                                        tol=tol).f_q_gbar
             except QrabiError:
-                return math.nan
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            ed_vals = np.array(list(pool.map(work, range(n))))
-        status = np.where(np.isfinite(ed_vals), 0.0, 1.0)
+                pass
     pp_vals = np.full(n, np.nan)
     if want_pp:
         sweep = polaron.continuation_sweep(omega, Omega, grid)
@@ -148,20 +139,26 @@ def _compute_qfi_sweep(omega, Omega, grid, method, tol, gc2_variant, meta, jobs)
 @click.option("--gbar-steps", default=151, show_default=True, type=int)
 @click.option("--out", default="pp_sweep.csv", show_default=True)
 def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out):
-    """Variational polaron continuation sweep with ansatz parameters per point."""
+    """Variational polaron continuation sweep with ansatz parameters per point.
+
+    A point whose QFI assembly fails is written as F_Q_pp = -1 and the command
+    exits 3.
+    """
     grid = _gbar_grid(gbar_min, gbar_max, gbar_steps)
     omega, Omega = float(omega_ratio), 1.0
     sweep = polaron.continuation_sweep(omega, Omega, grid)
     rows = []
+    failed = False
     for k, ans in enumerate(sweep.ansatz):
         try:
             fq = qfi.qfi_pp_full(sweep, k).f_q_gbar
         except QrabiError:
             fq = math.nan
+        if not math.isfinite(fq):
+            fq, failed = -1.0, True
         rows.append([
             grid[k], ans.energy, ans.alpha, ans.beta, ans.zeta_alpha,
-            ans.zeta_beta, ans.xi_alpha, ans.xi_beta,
-            fq if math.isfinite(fq) else -1.0,
+            ans.zeta_beta, ans.xi_alpha, ans.xi_beta, fq,
         ])
     meta = {"kind": "pp-sweep", "omega": omega, "Omega": Omega,
             "grid": [gbar_min, gbar_max, gbar_steps], "tolerances": {}}
@@ -173,6 +170,8 @@ def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out):
     )
     store.save(record, out)
     click.echo(f"wrote {out}")
+    if failed:
+        sys.exit(EXIT_PARTIAL)
 
 
 def _peak_cached(omega, Omega, cache_dir, method, tol):
@@ -333,11 +332,15 @@ def cmd_verify(tol):
     except NonconvergenceError:
         check("g=0 ground energy = -Omega/2", False)
 
+    params = ModelParams(0.1, 1.0, 0.2)
     try:
-        sample = qfi.qfi_ed(ModelParams(0.1, 1.0, 0.2), tol=tol)
+        sample = qfi.qfi_ed(params, tol=tol)
+        state, _ = ground_state(params, tol=tol)
     except QrabiError as exc:
         check(f"ED QFI ({exc})", False)
     else:
+        check(f"cutoff energy bound {sample.energy_delta:.1e} <= tol |E0| = "
+              f"{tol * abs(state.energy):.1e}", sample.energy_delta <= tol * abs(state.energy))
         check("F_Q >= 0", sample.f_q_g >= 0)
         rel = 4.0 * sample.first_derivative_term ** 2 / sample.f_q_g
         check("<psi'|psi> negligible", rel < 1e-10)

@@ -9,6 +9,9 @@ Solves use that reduction at every cutoff; the dense full-space solver in
 
 The cutoff search starts from the photon number of the displaced oscillator
 and grows geometrically until the energy and the basis tail have converged.
+One eigensolve per growth step suffices: the energy at the previous cutoff
+is bounded from both sides by interlacing, so the start cutoff is never
+solved.
 Because dH/dg = sigma_z (a + a^dag) conserves parity, the derivative of the
 ground state with respect to g stays in the sector and follows from one
 banded linear solve at the converged cutoff (first-order perturbation theory
@@ -17,11 +20,12 @@ without the spectrum); ``ground_state_response`` returns both.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz, dstein
 
 from . import kernels
 from .errors import NonconvergenceError, ParameterDomainError, QrabiError
@@ -69,31 +73,49 @@ def sector_tridiagonal(params: ModelParams, cutoff: int, parity: int = -1):
     """(diagonal, off-diagonal) of the parity-sector Hamiltonian.
 
     In the sector, the spin-x eigenvalue at photon number n is parity*(-1)^n,
-    the sigma_z coupling hops n -> n+1 within the sector.
+    the sigma_z coupling hops n -> n+1 within the sector. The arrays are
+    read-only: the last pair built is reused by the next caller at the same
+    (params, cutoff, parity), so one point builds its matrix once.
     """
     if cutoff < 1:
         raise ParameterDomainError(f"cutoff must be >= 1, got {cutoff}")
     if parity not in (1, -1):
         raise ParameterDomainError(f"parity must be +1 or -1, got {parity}")
+    return _tridiagonal(params, cutoff, parity)
+
+
+@functools.lru_cache(maxsize=1)
+def _tridiagonal(params: ModelParams, cutoff: int, parity: int):
     n = np.arange(cutoff + 1)
     diag = params.omega * n + 0.5 * params.Omega * parity * (-1.0) ** n
     off = params.g * np.sqrt(n[1:])
+    diag.setflags(write=False)
+    off.setflags(write=False)
     return diag, off
 
 
-def sector_eigenpairs(params: ModelParams, cutoff: int, parity: int = -1, n_states: int = 1,
-                      vectors: bool = True):
+def _check_info(info: int, routine: str) -> None:
+    if info != 0:
+        raise QrabiError(f"LAPACK {routine} failed with info = {info}")
+
+
+def sector_eigenpairs(params: ModelParams, cutoff: int, parity: int = -1, n_states: int = 1):
     """Lowest eigenpairs in one parity sector; vectors are columns.
 
-    With ``vectors=False`` only the eigenvalues are computed and the vector
-    array has no columns.
+    Bisection for the eigenvalues (dstebz) and inverse iteration for the
+    vectors (dstein): the LAPACK pair behind scipy's ``eigh_tridiagonal`` with
+    an index range, called without its input validation. A nonzero LAPACK
+    ``info`` raises QrabiError.
     """
     diag, off = sector_tridiagonal(params, cutoff, parity)
-    select = (0, n_states - 1)
-    if not vectors:
-        vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=select)
-        return vals, np.empty((diag.size, 0))
-    return eigh_tridiagonal(diag, off, select="i", select_range=select)
+    m, vals, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, n_states, 0.0, "B")
+    _check_info(info, "dstebz")
+    vals = vals[:m]
+    vecs, info = dstein(diag, off, vals, iblock, isplit)
+    _check_info(info, "dstein")
+    # "B" orders by block of a split matrix (g = 0), not by value
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def _gauge_fix(vec: np.ndarray) -> np.ndarray:
@@ -139,27 +161,45 @@ def _tail_weight(vec: np.ndarray) -> float:
     return float(np.sum(vec[start:] ** 2))
 
 
+def interlacing_bound(params: ModelParams, cutoff: int, energy: float, vec: np.ndarray,
+                      parity: int = -1) -> float:
+    """Upper bound on E(cutoff) - E(N) from the ground pair (energy, vec) at N > cutoff.
+
+    The cutoff-N0 sector matrix is the leading principal submatrix of the
+    cutoff-N one, so by Cauchy interlacing E(N) <= E(N0), and E(N0) is at
+    most the Rayleigh quotient RQ of any vector on n <= N0. With vec cut to
+    n <= N0, RQ - E(N) >= E(N0) - E(N) >= 0; rounding below zero reads 0.
+    """
+    diag, off = sector_tridiagonal(params, vec.size - 1, parity)
+    head = vec[:cutoff + 1]
+    rayleigh = float(head @ _tridiagonal_apply(diag[:cutoff + 1], off[:cutoff], head))
+    return max(rayleigh / float(head @ head) - energy, 0.0)
+
+
 def ground_state(params: ModelParams, tol: float = 1e-10,
                  max_cutoff: int = HARD_CUTOFF_LIMIT, parity: int = -1):
     """Adaptively converged lowest state of one parity sector.
 
     Grows the cutoff by 1.5x from ``initial_cutoff`` until the relative energy
     change from the previous cutoff is at most ``tol`` and the tail weight
-    beyond 0.9*N is below 1e-12.
+    beyond 0.9*N is below 1e-12. The start cutoff is not solved: its energy
+    change is bounded by ``interlacing_bound`` with the grown cutoff's ground
+    pair; later steps compare with the energy solved at the previous cutoff.
+    The report's ``energy_delta`` is that bound or difference.
     """
     if tol <= 0:
         raise ParameterDomainError(f"tol must be > 0, got {tol}")
     cutoff = min(initial_cutoff(params), max_cutoff)
-    # the start cutoff only supplies the reference energy; the tail-weight
-    # test and the returned state use the vectors of the grown cutoffs
-    vals, _ = sector_eigenpairs(params, cutoff, parity, vectors=False)
-    energy = float(vals[0])
+    energy = None
     delta = math.inf
     while cutoff < max_cutoff:
         new_cutoff = min(math.ceil(CUTOFF_GROWTH * cutoff), max_cutoff)
         vals, vecs = sector_eigenpairs(params, new_cutoff, parity)
         new_energy, new_vec = float(vals[0]), vecs[:, 0]
-        delta = abs(new_energy - energy)
+        if energy is None:
+            delta = interlacing_bound(params, cutoff, new_energy, new_vec, parity)
+        else:
+            delta = abs(new_energy - energy)
         converged = (
             delta <= tol * max(abs(new_energy), 1e-30)
             and _tail_weight(new_vec) < TAIL_WEIGHT_TOL
@@ -189,12 +229,14 @@ class GroundStateResponse:
     ``dvec`` is d(sector vector)/dg for the gauge-fixed ``state.coeffs_plus``,
     orthogonal to it; ``residual`` is the relative residual of the linear
     solve that produced it. The lift to the full space is an isometry, so
-    sector inner products are full-space inner products.
+    sector inner products are full-space inner products. ``report`` is the
+    convergence certificate of the cutoff search behind ``state``.
     """
 
     state: QuantumState
     dvec: np.ndarray
     residual: float
+    report: ConvergenceReport
 
     @property
     def fisher_information(self) -> float:
@@ -230,11 +272,12 @@ def ground_state_response(params: ModelParams, tol: float = 1e-10) -> GroundStat
     x solves (T - E0) x = -(V psi - <V> psi) with x orthogonal to psi. T - E0
     is singular along psi (exactly so at g = 0). Pinning x to zero at the
     largest component m of psi, with row and column m replaced by those of
-    the identity, leaves a positive-definite tridiagonal matrix; it is solved
-    with one refinement step, then psi is projected out of x. Raises
-    QrabiError when the relative residual of the unpinned system exceeds 1e-8.
+    the identity, leaves a positive-definite tridiagonal matrix; it is
+    factored once (dgttrf) and the factors serve the solve and one refinement
+    step (dgttrs), then psi is projected out of x. Raises QrabiError when the
+    relative residual of the unpinned system exceeds 1e-8.
     """
-    state, _ = ground_state(params, tol=tol)
+    state, report = ground_state(params, tol=tol)
     psi = state.coeffs_plus
     diag, off = sector_tridiagonal(params, state.cutoff)
     diag = diag - state.energy
@@ -248,10 +291,16 @@ def ground_state_response(params: ModelParams, tol: float = 1e-10) -> GroundStat
     pinned_off[max(m - 1, 0):m + 1] = 0.0
     pinned_rhs = rhs.copy()
     pinned_rhs[m] = 0.0
-    bands = np.array([np.r_[0.0, pinned_off], pinned_diag, np.r_[pinned_off, 0.0]])
-    x = solve_banded((1, 1), bands, pinned_rhs)
-    x += solve_banded((1, 1), bands,
-                      pinned_rhs - _tridiagonal_apply(pinned_diag, pinned_off, x))
+    *factors, info = dgttrf(pinned_off, pinned_diag, pinned_off)
+    _check_info(info, "dgttrf")
+
+    def solve(b):
+        x, info = dgttrs(*factors, b)
+        _check_info(info, "dgttrs")
+        return x
+
+    x = solve(pinned_rhs)
+    x += solve(pinned_rhs - _tridiagonal_apply(pinned_diag, pinned_off, x))
     x -= float(psi @ x) * psi
 
     residual = float(np.linalg.norm(_tridiagonal_apply(diag, off, x) - rhs)
@@ -261,7 +310,7 @@ def ground_state_response(params: ModelParams, tol: float = 1e-10) -> GroundStat
             f"linear-response residual {residual:.2e} exceeds {RESPONSE_RESIDUAL_TOL:.0e} "
             f"at cutoff {state.cutoff}"
         )
-    return GroundStateResponse(state=state, dvec=x, residual=residual)
+    return GroundStateResponse(state=state, dvec=x, residual=residual, report=report)
 
 
 def sector_gap(params: ModelParams, cutoff: int) -> float:

@@ -29,8 +29,9 @@ from .model import ModelParams
 class QfiSample:
     """One QFI evaluation; f_q_g and f_q_gbar differ by the exact factor gc0^2.
 
-    ED samples carry the converged ``cutoff`` and the relative ``residual`` of
-    the linear solve behind them.
+    ED samples carry the converged ``cutoff``, the relative ``residual`` of
+    the linear solve behind them and the cutoff search's ``energy_delta``
+    (its certified energy change, at most tol * |E0|).
     """
 
     g: float
@@ -41,6 +42,7 @@ class QfiSample:
     first_derivative_term: float
     cutoff: int | None = None
     residual: float | None = None
+    energy_delta: float | None = None
     kinetic_energy_form: float | None = None
 
 
@@ -67,6 +69,7 @@ def qfi_ed(params: ModelParams, *, tol: float = 1e-10, check_step: bool = False)
         f_q_g=f_q, f_q_gbar=f_q * params.gc0 ** 2, method="ED",
         first_derivative_term=response.first_derivative_term,
         cutoff=response.state.cutoff, residual=response.residual,
+        energy_delta=response.report.energy_delta,
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +23,7 @@ SCHEMA_VERSION = 1
 # Identity of the numerics behind a record; it enters the content hash, so
 # changing it turns every record computed by older numerics into a miss.
 # Change it whenever a computation that feeds a record changes.
-CODE_VERSION = "qrabi-0.1.0+pp-gradient"
+CODE_VERSION = "qrabi-0.1.0+ed-one-eigensolve"
 MAGIC = "#qrm-sweep"
 
 
@@ -130,28 +131,19 @@ def lookup(cache_dir, digest: str) -> SweepRecord | None:
 
 
 def store(cache_dir, record: SweepRecord) -> Path:
-    """Save a record under its content hash, serialized by a lock file."""
+    """Save a record under its content hash, atomically.
+
+    The record is written to a temporary file in the cache directory and
+    renamed onto its path, so a reader sees the old file or the whole new
+    one, and a writer that dies leaves at most a stray temporary file.
+    """
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
     path = cache_path(cache, record.content_hash())
-    lock = path.with_suffix(".lock")
-    fd = None
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        fd = _acquire_lock(lock)
-        save(record, path)
+        save(record, tmp)
+        os.replace(tmp, path)
     finally:
-        if fd is not None:
-            os.close(fd)
-            lock.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
     return path
-
-
-def _acquire_lock(lock: Path):
-    for _ in range(1000):
-        try:
-            return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            import time
-
-            time.sleep(0.01)
-    raise SchemaError(f"could not acquire cache lock {lock}")

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import minimize
 
 from qrabi import kernels, polaron
@@ -115,8 +115,8 @@ def grid_ground_energy(params: ModelParams, n: int = 2400, lim: float = 14.0) ->
     return float(np.linalg.eigvalsh(ham)[0])
 
 
-def sector_ground_vector(params: ModelParams, cutoff: int) -> np.ndarray:
-    """Lowest eigenvector (arbitrary sign) of the parity -1 sector Hamiltonian.
+def sector_matrix(params: ModelParams, cutoff: int):
+    """(diagonal, off-diagonal) of the parity -1 sector Hamiltonian.
 
     In the sector, sigma_x = -(-1)^n at photon number n and g sigma_z (a + a^dag)
     hops n -> n +- 1, so the matrix is tridiagonal with diagonal
@@ -125,8 +125,67 @@ def sector_ground_vector(params: ModelParams, cutoff: int) -> np.ndarray:
     n = np.arange(cutoff + 1)
     diag = params.omega * n - 0.5 * params.Omega * (-1.0) ** n
     off = params.g * np.sqrt(n[1:])
-    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    return vecs[:, 0]
+    return diag, off
+
+
+def sector_ground_pair(params: ModelParams, cutoff: int):
+    """Lowest eigenvalue and eigenvector (arbitrary sign) of the sector matrix."""
+    vals, vecs = eigh_tridiagonal(*sector_matrix(params, cutoff), select="i",
+                                  select_range=(0, 0))
+    return float(vals[0]), vecs[:, 0]
+
+
+def sector_ground_vector(params: ModelParams, cutoff: int) -> np.ndarray:
+    """Lowest eigenvector (arbitrary sign) of the parity -1 sector Hamiltonian."""
+    return sector_ground_pair(params, cutoff)[1]
+
+
+def two_solve_qfi(params: ModelParams, tol: float = 1e-10, start: int | None = None):
+    """(cutoff, energy, F_Q) from the two-eigensolve cutoff search.
+
+    The search the interlacing certificate replaced, kept as its oracle: solve
+    the start cutoff (default n_bar + 12 sqrt(n_bar) + 32), grow by 1.5x and
+    compare the solved energies, with the tail weight beyond 0.9 N below
+    1e-12; then the pinned linear-response solve with two ``solve_banded``
+    calls.
+    """
+    nbar = (params.g / params.omega) ** 2
+    cutoff = start or math.ceil(nbar + 12.0 * math.sqrt(nbar)) + 32
+    energy, _ = sector_ground_pair(params, cutoff)
+    while True:
+        cutoff = math.ceil(1.5 * cutoff)
+        if cutoff > 16384:
+            raise AssertionError("the oracle's cutoff search did not converge")
+        new_energy, psi = sector_ground_pair(params, cutoff)
+        tail = float(np.sum(psi[int(0.9 * cutoff):] ** 2))
+        if abs(new_energy - energy) <= tol * abs(new_energy) and tail < 1e-12:
+            break
+        energy = new_energy
+    if psi[np.argmax(np.abs(psi))] < 0:
+        psi = -psi
+    diag, off = sector_matrix(params, cutoff)
+    diag = diag - new_energy
+    roots = np.sqrt(np.arange(1, cutoff + 1))
+    vpsi = np.zeros_like(psi)
+    vpsi[:-1] += roots * psi[1:]
+    vpsi[1:] += roots * psi[:-1]
+    rhs = -(vpsi - float(psi @ vpsi) * psi)
+    m = int(np.argmax(np.abs(psi)))
+    diag[m], rhs[m] = 1.0, 0.0
+    off = off.copy()
+    off[max(m - 1, 0):m + 1] = 0.0
+    bands = np.array([np.r_[0.0, off], diag, np.r_[off, 0.0]])
+
+    def apply(x):
+        out = diag * x
+        out[:-1] += off * x[1:]
+        out[1:] += off * x[:-1]
+        return out
+
+    x = solve_banded((1, 1), bands, rhs)
+    x += solve_banded((1, 1), bands, rhs - apply(x))
+    x -= float(psi @ x) * psi
+    return cutoff, new_energy, 4.0 * float(x @ x)
 
 
 def aligned(ref: np.ndarray, vec: np.ndarray) -> np.ndarray:

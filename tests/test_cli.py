@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from qrabi import qfi, store
 from qrabi.cli import main
+from qrabi.errors import QrabiError
 
 
 @pytest.fixture
@@ -115,6 +116,12 @@ def test_unknown_method_is_config_error(runner):
     assert result.exit_code == 2
 
 
+def test_jobs_option_is_gone(runner):
+    # grid points run in a plain loop; there is no thread pool to size
+    result = runner.invoke(main, ["qfi-sweep", "-w", "0.3", "--jobs", "2"])
+    assert result.exit_code == 2
+
+
 def test_pp_sweep(runner, tmp_path):
     out = tmp_path / "pp.csv"
     result = _invoke(runner, ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2",
@@ -127,6 +134,25 @@ def test_pp_sweep(runner, tmp_path):
     assert np.all(rec.column("zeta_alpha") >= rec.column("zeta_beta"))
     # the flows are taken at each point, so the endpoints carry a QFI value too
     assert np.all(rec.column("F_Q_pp") > 0)
+
+
+def test_pp_sweep_with_failed_point_exits_3(runner, tmp_path, monkeypatch):
+    real = qfi.qfi_pp_full
+
+    def failing_at_2(sweep, index):
+        if index == 2:
+            raise QrabiError("injected failure")
+        return real(sweep, index)
+
+    monkeypatch.setattr(qfi, "qfi_pp_full", failing_at_2)
+    out = tmp_path / "pp.csv"
+    result = _invoke(runner, ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2",
+                              "--gbar-max", "1.4", "--gbar-steps", "5",
+                              "--out", str(out)])
+    assert result.exit_code == 3
+    fq = store.load(out).column("F_Q_pp")
+    assert fq[2] == -1.0
+    assert np.all(np.delete(fq, 2) > 0)
 
 
 def test_fit_command(runner, tmp_path):

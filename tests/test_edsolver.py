@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import grid_ground_energy
-from qrabi import edsolver
+from conftest import grid_ground_energy, sector_ground_pair, two_solve_qfi
+from qrabi import edsolver, qfi
 from qrabi.edsolver import (
     expectation_x,
     ground_state,
     ground_state_fixed,
     ground_state_response,
+    interlacing_bound,
     photon_number,
     position_wavefunction,
     sector_eigenpairs,
@@ -147,3 +150,61 @@ def test_response_residual_above_bound_raises(monkeypatch):
 def test_invalid_tol():
     with pytest.raises(ParameterDomainError):
         ground_state(ModelParams(0.1, 1.0, 0.1), tol=0.0)
+
+
+@pytest.mark.parametrize("ratio", [0.001, 0.005, 0.1, 0.5])
+def test_one_eigensolve_search_matches_two_solve_oracle(ratio):
+    base = ModelParams(ratio, 1.0, 0.0)
+    for gbar in (0.0, 0.8, 1.3, 2.5):
+        params = base.with_g(gbar * base.gc0)
+        cutoff, energy, f_q = two_solve_qfi(params)
+        state, report = ground_state(params)
+        assert state.cutoff == report.final_cutoff == cutoff
+        assert state.energy == pytest.approx(energy, rel=1e-13)
+        sample = qfi.qfi_ed(params)
+        assert sample.f_q_g == pytest.approx(f_q, rel=1e-12)
+        assert sample.energy_delta == report.energy_delta <= 1e-10 * abs(state.energy)
+
+
+@pytest.mark.parametrize("ratio, gbar, start", [(0.5, 2.5, 19), (0.1, 2.0, 31),
+                                                 (0.02, 2.0, 79), (0.02, 2.5, 109)])
+def test_tight_start_cutoff_grows_on_the_energy_test(monkeypatch, ratio, gbar, start):
+    # from these starts the first grown cutoff passes the tail-weight test but
+    # not the energy test; the certificate bounds the true energy change from
+    # above, so the search stops no earlier than the two-solve search
+    base = ModelParams(ratio, 1.0, 0.0)
+    params = base.with_g(gbar * base.gc0)
+    monkeypatch.setattr(edsolver, "initial_cutoff", lambda p: start)
+    state, report = ground_state(params)
+    cutoff, energy, _ = two_solve_qfi(params, start=start)
+    assert report.final_cutoff >= cutoff > math.ceil(1.5 * start)
+    assert state.energy == pytest.approx(energy, rel=1e-10)
+    assert state.energy == pytest.approx(ground_state_fixed(params, 2 * cutoff).energy,
+                                         rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratio=st.floats(0.002, 1.0), gbar=st.floats(0.0, 3.0), cutoff=st.integers(2, 120))
+def test_interlacing_bound_covers_the_energy_change(ratio, gbar, cutoff):
+    # small start cutoffs at strong coupling make E(N0) - E(N1) large
+    base = ModelParams(ratio, 1.0, 0.0)
+    params = base.with_g(gbar * base.gc0)
+    grown = math.ceil(1.5 * cutoff)
+    e0, _ = sector_ground_pair(params, cutoff)
+    e1, vec = sector_ground_pair(params, grown)
+    bound = interlacing_bound(params, cutoff, e1, vec)
+    assert bound >= e0 - e1 - 1e-13 * abs(e1)
+    assert bound >= 0.0
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein", "dgttrf"])
+def test_lapack_failure_raises(monkeypatch, routine):
+    real = getattr(edsolver, routine)
+
+    def failing(*args):
+        *out, _ = real(*args)
+        return (*out, 1)
+
+    monkeypatch.setattr(edsolver, routine, failing)
+    with pytest.raises(QrabiError, match=routine):
+        ground_state_response(ModelParams(0.1, 1.0, 0.2))

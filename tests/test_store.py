@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,9 +98,10 @@ def test_cache_lookup_hit_and_miss(tmp_path):
 
 def test_record_of_older_numerics_is_a_miss(tmp_path):
     # records saved by older numerics carry their code version (finite-
-    # difference ED QFI; Nelder-Mead PP with neighbour-difference flows); the
-    # same request now hashes differently
-    for version in ("qrabi-0.1.0", "qrabi-0.1.0+ed-linear-response"):
+    # difference ED QFI; Nelder-Mead PP with neighbour-difference flows; the
+    # two-eigensolve cutoff test); the same request now hashes differently
+    for version in ("qrabi-0.1.0", "qrabi-0.1.0+ed-linear-response",
+                    "qrabi-0.1.0+pp-gradient"):
         old = _record({"code_version": version})
         store.store(tmp_path, old)
         assert store.lookup(tmp_path, old.content_hash()) is not None
@@ -110,3 +113,23 @@ def test_store_releases_lock(tmp_path):
     path = store.store(tmp_path, rec)
     assert path.exists()
     assert not path.with_suffix(".lock").exists()
+
+
+def test_stale_lock_neither_delays_nor_fails_store(tmp_path):
+    # a writer that died under the old lock-file protocol left <hash>.lock
+    rec = _record()
+    path = store.cache_path(tmp_path, rec.content_hash())
+    path.with_suffix(".lock").touch()
+    t0 = time.perf_counter()
+    assert store.store(tmp_path, rec) == path
+    assert time.perf_counter() - t0 < 1.0
+    assert np.array_equal(store.lookup(tmp_path, rec.content_hash()).data, rec.data)
+    assert {p.name for p in tmp_path.iterdir()} == {path.name, path.with_suffix(".lock").name}
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    rec = _record()
+    rec.data[0, 0] = np.nan
+    with pytest.raises(SchemaError):
+        store.store(tmp_path, rec)
+    assert not list(tmp_path.iterdir())
