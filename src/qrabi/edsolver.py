@@ -44,7 +44,6 @@ RESPONSE_RESIDUAL_TOL = 1e-8
 class ConvergenceReport:
     final_cutoff: int
     energy_delta: float
-    qfi_delta: float | None = None
     tol: float = 1e-10
 
 

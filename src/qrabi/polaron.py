@@ -156,9 +156,18 @@ def energy(ansatz: PolaronAnsatz, params: ModelParams) -> float:
 # stay non-negative and bounded.
 
 
+def _manifold(psi: float, s: float) -> tuple[float, ...]:
+    """(alpha, beta, dalpha/dpsi, dbeta/dpsi, dalpha/dS, dbeta/dS) on scalars."""
+    n2 = 1.0 + s * math.sin(2.0 * psi)
+    n = math.sqrt(n2)
+    alpha, beta = math.cos(psi) / n, math.sin(psi) / n
+    k = s * math.cos(2.0 * psi) / n2
+    m = -0.5 * math.sin(2.0 * psi) / n2
+    return alpha, beta, -beta - alpha * k, alpha - beta * k, alpha * m, beta * m
+
+
 def weights_from_angle(psi: float, s: float) -> np.ndarray:
-    norm = math.sqrt(1.0 + s * math.sin(2.0 * psi))
-    return np.array([math.cos(psi), math.sin(psi)]) / norm
+    return np.array(_manifold(psi, s)[:2])
 
 
 def angle_from_weights(alpha: float, beta: float) -> float:
@@ -167,13 +176,8 @@ def angle_from_weights(alpha: float, beta: float) -> float:
 
 def weight_derivatives(psi: float, s: float) -> tuple[np.ndarray, np.ndarray]:
     """(d(alpha,beta)/dpsi, d(alpha,beta)/dS) of the manifold map."""
-    c, sn = math.cos(psi), math.sin(psi)
-    n2 = 1.0 + s * math.sin(2.0 * psi)
-    n = math.sqrt(n2)
-    u = np.array([c, sn])
-    d_psi = np.array([-sn, c]) / n - u * (s * math.cos(2.0 * psi)) / (n2 * n)
-    d_s = -u * math.sin(2.0 * psi) / (2.0 * n2 * n)
-    return d_psi, d_s
+    _, _, a_psi, b_psi, a_s, b_s = _manifold(psi, s)
+    return np.array([a_psi, b_psi]), np.array([a_s, b_s])
 
 
 def _vector_to_ansatz(p: np.ndarray, params: ModelParams) -> PolaronAnsatz:
@@ -199,24 +203,24 @@ def _objective(p: np.ndarray, params: ModelParams) -> tuple[float, np.ndarray]:
     """Energy and its gradient in p = (psi, zeta_a, zeta_b, ln xi_a, ln xi_b).
 
     The fixed-weight gradient of ``kernels.pp_energy`` is chained through the
-    manifold map (alpha, beta)(psi, S) and the overlap S(x_a, xi_a, x_b, xi_b).
+    manifold map (alpha, beta)(psi, S) and the overlap S(x_a, xi_a, x_b, xi_b),
+    on Python floats; the gradient is the one array allocated.
     """
-    psi, za, zb, lxa, lxb = p
+    psi, za, zb, lxa, lxb = p.tolist()
     gt = params.g_tilde
     xi_a, xi_b = math.exp(lxa), math.exp(lxb)
     xa, xb = za * gt, zb * gt
     s, s_xa, s_xia, s_xb, s_xib = kernels.gaussian_overlap(xi_a, xa, xi_b, xb)
-    w_a, w_b = weights_from_angle(psi, s)
-    e, g = kernels.pp_energy(w_a, w_b, xa, xb, xi_a, xi_b,
-                             params.omega, params.Omega, gt, gradient=True)
-    w_psi, w_s = weight_derivatives(psi, s)
-    e_lns = s * float(g[:2] @ w_s)          # dE/d ln S through the weights
+    w_a, w_b, a_psi, b_psi, a_s, b_s = _manifold(psi, s)
+    e, (e_wa, e_wb, e_xa, e_xb, e_xia, e_xib) = kernels.pp_energy(
+        w_a, w_b, xa, xb, xi_a, xi_b, params.omega, params.Omega, gt, gradient=True)
+    e_lns = s * (e_wa * a_s + e_wb * b_s)     # dE/d ln S through the weights
     return e, np.array([
-        float(g[:2] @ w_psi),
-        gt * (g[2] + e_lns * s_xa),
-        gt * (g[3] + e_lns * s_xb),
-        xi_a * (g[4] + e_lns * s_xia),
-        xi_b * (g[5] + e_lns * s_xib),
+        e_wa * a_psi + e_wb * b_psi,
+        gt * (e_xa + e_lns * s_xa),
+        gt * (e_xb + e_lns * s_xb),
+        xi_a * (e_xia + e_lns * s_xia),
+        xi_b * (e_xib + e_lns * s_xib),
     ])
 
 
@@ -334,7 +338,7 @@ def continuation_sweep(omega: float, Omega: float, gbar_grid) -> PolaronSweep:
         warm = ans
     if gbar.size >= 4:
         vectors = np.array([
-            _ansatz_to_vector(a, PolaronSweep(omega, Omega, gbar, results).params_at(k))
+            _ansatz_to_vector(a, base.with_g(float(gbar[k]) * base.gc0))
             for k, a in enumerate(results)
         ])
         jumps = _parameter_jumps(vectors)
@@ -342,12 +346,12 @@ def continuation_sweep(omega: float, Omega: float, gbar_grid) -> PolaronSweep:
         flagged = np.flatnonzero(jumps > 10.0 * scale)
         for k in flagged:
             for idx in (k, k + 1):
-                params = PolaronSweep(omega, Omega, gbar, results).params_at(int(idx))
+                params = base.with_g(float(gbar[idx]) * base.gc0)
                 ans = optimize(params, warm_start=results[idx], multi_start=True)
                 if ans.energy < results[idx].energy:
                     results[idx] = ans
         vectors = np.array([
-            _ansatz_to_vector(a, PolaronSweep(omega, Omega, gbar, results).params_at(k))
+            _ansatz_to_vector(a, base.with_g(float(gbar[k]) * base.gc0))
             for k, a in enumerate(results)
         ])
         jumps = _parameter_jumps(vectors)

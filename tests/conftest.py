@@ -223,6 +223,51 @@ def vector_energy(p, params: ModelParams) -> float:
                              params.omega, params.Omega, gt)
 
 
+def four_pair_energy(w_a, w_b, x_a, x_b, xi_a, xi_b, omega, Omega, g_tilde):
+    """(energy, dE/d(w_a, w_b, x_a, x_b, xi_a, xi_b)) of the two-polaron ansatz
+    at fixed weights, summed over the four ordered pairs (i, j).
+
+    The pair-by-pair assembly the three-pair ``kernels.pp_energy`` replaced,
+    kept as its oracle: every pair, diagonal ones included, takes its overlap
+    and mirrored overlap from ``kernels.gaussian_overlap``.
+    """
+    eps0 = -0.5 * (g_tilde * g_tilde + 1.0) * omega
+    c = 0.5 * omega
+    w = (w_a, w_b)
+    x = (x_a, x_b)
+    xi = (xi_a, xi_b)
+    energy = 0.0
+    grad = [0.0] * 6
+    for i in range(2):
+        for j in range(2):
+            A, B = xi[i], xi[j]
+            s = A + B
+            q = A * B / s
+            d = x[i] - x[j]
+            # centre -(A x_i + B x_j)/s of phi_i phi_j minus the well centre -g_tilde
+            r = g_tilde - (A * x[i] + B * x[j]) / s
+            S, s_xi, s_A, s_xj, s_B = kernels.gaussian_overlap(A, x[i], B, x[j])
+            # overlap with the mirrored phi_j(-x); it depends on -x_j
+            T, t_xi, t_A, t_xj, t_B = kernels.gaussian_overlap(A, x[i], B, -x[j])
+            G = c * (q * (1.0 - q * d * d) + r * r + 1.0 / s) + eps0
+            tun = 0.5 * Omega * T
+            h = S * G - tun
+            ww = w[i] * w[j]
+            energy += ww * h
+            gq = 1.0 - 2.0 * q * d * d
+            G_xi = -2.0 * c * (q * q * d + r * A / s)
+            G_xj = 2.0 * c * (q * q * d - r * B / s)
+            G_A = c * (gq * B * B - 2.0 * r * B * d - 1.0) / (s * s)
+            G_B = c * (gq * A * A + 2.0 * r * A * d - 1.0) / (s * s)
+            grad[i] += w[j] * h
+            grad[j] += w[i] * h
+            grad[2 + i] += ww * (S * (G * s_xi + G_xi) - tun * t_xi)
+            grad[2 + j] += ww * (S * (G * s_xj + G_xj) + tun * t_xj)
+            grad[4 + i] += ww * (S * (G * s_A + G_A) - tun * t_A)
+            grad[4 + j] += ww * (S * (G * s_B + G_B) - tun * t_B)
+    return energy, np.array(grad)
+
+
 def nelder_mead_energy(params: ModelParams) -> float:
     """Lowest energy of two chained Nelder-Mead runs from each optimizer seed.
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gaussian, quad_overlap
-from qrabi import kernels
+from conftest import four_pair_energy, gaussian, quad_overlap
+from qrabi import kernels, polaron
 from qrabi.model import ModelParams
-from qrabi.polaron import PolaronAnsatz, energy
+from qrabi.polaron import PolaronAnsatz, energy, weights_from_angle
 
 
 def test_backend_selection_reports():
@@ -55,16 +55,58 @@ def test_backends_agree_oscillator():
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
 
+def _energy_draws(rng, placement, xi_choice, count=8):
+    """Fixed-weight kernel arguments on the normalization manifold.
+
+    ``placement`` is "merged" (both polarons within 0.05 g_tilde of the
+    origin) or "split" (anywhere within ZETA_BOUND); ``xi_choice`` puts both
+    widths at the lower or upper edge of LOG_XI_BOUNDS, or anywhere between.
+    """
+    reach = 0.05 if placement == "merged" else polaron.ZETA_BOUND
+    for _ in range(count):
+        base = ModelParams(rng.uniform(0.02, 0.5), 1.0, 0.0)
+        params = base.with_g(rng.uniform(0.5, 2.0) * base.gc0)
+        gt = params.g_tilde
+        x_a, x_b = rng.uniform(0.0, reach) * gt, -rng.uniform(0.0, reach) * gt
+        if xi_choice == "between":
+            xi_a, xi_b = np.exp(rng.uniform(*polaron.LOG_XI_BOUNDS, size=2))
+        else:
+            xi_a = xi_b = math.exp(polaron.LOG_XI_BOUNDS[xi_choice == "upper"])
+        s = kernels.gaussian_overlap(xi_a, x_a, xi_b, x_b)[0]
+        w_a, w_b = weights_from_angle(rng.uniform(0.0, math.pi / 2), s)
+        yield (w_a, w_b, x_a, x_b, xi_a, xi_b, params.omega, params.Omega, gt)
+
+
 def test_backends_agree_energy():
+    # the three-pair kernel against the four-ordered-pair assembly it replaced
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        args = (
-            rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
-            rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
-            rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0),
-            rng.uniform(0.05, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 3.0),
-        )
-        assert kernels.pp_energy(*args) == kernels.pp_energy_numpy(*args)
+    for placement in ("merged", "split"):
+        for xi_choice in ("lower", "upper", "between"):
+            for args in _energy_draws(rng, placement, xi_choice):
+                want_e, want_g = four_pair_energy(*args)
+                e, grad = kernels.pp_energy(*args, gradient=True)
+                assert e == kernels.pp_energy(*args)
+                # the terms cancel towards E = 0, so the floor is the energy
+                # scale |eps0| + Omega/2 they cancel from
+                omega, Omega, gt = args[6:]
+                scale = 0.5 * (gt * gt + 1.0) * omega + 0.5 * Omega
+                assert e == pytest.approx(want_e, rel=1e-13, abs=1e-13 * scale)
+                np.testing.assert_allclose(grad, want_g, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(want_g)))
+
+
+def test_pp_energy_overlap_count(monkeypatch):
+    # the diagonal pairs need only their mirrored overlap and the cross pair
+    # counts twice: four Gaussian overlaps per call, with or without gradient
+    calls = []
+    overlap = kernels.gaussian_overlap
+    monkeypatch.setattr(kernels, "gaussian_overlap",
+                        lambda *a: calls.append(a) or overlap(*a))
+    args = (0.7, 0.5, 0.4, -0.3, 1.2, 0.8, 0.1, 1.0, 2.0)
+    kernels.pp_energy(*args)
+    assert len(calls) == 4
+    kernels.pp_energy(*args, gradient=True)
+    assert len(calls) == 8
 
 
 def test_pp_energy_matrix_elements_against_quadrature():

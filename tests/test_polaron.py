@@ -339,6 +339,21 @@ def test_kernel_gradient_at_fixed_weights(ratio, gbar, p):
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
 
 
+def test_objective_work_count(monkeypatch):
+    # one energy call per evaluation (the overlap S for the weights, then the
+    # kernel's four): at most five Gaussian overlaps
+    overlaps, energies = [], []
+    overlap_fn, energy_fn = kernels.gaussian_overlap, kernels.pp_energy
+    monkeypatch.setattr(kernels, "gaussian_overlap",
+                        lambda *a: overlaps.append(a) or overlap_fn(*a))
+    monkeypatch.setattr(kernels, "pp_energy",
+                        lambda *a, **k: energies.append(a) or energy_fn(*a, **k))
+    base = ModelParams(0.1, 1.0, 0.0)
+    polaron._objective(np.array([0.6, 0.8, -0.7, 0.1, -0.2]), base.with_g(1.3 * base.gc0))
+    assert len(energies) == 1
+    assert len(overlaps) <= 5
+
+
 @pytest.mark.parametrize("ratio", [0.1, 0.02])
 @pytest.mark.parametrize("gbar", [0.8, 1.2, 1.6])
 def test_optimize_reaches_nelder_mead_energy(ratio, gbar):
