@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import critical, observables, polaron, qfi, store
-from .edsolver import RESPONSE_RESIDUAL_TOL, ground_state
+from .edsolver import RESPONSE_RESIDUAL_TOL, ground_state, ground_state_response
 from .errors import NonconvergenceError, QrabiError
 from .model import ModelParams, build_hamiltonian, parity_operator
 
@@ -176,15 +176,16 @@ def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out):
 
 def _peak_cached(omega, Omega, cache_dir, method, tol):
     meta = {"kind": "qfi-peak", "omega": omega, "Omega": Omega,
-            "grid": [0.5, 3.0, 41], "tolerances": {"tol": tol, "method": method}}
+            "grid": list(qfi.PEAK_RANGE), "tolerances": {"tol": tol, "method": method}}
     digest = store.compute_hash(meta)
     record = store.lookup(cache_dir, digest)
     if record is not None:
         return float(record.column("gbar_cf")[0]), record
-    est = qfi.find_peak(omega, Omega, method=method, tol=tol)
+    est = qfi.find_peak(omega, Omega, method=method, gbar_range=qfi.PEAK_RANGE, tol=tol)
     record = store.SweepRecord(
-        meta=meta, columns=["gbar_cf", "g_cf", "f_q_max"],
-        data=np.array([[est.gbar_cf, est.g_cf, est.f_q_max]]),
+        meta=meta, columns=["gbar_cf", "g_cf", "f_q_max", "bracket_width", "evaluations"],
+        data=np.array([[est.gbar_cf, est.g_cf, est.f_q_max, est.bracket_width,
+                        est.evaluations]]),
     )
     store.store(cache_dir, record)
     return est.gbar_cf, record
@@ -346,6 +347,19 @@ def cmd_verify(tol):
         check("<psi'|psi> negligible", rel < 1e-10)
         check(f"linear-response residual {sample.residual:.1e} < {RESPONSE_RESIDUAL_TOL:.0e} "
               f"(cutoff {sample.cutoff})", sample.residual < RESPONSE_RESIDUAL_TOL)
+
+    base = ModelParams(0.1, 1.0, 0.0)
+    params = base.with_g(1.2 * base.gc0)
+    step = 1e-5 * params.g
+    try:
+        exact = ground_state_response(params, tol=tol).dfisher_dg()
+        central = (qfi.qfi_ed(params.with_g(params.g + step), tol=tol).f_q_g
+                   - qfi.qfi_ed(params.with_g(params.g - step), tol=tol).f_q_g) / (2.0 * step)
+    except QrabiError as exc:
+        check(f"dF_Q/dg ({exc})", False)
+    else:
+        rel = abs(exact - central) / abs(central)
+        check(f"dF_Q/dg vs central difference of F_Q: rel {rel:.1e} < 1e-6", rel < 1e-6)
 
     residuals = [critical.gc_xi_residual(r, 1.0) for r in np.geomspace(1e-3, 3.0, 50)]
     check("gc_xi defining-equation residual < 1e-10", max(residuals) < 1e-10)

@@ -15,7 +15,9 @@ solved.
 Because dH/dg = sigma_z (a + a^dag) conserves parity, the derivative of the
 ground state with respect to g stays in the sector and follows from one
 banded linear solve at the converged cutoff (first-order perturbation theory
-without the spectrum); ``ground_state_response`` returns both.
+without the spectrum); ``ground_state_response`` returns both. Its factors
+stay on the result, so dF_Q/dg, asked for by the QFI-peak search, costs one
+more solve with them.
 """
 
 from __future__ import annotations
@@ -222,6 +224,37 @@ def ground_state_fixed(params: ModelParams, cutoff: int, parity: int = -1) -> Qu
 
 
 @dataclass(frozen=True)
+class _PinnedSystem:
+    """LU factors of T - E0 with row and column ``pin`` replaced by the identity.
+
+    T - E0 is singular along psi; with the pin at a nonzero component of psi
+    the pinned matrix is nonsingular, and for a right-hand side b orthogonal
+    to psi its solution solves (T - E0) y = b exactly, because the pinned row
+    is the one equation the others imply.
+    """
+
+    diag: np.ndarray
+    off: np.ndarray
+    pin: int
+    factors: tuple
+
+    def _solve_once(self, rhs: np.ndarray) -> np.ndarray:
+        y, info = dgttrs(*self.factors, rhs)
+        _check_info(info, "dgttrs")
+        return y
+
+    def solve(self, rhs: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """y orthogonal to psi with (T - E0) y = rhs, for rhs orthogonal to psi:
+        the pinned solve, one refinement step, then psi projected out."""
+        pinned_rhs = rhs.copy()
+        pinned_rhs[self.pin] = 0.0
+        y = self._solve_once(pinned_rhs)
+        y += self._solve_once(pinned_rhs - _tridiagonal_apply(self.diag, self.off, y))
+        y -= float(psi @ y) * psi
+        return y
+
+
+@dataclass(frozen=True)
 class GroundStateResponse:
     """Converged sector ground state and its derivative with respect to g.
 
@@ -230,12 +263,14 @@ class GroundStateResponse:
     solve that produced it. The lift to the full space is an isometry, so
     sector inner products are full-space inner products. ``report`` is the
     convergence certificate of the cutoff search behind ``state``.
+    ``system`` holds the pinned factors of that solve for ``dfisher_dg``.
     """
 
     state: QuantumState
     dvec: np.ndarray
     residual: float
     report: ConvergenceReport
+    system: _PinnedSystem
 
     @property
     def fisher_information(self) -> float:
@@ -251,6 +286,18 @@ class GroundStateResponse:
     def dx_plus_dg(self) -> float:
         """d<x>_+/dg = sqrt(2) (V psi).dvec, from <x>_+ = psi.V.psi/sqrt(2)."""
         return math.sqrt(2.0) * float(_coupling_apply(self.state.coeffs_plus) @ self.dvec)
+
+    def dfisher_dg(self) -> float:
+        """dF_Q/dg = -16 y.(V x - <V> x), with x = dvec and (T - E0) y = x on psi-perp.
+
+        Differentiating (T - E0) x = -(V - <V>) psi once more gives
+        (T - E0) dx/dg = -2 (V - <V>) x along psi-perp, and dF_Q/dg = 8 x.dx/dg.
+        y costs one more pinned solve with the factors behind ``dvec``.
+        """
+        psi, x = self.state.coeffs_plus, self.dvec
+        y = self.system.solve(x, psi)
+        v_mean = float(psi @ _coupling_apply(psi))
+        return -16.0 * float(y @ (_coupling_apply(x) - v_mean * x))
 
 
 def _tridiagonal_apply(diag, off: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -273,7 +320,9 @@ def ground_state_response(params: ModelParams, tol: float = 1e-10) -> GroundStat
     largest component m of psi, with row and column m replaced by those of
     the identity, leaves a positive-definite tridiagonal matrix; it is
     factored once (dgttrf) and the factors serve the solve and one refinement
-    step (dgttrs), then psi is projected out of x. Raises QrabiError when the
+    step (dgttrs), then psi is projected out of x. The factors are kept on the
+    result for ``GroundStateResponse.dfisher_dg``, which is computed only when
+    called. Raises QrabiError when the
     relative residual of the unpinned system exceeds 1e-8.
     """
     state, report = ground_state(params, tol=tol)
@@ -288,19 +337,10 @@ def ground_state_response(params: ModelParams, tol: float = 1e-10) -> GroundStat
     pinned_diag[m] = 1.0
     pinned_off = off.copy()
     pinned_off[max(m - 1, 0):m + 1] = 0.0
-    pinned_rhs = rhs.copy()
-    pinned_rhs[m] = 0.0
     *factors, info = dgttrf(pinned_off, pinned_diag, pinned_off)
     _check_info(info, "dgttrf")
-
-    def solve(b):
-        x, info = dgttrs(*factors, b)
-        _check_info(info, "dgttrs")
-        return x
-
-    x = solve(pinned_rhs)
-    x += solve(pinned_rhs - _tridiagonal_apply(pinned_diag, pinned_off, x))
-    x -= float(psi @ x) * psi
+    system = _PinnedSystem(diag=pinned_diag, off=pinned_off, pin=m, factors=tuple(factors))
+    x = system.solve(rhs, psi)
 
     residual = float(np.linalg.norm(_tridiagonal_apply(diag, off, x) - rhs)
                      / np.linalg.norm(rhs))
@@ -309,7 +349,8 @@ def ground_state_response(params: ModelParams, tol: float = 1e-10) -> GroundStat
             f"linear-response residual {residual:.2e} exceeds {RESPONSE_RESIDUAL_TOL:.0e} "
             f"at cutoff {state.cutoff}"
         )
-    return GroundStateResponse(state=state, dvec=x, residual=residual, report=report)
+    return GroundStateResponse(state=state, dvec=x, residual=residual, report=report,
+                               system=system)
 
 
 def sector_gap(params: ModelParams, cutoff: int) -> float:

@@ -4,6 +4,8 @@ ED route: exact linear response of the converged parity-sector ground state,
 F_Q = 4 <d psi|d psi> with |d psi> from one banded solve
 (``edsolver.ground_state_response``); the sum-over-states fidelity
 susceptibility evaluated without the spectrum.
+The ED QFI peak is the root of the exact dF_Q/dg
+(``GroundStateResponse.dfisher_dg``), found by Brent's method.
 Polaron route: analytic assembly from the closed-form overlap derivatives and
 the implicit-function parameter flows at each optimized point
 (``polaron.parameter_derivatives``), defined at every point of a sweep,
@@ -17,12 +19,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import polaron as pp
-from .critical import CriticalEstimate
+from .critical import CriticalEstimate, gc2
 from .edsolver import ground_state_response
 from .errors import ParameterDomainError, QrabiError
 from .model import ModelParams
+
+PEAK_RANGE = (0.5, 3.0)
+PEAK_XTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,12 +54,21 @@ class QfiSample:
 
 @dataclass(frozen=True)
 class PeakEstimate:
+    """QFI maximum g_cF = gbar_cf * gc0 and F_Q (per g_bar) there.
+
+    ``bracket_width`` is the width in g_bar of the final interval known to
+    hold the maximum; ``evaluations`` counts the ED ground-state responses
+    the search spent (0 on the PP route). A ``flat_peak`` has no interior
+    maximum in the search range and sits at the range end.
+    """
+
     g_cf: float
     gbar_cf: float
     f_q_max: float
     bracket_width: float
     method: str
     flat_peak: bool = False
+    evaluations: int = 0
 
 
 def qfi_ed(params: ModelParams, *, tol: float = 1e-10, check_step: bool = False) -> QfiSample:
@@ -171,28 +186,33 @@ def _golden_max(f, lo, hi, tol):
 
 
 def find_peak(omega: float, Omega: float, method: str = "ED",
-              gbar_range: tuple[float, float] = (0.5, 3.0),
+              gbar_range: tuple[float, float] = PEAK_RANGE,
               coarse_points: int = 41, refine_tol: float = 1e-4,
               tol: float = 1e-10) -> PeakEstimate:
-    """Locate the QFI maximum g_cF: coarse scan, bracket, golden-section refine."""
+    """Locate the QFI maximum g_cF within ``gbar_range``.
+
+    ED: the root of the exact dF/dg_bar, bracketed from the gc2 estimate and
+    refined by Brent's method to 1e-10 in g_bar (``_find_peak_ed``).
+    PP-full, which has no exact derivative: a scan of ``coarse_points``
+    points, then golden-section refinement to ``refine_tol`` around the
+    largest; ``coarse_points`` and ``refine_tol`` serve only this route.
+    Without an interior maximum the search warns and returns the range end
+    (ED) or the scan argmax (PP-full) with ``flat_peak=True``.
+    """
     if method not in ("ED", "PP-full"):
         raise ParameterDomainError(f"unknown peak method {method!r}")
+    if method == "ED":
+        return _find_peak_ed(omega, Omega, gbar_range, tol)
+
     base = ModelParams(omega, Omega, 0.0)
     grid = np.linspace(gbar_range[0], gbar_range[1], coarse_points)
+    sweep = pp.continuation_sweep(omega, Omega, grid)
+    values = np.array([qfi_pp_full(sweep, k).f_q_gbar for k in range(len(grid))])
+    warm_by_gbar = dict(zip(np.round(grid, 12), sweep.ansatz))
 
-    if method == "ED":
-        def f(gbar):
-            return qfi_ed(base.with_g(gbar * base.gc0), tol=tol).f_q_gbar
-
-        values = np.array([f(gb) for gb in grid])
-    else:
-        sweep = pp.continuation_sweep(omega, Omega, grid)
-        values = np.array([qfi_pp_full(sweep, k).f_q_gbar for k in range(len(grid))])
-        warm_by_gbar = dict(zip(np.round(grid, 12), sweep.ansatz))
-
-        def f(gbar):
-            key = min(warm_by_gbar, key=lambda gk: abs(gk - gbar))
-            return qfi_pp_at(omega, Omega, gbar, warm=warm_by_gbar[key]).f_q_gbar
+    def f(gbar):
+        key = min(warm_by_gbar, key=lambda gk: abs(gk - gbar))
+        return qfi_pp_at(omega, Omega, gbar, warm=warm_by_gbar[key]).f_q_gbar
 
     k = int(np.argmax(values))
     if k == 0 or k == len(grid) - 1:
@@ -207,6 +227,69 @@ def find_peak(omega: float, Omega: float, method: str = "ED",
         g_cf=gbar_cf * base.gc0, gbar_cf=gbar_cf, f_q_max=float(f_max),
         bracket_width=float(width), method=method,
     )
+
+
+def _find_peak_ed(omega, Omega, gbar_range, tol) -> PeakEstimate:
+    """Root of dF/dg_bar = gc0^3 dF_Q/dg, every evaluation exact.
+
+    Starts at the gc2 estimate clamped into the range and walks uphill in
+    steps that double from 0.05 (gc2 - 1) + 1e-3 until dF/dg_bar changes
+    sign, then runs Brent's method on the bracket. Each g_bar is evaluated
+    once: Brent reuses the walk's endpoints and its root is a point it
+    evaluated, so F there is already known.
+    """
+    base = ModelParams(omega, Omega, 0.0)
+    lo, hi = gbar_range
+    evaluated: dict[float, tuple[float, float]] = {}
+
+    def evaluate(gbar):
+        if gbar not in evaluated:
+            response = ground_state_response(base.with_g(gbar * base.gc0), tol=tol)
+            evaluated[gbar] = (response.fisher_information * base.gc0 ** 2,
+                               response.dfisher_dg() * base.gc0 ** 3)
+        return evaluated[gbar]
+
+    def slope(gbar):
+        return evaluate(gbar)[1]
+
+    estimate = gc2(omega, Omega, "alphaFS").ratio
+    gbar = min(max(estimate, lo), hi)
+    uphill = math.copysign(1.0, slope(gbar))
+    step = 0.05 * (estimate - 1.0) + 1e-3
+    while True:
+        end = hi if uphill > 0 else lo
+        if gbar == end:
+            warnings.warn("no interior QFI maximum in gbar_range; returning the range end")
+            # the width is the last walk step, 0 when the walk starts at the end
+            width = min((abs(g - gbar) for g in evaluated if g != gbar), default=0.0)
+            return PeakEstimate(
+                g_cf=gbar * base.gc0, gbar_cf=gbar, f_q_max=evaluate(gbar)[0],
+                bracket_width=width, method="ED", flat_peak=True,
+                evaluations=len(evaluated),
+            )
+        nxt = min(max(gbar + uphill * step, lo), hi)
+        if slope(nxt) * uphill <= 0.0:
+            break
+        gbar, step = nxt, 2.0 * step
+
+    a, b = sorted((gbar, nxt))
+    root = brentq(slope, a, b, xtol=PEAK_XTOL)
+    f_max = evaluate(root)[0]
+    return PeakEstimate(
+        g_cf=root * base.gc0, gbar_cf=root, f_q_max=f_max,
+        bracket_width=_final_bracket(evaluated, root), method="ED",
+        evaluations=len(evaluated),
+    )
+
+
+def _final_bracket(evaluated, root) -> float:
+    """Width of the tightest sign change of dF/dg_bar among the evaluated
+    points that encloses ``root`` (0 when the slope there is exactly 0)."""
+    if evaluated[root][1] == 0.0:
+        return 0.0
+    below = [g for g, (_, d) in evaluated.items() if g <= root and d > 0.0]
+    above = [g for g, (_, d) in evaluated.items() if g >= root and d < 0.0]
+    return min(above) - max(below)
 
 
 def acceleration_condition(sweep: pp.PolaronSweep, form: str = "acceleration") -> CriticalEstimate:

@@ -299,3 +299,48 @@ def optimized_flow_oracle(sweep, index: int, h: float = 1e-3) -> np.ndarray:
         ends.append(np.array([math.atan2(a.beta, a.alpha), a.zeta_alpha, a.zeta_beta,
                               a.xi_alpha, a.xi_beta]))
     return (ends[1] - ends[0]) / (2.0 * h)
+
+
+def fd_dfisher(params: ModelParams, h: float, step: float, cutoff: int) -> float:
+    """dF_Q/dg from the fourth-order central stencil over ``fd_qfi`` at g +- step
+    and g +- 2 step, each with state step h, all at a fixed cutoff."""
+
+    def f(k):
+        return fd_qfi(params.with_g(params.g + k * step), h, cutoff)
+
+    return (8.0 * (f(1) - f(-1)) - (f(2) - f(-2))) / (12.0 * step)
+
+
+def golden_section_peak(omega: float, Omega: float, gbar_range=(0.5, 3.0),
+                        coarse_points: int = 41, refine_tol: float = 1e-4):
+    """(gbar_cF, F_Q per g_bar there) from a scan of ``qfi_ed`` and golden-section
+    refinement around the scan's largest point.
+
+    The scan-and-refine peak search the root search on the exact dF/dg_bar
+    replaced, kept as its oracle; a maximum at a scan end raises.
+    """
+    from qrabi.qfi import qfi_ed
+
+    base = ModelParams(omega, Omega, 0.0)
+
+    def f(gbar):
+        return qfi_ed(base.with_g(gbar * base.gc0)).f_q_gbar
+
+    grid = np.linspace(gbar_range[0], gbar_range[1], coarse_points)
+    k = int(np.argmax([f(gb) for gb in grid]))
+    if k in (0, coarse_points - 1):
+        raise AssertionError("the oracle's scan has no interior maximum")
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(grid[k - 1]), float(grid[k + 1])
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > refine_tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b), max(fc, fd)

@@ -168,6 +168,20 @@ def test_fit_command(runner, tmp_path):
     assert frac["coefficients"][0] == pytest.approx(1.3715, rel=0.15)
 
 
+def test_peak_record_carries_search_diagnostics(runner, tmp_path):
+    cache = tmp_path / "cache"
+    result = _invoke(runner, ["gc", "-w", "0.2", "--with-peaks",
+                              "--out", str(tmp_path / "gc.csv"), "--cache", str(cache)])
+    assert result.exit_code == 0
+    est = qfi.find_peak(0.2, 1.0, method="ED")
+    records = [store.load(path) for path in cache.glob("*.sweep")]
+    (record,) = [rec for rec in records if rec.meta["kind"] == "qfi-peak"]
+    assert record.meta["grid"] == list(qfi.PEAK_RANGE)
+    assert record.columns == ["gbar_cf", "g_cf", "f_q_max", "bracket_width", "evaluations"]
+    assert record.data[0].tolist() == [est.gbar_cf, est.g_cf, est.f_q_max,
+                                       est.bracket_width, est.evaluations]
+
+
 def test_verify_passes(runner):
     result = _invoke(runner, ["verify"])
     assert result.exit_code == 0

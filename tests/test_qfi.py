@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import aligned, fd_qfi, overlap_fidelity
-from qrabi import polaron, qfi
+from conftest import aligned, fd_dfisher, fd_qfi, golden_section_peak, overlap_fidelity
+from qrabi import edsolver, polaron, qfi
+from qrabi.critical import DEFAULT_FIT_GRID
 from qrabi.errors import ParameterDomainError, QrabiError
 from qrabi.model import ModelParams
 
@@ -53,6 +54,19 @@ def test_linear_response_matches_fd_oracle(omega):
         sample = qfi.qfi_ed(params)
         oracle = fd_qfi(params, 1e-6 * base.gc0, sample.cutoff)
         assert sample.f_q_g == pytest.approx(oracle, rel=1e-7)
+
+
+@pytest.mark.parametrize("omega", [0.005, 0.1, 0.5])
+def test_dfisher_matches_fd_oracle(omega):
+    # the oracle's own noise is about 3e-6 relative at worst on this grid
+    # (0.005, gbar 3), against 1e-8 for exact F_Q differenced at the same step
+    base = ModelParams(omega, 1.0, 0.0)
+    for gbar in np.linspace(0.5, 3.0, 11):
+        params = base.with_g(float(gbar) * base.gc0)
+        response = edsolver.ground_state_response(params)
+        oracle = fd_dfisher(params, 3e-5 * base.gc0, 1e-3 * base.gc0,
+                            response.state.cutoff)
+        assert response.dfisher_dg() == pytest.approx(oracle, rel=1e-5)
 
 
 def test_qfi_ed_converges_at_low_frequency():
@@ -132,6 +146,35 @@ def test_find_peak_flat_warns():
     with pytest.warns(UserWarning):
         est = qfi.find_peak(0.1, 1.0, gbar_range=(0.5, 1.0), coarse_points=11)
     assert est.flat_peak
+
+
+@pytest.mark.parametrize("ratio", DEFAULT_FIT_GRID)
+def test_find_peak_ed_root_search(ratio, monkeypatch):
+    calls = 0
+    real = edsolver.ground_state
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(edsolver, "ground_state", counted)
+    est = qfi.find_peak(ratio, 1.0, method="ED")
+    monkeypatch.undo()
+    assert calls <= 12
+    assert est.evaluations == calls
+    assert not est.flat_peak
+    assert 0.0 < est.bracket_width <= 1e-10
+    # a maximum: F_Q at the root is not below its neighbours at +-1e-6
+    base = ModelParams(ratio, 1.0, 0.0)
+    for shift in (-1e-6, 1e-6):
+        assert est.f_q_max >= qfi.qfi_ed(base.with_g((est.gbar_cf + shift) * base.gc0)).f_q_gbar
+
+
+@pytest.mark.parametrize("ratio", DEFAULT_FIT_GRID)
+def test_find_peak_matches_golden_section(ratio):
+    gbar_ref, _ = golden_section_peak(ratio, 1.0)
+    assert qfi.find_peak(ratio, 1.0, method="ED").gbar_cf == pytest.approx(gbar_ref, abs=1e-4)
 
 
 def test_acceleration_condition_forms_agree():
