@@ -15,9 +15,9 @@ solved.
 Because dH/dg = sigma_z (a + a^dag) conserves parity, the derivative of the
 ground state with respect to g stays in the sector and follows from one
 banded linear solve at the converged cutoff (first-order perturbation theory
-without the spectrum); ``ground_state_response`` returns both. Its factors
-stay on the result, so dF_Q/dg, asked for by the QFI-peak search, costs one
-more solve with them.
+without the spectrum); ``ground_state_response`` returns both. dF_Q/dg,
+asked for only by the QFI-peak search, factors the same pinned matrix again
+and costs one more solve.
 """
 
 from __future__ import annotations
@@ -254,6 +254,19 @@ class _PinnedSystem:
         return y
 
 
+def _pinned_system(state: QuantumState) -> _PinnedSystem:
+    """T - E0 of the state's sector, pinned at the largest component of psi and factored."""
+    diag, off = sector_tridiagonal(state.params, state.cutoff, state.parity)
+    m = int(np.argmax(np.abs(state.coeffs_plus)))
+    pinned_diag = diag - state.energy
+    pinned_diag[m] = 1.0
+    pinned_off = off.copy()
+    pinned_off[max(m - 1, 0):m + 1] = 0.0
+    *factors, info = dgttrf(pinned_off, pinned_diag, pinned_off)
+    _check_info(info, "dgttrf")
+    return _PinnedSystem(diag=pinned_diag, off=pinned_off, pin=m, factors=tuple(factors))
+
+
 @dataclass(frozen=True)
 class GroundStateResponse:
     """Converged sector ground state and its derivative with respect to g.
@@ -263,14 +276,12 @@ class GroundStateResponse:
     solve that produced it. The lift to the full space is an isometry, so
     sector inner products are full-space inner products. ``report`` is the
     convergence certificate of the cutoff search behind ``state``.
-    ``system`` holds the pinned factors of that solve for ``dfisher_dg``.
     """
 
     state: QuantumState
     dvec: np.ndarray
     residual: float
     report: ConvergenceReport
-    system: _PinnedSystem
 
     @property
     def fisher_information(self) -> float:
@@ -292,10 +303,12 @@ class GroundStateResponse:
 
         Differentiating (T - E0) x = -(V - <V>) psi once more gives
         (T - E0) dx/dg = -2 (V - <V>) x along psi-perp, and dF_Q/dg = 8 x.dx/dg.
-        y costs one more pinned solve with the factors behind ``dvec``.
+        y comes from the pinned system behind ``dvec``, factored again here
+        (O(N), against the cutoff search's eigensolves) so that responses
+        carry no factors.
         """
         psi, x = self.state.coeffs_plus, self.dvec
-        y = self.system.solve(x, psi)
+        y = _pinned_system(self.state).solve(x, psi)
         v_mean = float(psi @ _coupling_apply(psi))
         return -16.0 * float(y @ (_coupling_apply(x) - v_mean * x))
 
@@ -320,9 +333,7 @@ def ground_state_response(params: ModelParams, tol: float = 1e-10) -> GroundStat
     largest component m of psi, with row and column m replaced by those of
     the identity, leaves a positive-definite tridiagonal matrix; it is
     factored once (dgttrf) and the factors serve the solve and one refinement
-    step (dgttrs), then psi is projected out of x. The factors are kept on the
-    result for ``GroundStateResponse.dfisher_dg``, which is computed only when
-    called. Raises QrabiError when the
+    step (dgttrs), then psi is projected out of x. Raises QrabiError when the
     relative residual of the unpinned system exceeds 1e-8.
     """
     state, report = ground_state(params, tol=tol)
@@ -331,16 +342,7 @@ def ground_state_response(params: ModelParams, tol: float = 1e-10) -> GroundStat
     diag = diag - state.energy
     vpsi = _coupling_apply(psi)
     rhs = -(vpsi - float(psi @ vpsi) * psi)
-
-    m = int(np.argmax(np.abs(psi)))
-    pinned_diag = diag.copy()
-    pinned_diag[m] = 1.0
-    pinned_off = off.copy()
-    pinned_off[max(m - 1, 0):m + 1] = 0.0
-    *factors, info = dgttrf(pinned_off, pinned_diag, pinned_off)
-    _check_info(info, "dgttrf")
-    system = _PinnedSystem(diag=pinned_diag, off=pinned_off, pin=m, factors=tuple(factors))
-    x = system.solve(rhs, psi)
+    x = _pinned_system(state).solve(rhs, psi)
 
     residual = float(np.linalg.norm(_tridiagonal_apply(diag, off, x) - rhs)
                      / np.linalg.norm(rhs))
@@ -349,8 +351,7 @@ def ground_state_response(params: ModelParams, tol: float = 1e-10) -> GroundStat
             f"linear-response residual {residual:.2e} exceeds {RESPONSE_RESIDUAL_TOL:.0e} "
             f"at cutoff {state.cutoff}"
         )
-    return GroundStateResponse(state=state, dvec=x, residual=residual, report=report,
-                               system=system)
+    return GroundStateResponse(state=state, dvec=x, residual=residual, report=report)
 
 
 def sector_gap(params: ModelParams, cutoff: int) -> float:

@@ -146,16 +146,14 @@ def coincidence_map(omega_grid, gbar_grid, Omega: float = 1.0,
     failed = []
     for i, omega in enumerate(omega_grid):
         base = ModelParams(float(omega), Omega, 0.0)
-        # keep two numbers per cell, not the responses with their factors
-        cells = []
         try:
-            for gb in gbar_grid:
-                response = ground_state_response(base.with_g(gb * base.gc0), tol=tol)
-                cells.append((response.fisher_information, _x_and_slope(response)[2]))
+            responses = [ground_state_response(base.with_g(gb * base.gc0), tol=tol)
+                         for gb in gbar_grid]
         except QrabiError:
             failed.append(i)
             continue
-        row_q, row_s = np.array(cells).T
+        row_q = np.array([r.fisher_information for r in responses])
+        row_s = np.array([_x_and_slope(r)[2] for r in responses])
         qfi[i] = row_q / np.max(row_q)
         sus[i] = row_s / np.max(row_s)
         qfi_argmax[i] = gbar_grid[int(np.argmax(row_q))]

@@ -233,10 +233,11 @@ def _find_peak_ed(omega, Omega, gbar_range, tol) -> PeakEstimate:
     """Root of dF/dg_bar = gc0^3 dF_Q/dg, every evaluation exact.
 
     Starts at the gc2 estimate clamped into the range and walks uphill in
-    steps that double from 0.05 (gc2 - 1) + 1e-3 until dF/dg_bar changes
-    sign, then runs Brent's method on the bracket. Each g_bar is evaluated
-    once: Brent reuses the walk's endpoints and its root is a point it
-    evaluated, so F there is already known.
+    steps that double from 0.05 |gc2 - 1| + 1e-3 until dF/dg_bar changes
+    sign, then runs Brent's method on the bracket; a walk that reaches the
+    range end without one stops there with ``flat_peak=True``. Each g_bar is
+    evaluated once: Brent reuses the walk's endpoints and its root is a point
+    it evaluated, so F there is already known.
     """
     base = ModelParams(omega, Omega, 0.0)
     lo, hi = gbar_range
@@ -255,10 +256,13 @@ def _find_peak_ed(omega, Omega, gbar_range, tol) -> PeakEstimate:
     estimate = gc2(omega, Omega, "alphaFS").ratio
     gbar = min(max(estimate, lo), hi)
     uphill = math.copysign(1.0, slope(gbar))
-    step = 0.05 * (estimate - 1.0) + 1e-3
+    # the estimate sets the size of the first step, the slope its sign: the
+    # alphaFS ratio falls below 1 once omega/Omega exceeds about 36
+    step = 0.05 * abs(estimate - 1.0) + 1e-3
     while True:
-        end = hi if uphill > 0 else lo
-        if gbar == end:
+        nxt = min(max(gbar + uphill * step, lo), hi)
+        if nxt == gbar:
+            # the walk stands at the range end it was heading for
             warnings.warn("no interior QFI maximum in gbar_range; returning the range end")
             # the width is the last walk step, 0 when the walk starts at the end
             width = min((abs(g - gbar) for g in evaluated if g != gbar), default=0.0)
@@ -267,7 +271,6 @@ def _find_peak_ed(omega, Omega, gbar_range, tol) -> PeakEstimate:
                 bracket_width=width, method="ED", flat_peak=True,
                 evaluations=len(evaluated),
             )
-        nxt = min(max(gbar + uphill * step, lo), hi)
         if slope(nxt) * uphill <= 0.0:
             break
         gbar, step = nxt, 2.0 * step

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import aligned, fd_dfisher, fd_qfi, golden_section_peak, overlap_fidelity
 from qrabi import edsolver, polaron, qfi
-from qrabi.critical import DEFAULT_FIT_GRID
+from qrabi.critical import DEFAULT_FIT_GRID, gc2
 from qrabi.errors import ParameterDomainError, QrabiError
 from qrabi.model import ModelParams
 
@@ -146,6 +146,19 @@ def test_find_peak_flat_warns():
     with pytest.warns(UserWarning):
         est = qfi.find_peak(0.1, 1.0, gbar_range=(0.5, 1.0), coarse_points=11)
     assert est.flat_peak
+
+
+@pytest.mark.parametrize("ratio", [37.0, 40.0, 50.0])
+def test_find_peak_walks_uphill_below_unit_estimate(ratio):
+    # the alphaFS estimate falls below 1 here (about 0.8 at 37): it sets the
+    # walk's start and step size, not its direction; F_Q rises over the whole
+    # range, so the walk ends at the upper end
+    assert gc2(ratio, 1.0, "alphaFS").ratio < 1.0
+    with pytest.warns(UserWarning):
+        est = qfi.find_peak(ratio, 1.0, method="ED")
+    assert est.flat_peak
+    assert est.gbar_cf == qfi.PEAK_RANGE[1]
+    assert est.evaluations <= 12
 
 
 @pytest.mark.parametrize("ratio", DEFAULT_FIT_GRID)
