@@ -212,6 +212,11 @@ def cmd_gc(omega_ratio, dc1, tol, with_peaks, cache, out):
         g2a = critical.gc2(omega, Omega, "alphaFS")
         g2b = critical.gc2(omega, Omega, "fourThirds")
         g2c = critical.gc2(omega, Omega, "fitted")
+        outside = [f"{est.method} {est.ratio:.4g}" for est in (g2a, g2b, g2c)
+                   if est.ratio <= 1.0]
+        if outside:
+            click.echo(f"warning: omega/Omega = {ratio:g} is outside the gc2 series' range: "
+                       f"gc2/gc0 = {', '.join(outside)} (<= 1)", err=True)
         gcf = math.nan
         if with_peaks:
             gbar_cf, _ = _peak_cached(omega, Omega, cache_dir, "ED", tol)
@@ -364,10 +369,26 @@ def cmd_verify(tol):
     residuals = [critical.gc_xi_residual(r, 1.0) for r in np.geomspace(1e-3, 3.0, 50)]
     check("gc_xi defining-equation residual < 1e-10", max(residuals) < 1e-10)
 
-    params = ModelParams(0.1, 1.0, 1.2 * ModelParams(0.1, 1.0, 0.0).gc0)
+    params = base.with_g(1.2 * base.gc0)
     ans = polaron.optimize(params)
     state, _ = ground_state(params, tol=tol)
     check("variational bound", ans.energy >= state.energy - 1e-12)
+
+    # the closed-form energy Hessian and d_gbar grad E at the optimum against
+    # central differences of the closed-form gradient, step 1e-5 in p and g_bar
+    p = polaron._ansatz_to_vector(ans, params)
+    _, _, hess, mixed = polaron._objective(p, params, hessian=True)
+
+    def grad(q, gbar=1.2):
+        return polaron._objective(q, base.with_g(gbar * base.gc0))[1]
+
+    h = 1e-5
+    central = np.column_stack(
+        [(grad(p + h * e) - grad(p - h * e)) / (2.0 * h) for e in np.eye(p.size)]
+        + [(grad(p, 1.2 + h) - grad(p, 1.2 - h)) / (2.0 * h)])
+    rel = np.max(np.abs(np.column_stack([hess, mixed]) - central)) / np.max(np.abs(central))
+    check(f"energy Hessian vs central difference of the gradient: rel {rel:.1e} < 1e-6",
+          rel < 1e-6)
 
     if failures:
         sys.exit(EXIT_PARTIAL)

@@ -121,7 +121,16 @@ def gc_xi_residual(omega: float, Omega: float, d_c1: float = DEFAULT_DC1) -> flo
 
 
 def gc2(omega: float, Omega: float, variant: str = "alphaFS") -> CriticalEstimate:
-    """Fractional-power transition coupling; variants alphaFS, fourThirds, fitted."""
+    """Fractional-power transition coupling; variants alphaFS, fourThirds, fitted.
+
+    gc2/gc0 is a series in r^(2/3), r = omega/Omega, about r -> 0 whose
+    coefficients come from peaks at r <= 0.5 (``DEFAULT_FIT_GRID``); past r ~ 1
+    it is an extrapolation. The alphaFS ratio falls to 1 at r = 36.3 and below
+    0 past r = 39.7, the fourThirds ratio falls to 1 at r = 75.0 and below 0
+    past r = 79.6; the fitted ratio rises for every r. A ratio <= 1 is not a
+    physical transition coupling; it is returned as computed, and ``qrabi gc``
+    warns about it.
+    """
     _check_freq(omega, Omega)
     if variant not in GC2_COEFFS:
         raise ParameterDomainError(f"unknown gc2 variant {variant!r}")

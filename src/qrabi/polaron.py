@@ -6,9 +6,14 @@ Gaussian polarons phi_i = (xi_i/pi)^(1/4) exp[-xi_i (x + x_i)^2 / 2],
 x_i = zeta_i * g_tilde, and psi_-(x) = -psi_+(-x) (parity -1). Weights obey
 alpha^2 + beta^2 + 2 alpha beta <phi_a|phi_b> = 1.
 
-The energy is minimized by L-BFGS-B over p = (psi, zeta_a, zeta_b, ln xi_a,
-ln xi_b) with its closed-form gradient. The flows dp/dg_bar at a minimum
-follow from the implicit-function theorem, -H^-1 d_gbar grad E, so they do
+The energy of p = (psi, zeta_a, zeta_b, ln xi_a, ln xi_b) has a closed-form
+gradient and Hessian H, with the mixed derivative d_gbar grad E
+(``_objective``). ``optimize`` minimizes it by multi-start L-BFGS-B. A
+continuation sweep is predictor-corrector: each point after the first starts
+from the tangent p + dg_bar dp/dg_bar of the previous one, and a projected
+Newton corrector with the exact H converges it (``_newton``). The flows
+dp/dg_bar = -H^-1 d_gbar grad E at a minimum follow from the
+implicit-function theorem, from the same H at the point itself, so they do
 not depend on the grid the sweep was taken on.
 """
 
@@ -19,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dsyev
 from scipy.optimize import minimize
 
 from . import kernels
@@ -29,8 +34,16 @@ from .model import ModelParams
 NORMALIZATION_TOL = 1e-8
 ZETA_BOUND = 1.4
 LOG_XI_BOUNDS = (math.log(0.02), math.log(8.0))
-FLOW_STEP = 1e-5            # central-difference step of the gradient, in p and g_bar
 ACTIVE_BOUND_TOL = 1e-10    # a component this close to its bound is held by it
+GRADIENT_TOL = 1e-11        # projected-gradient stop of both optimizers
+NEWTON_MAX_STEPS = 100      # Newton corrector steps per point
+NEWTON_HALVINGS = 20        # backtracking halvings per Newton step
+EIGEN_FLOOR = 1e-10         # |eigenvalue| floor of a Newton step, relative to the largest
+# Hessian eigenvalues within FLAT_TOL of the largest are flat directions: where
+# the polarons merge, the smallest one changes sign along a direction in which
+# the energy varies by less than its rounding, and the state hardly changes
+FLAT_TOL = 1e-8
+_EPS = np.finfo(float).eps
 
 
 class Polaron(NamedTuple):
@@ -166,6 +179,27 @@ def _manifold(psi: float, s: float) -> tuple[float, ...]:
     return alpha, beta, -beta - alpha * k, alpha - beta * k, alpha * m, beta * m
 
 
+def _manifold_curvature(psi: float, s: float) -> tuple[float, ...]:
+    """(d2 alpha/dpsi2, d2 beta/dpsi2, d2 alpha/dpsi dS, d2 beta/dpsi dS,
+    d2 alpha/dS2, d2 beta/dS2) of the manifold map, from the first
+    derivatives' k = S cos(2 psi)/n^2 and m = -sin(2 psi)/(2 n^2)."""
+    alpha, beta, a_psi, b_psi, a_s, b_s = _manifold(psi, s)
+    sin2, cos2 = math.sin(2.0 * psi), math.cos(2.0 * psi)
+    n2 = 1.0 + s * sin2
+    k = s * cos2 / n2
+    m = -0.5 * sin2 / n2
+    k_psi = -2.0 * s * sin2 / n2 - 2.0 * k * k
+    k_s = cos2 / (n2 * n2)
+    return (
+        -b_psi - a_psi * k - alpha * k_psi,
+        a_psi - b_psi * k - beta * k_psi,
+        -b_s - a_s * k - alpha * k_s,
+        a_s - b_s * k - beta * k_s,
+        3.0 * alpha * m * m,
+        3.0 * beta * m * m,
+    )
+
+
 def weights_from_angle(psi: float, s: float) -> np.ndarray:
     return np.array(_manifold(psi, s)[:2])
 
@@ -199,12 +233,14 @@ def _ansatz_to_vector(ansatz: PolaronAnsatz, params: ModelParams) -> np.ndarray:
     ])
 
 
-def _objective(p: np.ndarray, params: ModelParams) -> tuple[float, np.ndarray]:
+def _objective(p: np.ndarray, params: ModelParams, hessian: bool = False):
     """Energy and its gradient in p = (psi, zeta_a, zeta_b, ln xi_a, ln xi_b).
 
     The fixed-weight gradient of ``kernels.pp_energy`` is chained through the
     manifold map (alpha, beta)(psi, S) and the overlap S(x_a, xi_a, x_b, xi_b),
-    on Python floats; the gradient is the one array allocated.
+    on Python floats; the gradient is the one array allocated. With
+    ``hessian=True`` it returns (energy, gradient, H, d_gbar gradient): the
+    kernel's second derivatives chained the same way (``_second_order``).
     """
     psi, za, zb, lxa, lxb = p.tolist()
     gt = params.g_tilde
@@ -212,16 +248,86 @@ def _objective(p: np.ndarray, params: ModelParams) -> tuple[float, np.ndarray]:
     xa, xb = za * gt, zb * gt
     s, s_xa, s_xia, s_xb, s_xib = kernels.gaussian_overlap(xi_a, xa, xi_b, xb)
     w_a, w_b, a_psi, b_psi, a_s, b_s = _manifold(psi, s)
-    e, (e_wa, e_wb, e_xa, e_xb, e_xia, e_xib) = kernels.pp_energy(
-        w_a, w_b, xa, xb, xi_a, xi_b, params.omega, params.Omega, gt, gradient=True)
+    e, kgrad, *khess = kernels.pp_energy(
+        w_a, w_b, xa, xb, xi_a, xi_b, params.omega, params.Omega, gt, gradient=True,
+        hessian=hessian)
+    e_wa, e_wb, e_xa, e_xb, e_xia, e_xib = kgrad
     e_lns = s * (e_wa * a_s + e_wb * b_s)     # dE/d ln S through the weights
-    return e, np.array([
+    grad = np.array([
         e_wa * a_psi + e_wb * b_psi,
         gt * (e_xa + e_lns * s_xa),
         gt * (e_xb + e_lns * s_xb),
         xi_a * (e_xia + e_lns * s_xia),
         xi_b * (e_xib + e_lns * s_xib),
     ])
+    if not hessian:
+        return e, grad
+    kappa = math.sqrt(2.0) * params.gc0 / params.omega      # dg_tilde/dg_bar
+    hess, mixed = _second_order(psi, za, zb, xi_a, xi_b, gt, kappa,
+                                (s, s_xa, s_xb, s_xia, s_xib), kgrad, khess[0])
+    return e, grad, hess, mixed
+
+
+def _second_order(psi, za, zb, xi_a, xi_b, gt, kappa, overlap_terms, kgrad, khess):
+    """(H, d_gbar grad E) in p from the kernel's fixed-weight derivatives.
+
+    With e = (p, g_bar) and u = (w_a, w_b, x_a, x_b, xi_a, xi_b, g_tilde) the
+    kernel's variables, d2E/de de = J^T K_uu J + sum_m K_u[m] d2u_m/de de
+    with J = du/de. x_i = zeta_i g_tilde, xi_i = exp(ln xi_i) and g_tilde =
+    kappa g_bar each depend on one or two components of e; the weights
+    (alpha, beta)(psi, S) depend on all of them through the overlap S.
+    """
+    s, *ly = overlap_terms
+    # S over e: y = (x_a, x_b, xi_a, xi_b) moves with e[1:5] by the factors
+    # dy, and x_a, x_b move with g_bar by vy
+    dy = (gt, gt, xi_a, xi_b)
+    vy = (za * kappa, zb * kappa)
+    ll = kernels.overlap_log_hessian(xi_a, za * gt, xi_b, zb * gt)
+    s_y = [s * v for v in ly]
+    s_yy = [[s * (ly[i] * ly[j] + ll[i][j]) for j in range(4)] for i in range(4)]
+    s_yv = [row[0] * vy[0] + row[1] * vy[1] for row in s_yy]
+    s_e = [0.0, *(d * v for d, v in zip(dy, s_y)), s_y[0] * vy[0] + s_y[1] * vy[1]]
+    s_ee = [[dy[i] * dy[j] * s_yy[i][j] for j in range(4)] + [dy[i] * s_yv[i]]
+            for i in range(4)]
+    s_ee.append([dy[j] * s_yv[j] for j in range(4)] + [s_yv[0] * vy[0] + s_yv[1] * vy[1]])
+    s_ee[0][4] += s_y[0] * kappa
+    s_ee[4][0] += s_y[0] * kappa
+    s_ee[1][4] += s_y[1] * kappa
+    s_ee[4][1] += s_y[1] * kappa
+    s_ee[2][2] += s_y[2] * xi_a
+    s_ee[3][3] += s_y[3] * xi_b
+
+    _, _, a_psi, b_psi, a_s, b_s = _manifold(psi, s)
+    a_pp, b_pp, a_ps, b_ps, a_ss, b_ss = _manifold_curvature(psi, s)
+    e_wa, e_wb = kgrad[0], kgrad[1]
+    jac = np.array((
+        (a_psi, *(a_s * v for v in s_e[1:])),
+        (b_psi, *(b_s * v for v in s_e[1:])),
+        (0.0, gt, 0.0, 0.0, 0.0, vy[0]),
+        (0.0, 0.0, gt, 0.0, 0.0, vy[1]),
+        (0.0, 0.0, 0.0, xi_a, 0.0, 0.0),
+        (0.0, 0.0, 0.0, 0.0, xi_b, 0.0),
+        (0.0, 0.0, 0.0, 0.0, 0.0, kappa),
+    ))
+    # sum_m K_u[m] d2u_m: the weights' second derivatives through (psi, S),
+    # then those of x_i and xi_i
+    c_ss, c_s = e_wa * a_ss + e_wb * b_ss, e_wa * a_s + e_wb * b_s
+    c_ps = e_wa * a_ps + e_wb * b_ps
+    curv = [[c_ss * s_e[i] * s_e[j] for j in range(6)] for i in range(6)]
+    for i in range(1, 6):
+        curv[0][i] += c_ps * s_e[i]
+        curv[i][0] += c_ps * s_e[i]
+        for j in range(1, 6):
+            curv[i][j] += c_s * s_ee[i - 1][j - 1]
+    curv[0][0] += e_wa * a_pp + e_wb * b_pp
+    curv[1][5] += kgrad[2] * kappa
+    curv[5][1] += kgrad[2] * kappa
+    curv[2][5] += kgrad[3] * kappa
+    curv[5][2] += kgrad[3] * kappa
+    curv[3][3] += kgrad[4] * xi_a
+    curv[4][4] += kgrad[5] * xi_b
+    hess = jac.T @ khess @ jac + np.array(curv)
+    return hess[:5, :5], hess[:5, 5]
 
 
 def semiclassical_zeta(g_bar: float) -> float:
@@ -256,6 +362,7 @@ _BOUNDS = [
     LOG_XI_BOUNDS,
     LOG_XI_BOUNDS,
 ]
+_LOWER, _UPPER = np.array(_BOUNDS).T
 
 
 def _minimize_from(p0: np.ndarray, params: ModelParams):
@@ -264,7 +371,7 @@ def _minimize_from(p0: np.ndarray, params: ModelParams):
     # near-merged polarons below the transition
     return minimize(
         _objective, p0, args=(params,), jac=True, method="L-BFGS-B", bounds=_BOUNDS,
-        options={"ftol": 0.0, "gtol": 1e-11, "maxiter": 2000, "maxcor": 20},
+        options={"ftol": 0.0, "gtol": GRADIENT_TOL, "maxiter": 2000, "maxcor": 20},
     )
 
 
@@ -317,11 +424,131 @@ def _parameter_jumps(vectors: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.diff(vectors, axis=0), axis=1)
 
 
-def continuation_sweep(omega: float, Omega: float, gbar_grid) -> PolaronSweep:
-    """Sequential warm-started optimization along the grid.
+def _energy_at(p: np.ndarray, params: ModelParams) -> float:
+    """The energy of ``_objective`` alone, bitwise equal to it."""
+    psi, za, zb, lxa, lxb = p.tolist()
+    gt = params.g_tilde
+    xi_a, xi_b = math.exp(lxa), math.exp(lxb)
+    xa, xb = za * gt, zb * gt
+    w_a, w_b = _manifold(psi, kernels.gaussian_overlap(xi_a, xa, xi_b, xb)[0])[:2]
+    return kernels.pp_energy(w_a, w_b, xa, xb, xi_a, xi_b, params.omega, params.Omega, gt)
 
-    Branch discontinuities (parameter jump > 10x the local scale) trigger a
-    multi-start re-run at the offending points; surviving jumps are recorded.
+
+def _free(p: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Components not held by a bound that the gradient pushes them against."""
+    return ~(((p <= _LOWER) & (grad > 0.0)) | ((p >= _UPPER) & (grad < 0.0)))
+
+
+def _clip(p: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(p, _LOWER), _UPPER)
+
+
+def _eigh(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors (columns) of a small symmetric
+    matrix; LAPACK's dsyev, without the Python overhead of ``eigh``."""
+    lam, vec, info = dsyev(hess)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyev failed with info {info}")
+    return lam, vec
+
+
+def _floored_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """H^-1 rhs with each |eigenvalue| of H floored at EIGEN_FLOOR times the
+    largest, so the step descends at a saddle and stays finite along a flat
+    direction."""
+    lam, vec = _eigh(hess)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, EIGEN_FLOOR * lam.max())
+    return vec @ ((rhs @ vec) / lam)
+
+
+def _on_free(mask: np.ndarray, hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``_floored_solve`` on the components in ``mask``, zero elsewhere."""
+    if mask.all():
+        return _floored_solve(hess, rhs)
+    out = np.zeros(mask.size)
+    out[mask] = _floored_solve(hess[np.ix_(mask, mask)], rhs[mask])
+    return out
+
+
+class _Point(NamedTuple):
+    """A corrector iterate: p with the energy, gradient, H and d_gbar grad E there."""
+
+    p: np.ndarray
+    energy: float
+    grad: np.ndarray
+    hess: np.ndarray
+    mixed: np.ndarray
+
+    @classmethod
+    def at(cls, p: np.ndarray, params: ModelParams) -> "_Point":
+        return cls(p, *_objective(p, params, hessian=True))
+
+    def converged(self) -> bool:
+        projected = (self.p - _clip(self.p - self.grad)).tolist()
+        return max(map(abs, projected)) <= GRADIENT_TOL
+
+    def tangent(self) -> np.ndarray:
+        """dp/dg_bar = -H^-1 d_gbar grad E on the free components."""
+        return _on_free(_free(self.p, self.grad), self.hess, -self.mixed)
+
+
+def _newton(point: _Point, params: ModelParams) -> tuple[_Point, int, bool]:
+    """Projected, safeguarded Newton corrector: (final iterate, steps taken,
+    whether it stopped because it could not descend).
+
+    Each step solves the eigenvalue-floored Newton system on the free
+    components and projects p + t dp into the bounds, halving t until the
+    energy falls. It stops at a projected gradient <= GRADIENT_TOL, when no
+    halving can lower the energy, or after NEWTON_MAX_STEPS steps. A step
+    whose predicted decrease -grad.dp is below the energy's rounding cannot
+    show a decrease at any t: the point is a minimum to rounding. Otherwise
+    NEWTON_HALVINGS failed halvings mean the corrector could not descend.
+    """
+    for steps in range(NEWTON_MAX_STEPS):
+        if point.converged():
+            return point, steps, False
+        step = _on_free(_free(point.p, point.grad), point.hess, -point.grad)
+        # a decrease of a few units in the last place of E cannot be seen
+        if -float(point.grad @ step) <= 8.0 * _EPS * max(1.0, abs(point.energy)):
+            return point, steps, False
+        t = 1.0
+        for _ in range(NEWTON_HALVINGS):
+            trial = _clip(point.p + t * step)
+            if _energy_at(trial, params) < point.energy:
+                break
+            t *= 0.5
+        else:
+            return point, steps, True
+        point = _Point.at(trial, params)
+    return point, NEWTON_MAX_STEPS, False
+
+
+def _corrected(start: _Point, params: ModelParams, warm: PolaronAnsatz) -> _Point:
+    """The Newton corrector from ``start``; single-start L-BFGS-B from
+    ``warm`` if the corrector cannot lower the energy at all."""
+    point, steps, stuck = _newton(start, params)
+    if stuck and steps == 0:
+        ans = optimize(params, warm_start=warm, multi_start=False)
+        if ans.energy < point.energy:
+            point = _Point.at(_ansatz_to_vector(ans, params), params)
+    return point
+
+
+def _ansatz_at(point: _Point, params: ModelParams) -> PolaronAnsatz:
+    return replace(canonicalize(_vector_to_ansatz(point.p, params)), energy=point.energy)
+
+
+def continuation_sweep(omega: float, Omega: float, gbar_grid) -> PolaronSweep:
+    """Predictor-corrector continuation along the grid.
+
+    The first point is a multi-start L-BFGS-B minimization, polished by the
+    Newton corrector. Each later point starts from the tangent predictor
+    p + dg_bar dp/dg_bar of the previous one, clipped into the bounds, or from
+    the previous p where that has the lower energy, and is converged by the
+    Newton corrector (``_newton``). Branch discontinuities (parameter jump
+    > 10x the local scale) trigger a multi-start re-run at the offending
+    points; surviving jumps are recorded.
     """
     gbar = np.asarray(gbar_grid, dtype=float)
     if gbar.size == 0:
@@ -330,12 +557,17 @@ def continuation_sweep(omega: float, Omega: float, gbar_grid) -> PolaronSweep:
         raise ParameterDomainError("g_bar grid must be ascending")
     base = ModelParams(omega, Omega, 0.0)
     results: list[PolaronAnsatz] = []
-    warm = None
-    for gb in gbar:
+    point = None
+    for k, gb in enumerate(gbar):
         params = base.with_g(float(gb) * base.gc0)
-        ans = optimize(params, warm_start=warm, multi_start=warm is None)
-        results.append(ans)
-        warm = ans
+        if point is None:
+            cold = _ansatz_to_vector(optimize(params), params)
+            point = _newton(_Point.at(cold, params), params)[0]
+        else:
+            predicted = _clip(point.p + (gb - gbar[k - 1]) * point.tangent())
+            start = min(predicted, point.p, key=lambda q: _energy_at(q, params))
+            point = _corrected(_Point.at(start, params), params, results[-1])
+        results.append(_ansatz_at(point, params))
     if gbar.size >= 4:
         vectors = np.array([
             _ansatz_to_vector(a, base.with_g(float(gbar[k]) * base.gc0))
@@ -367,10 +599,11 @@ def parameter_derivatives(sweep: PolaronSweep, index: int) -> dict:
     At a minimum grad E(p, g_bar) = 0, so by the implicit-function theorem
     dp/dg_bar = -H^-1 d_gbar grad E over the components off their bounds; a
     component held by an active bound does not flow. H and d_gbar grad E are
-    central differences of the closed-form gradient at the point itself, so
-    no grid neighbour enters. The weight flows are propagated through the
-    normalization manifold (chain rule in the mixing angle and the overlap
-    S), which keeps the assembled <psi'|psi> at machine zero.
+    the closed-form second derivatives of the energy at the point itself
+    (``_objective``), so no grid neighbour enters. The weight flows are
+    propagated through the normalization manifold (chain rule in the mixing
+    angle and the overlap S), which keeps the assembled <psi'|psi> at
+    machine zero.
     """
     if not 0 <= index < len(sweep.ansatz):
         raise DerivativeInvalidError(
@@ -379,29 +612,16 @@ def parameter_derivatives(sweep: PolaronSweep, index: int) -> dict:
     params = sweep.params_at(index)
     gbar = float(sweep.gbar[index])
     p = _ansatz_to_vector(ansatz, params)
-    lo, hi = np.array(_BOUNDS).T
-    free = np.flatnonzero((p > lo + ACTIVE_BOUND_TOL) & (p < hi - ACTIVE_BOUND_TOL))
+    free = np.flatnonzero((p > _LOWER + ACTIVE_BOUND_TOL) & (p < _UPPER - ACTIVE_BOUND_TOL))
 
-    def grad(q, at=params):
-        return _objective(q, at)[1][free]
-
-    h = FLOW_STEP
-    hess = np.empty((free.size, free.size))
-    for col, k in enumerate(free):
-        step = np.zeros(p.size)
-        step[k] = h
-        hess[:, col] = (grad(p + step) - grad(p - step)) / (2.0 * h)
-    hess = 0.5 * (hess + hess.T)
-    base = ModelParams(sweep.omega, sweep.Omega, 0.0)
-    mixed = (grad(p, base.with_g((gbar + h) * base.gc0))
-             - grad(p, base.with_g((gbar - h) * base.gc0))) / (2.0 * h)
-    try:
-        factor = cho_factor(hess)
-    except np.linalg.LinAlgError:
-        raise DerivativeInvalidError(
-            f"energy Hessian not positive definite at index {index}") from None
+    _, _, hess, mixed = _objective(p, params, hessian=True)
+    lam, vec = _eigh(hess[np.ix_(free, free)])
+    flat = FLAT_TOL * lam[-1]
+    if lam[0] < -flat:
+        raise DerivativeInvalidError(f"energy Hessian not positive definite at index {index}")
+    stiff = vec[:, lam > flat]
     dp = np.zeros(p.size)
-    dp[free] = -cho_solve(factor, mixed)
+    dp[free] = -stiff @ ((mixed[free] @ stiff) / lam[lam > flat])
     dpsi = dp[0]
     dzeta = dp[1:3]
     dxi = np.array([ansatz.xi_alpha, ansatz.xi_beta]) * dp[3:5]

@@ -23,7 +23,7 @@ SCHEMA_VERSION = 1
 # Identity of the numerics behind a record; it enters the content hash, so
 # changing it turns every record computed by older numerics into a miss.
 # Change it whenever a computation that feeds a record changes.
-CODE_VERSION = "qrabi-0.1.0+ed-peak-root"
+CODE_VERSION = "qrabi-0.1.0+pp-newton"
 MAGIC = "#qrm-sweep"
 
 

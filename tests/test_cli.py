@@ -42,6 +42,35 @@ def test_gc_ratios_approach_one_at_small_frequency(runner, tmp_path):
         assert rec.column(col)[0] == pytest.approx(1.0, abs=1e-2)
 
 
+def test_gc_warns_outside_the_gc2_series_range(runner, tmp_path):
+    # the alphaFS ratio is below 1 at w/W = 37 and negative at 40: the table
+    # keeps both, stderr names both
+    out = tmp_path / "gc.csv"
+    result = _invoke(runner, ["gc", "-w", "37", "-w", "40", "--out", str(out),
+                              "--cache", str(tmp_path / "c")])
+    assert result.exit_code == 0
+    lines = result.stderr.splitlines()
+    assert len(lines) == 2
+    for line, ratio in zip(lines, ("37", "40")):
+        assert f"omega/Omega = {ratio} is outside the gc2 series' range" in line
+        assert "gc2-alphaFS" in line and "fourThirds" not in line and "fitted" not in line
+    assert "gc2-alphaFS -0.07614" in lines[1]
+    ratios = store.load(out).column("gc2_over_gc0")
+    assert 0.0 < ratios[0] < 1.0
+    assert ratios[1] == pytest.approx(-0.0761, abs=1e-4)
+
+
+def test_gc_on_the_fit_grid_does_not_warn(runner, tmp_path):
+    from qrabi.critical import DEFAULT_FIT_GRID
+
+    args = ["gc", "--out", str(tmp_path / "gc.csv"), "--cache", str(tmp_path / "c")]
+    for ratio in DEFAULT_FIT_GRID:
+        args += ["-w", str(ratio)]
+    result = _invoke(runner, args)
+    assert result.exit_code == 0
+    assert result.stderr == ""
+
+
 def test_qfi_sweep_and_cache_reuse(runner, tmp_path):
     cache = tmp_path / "cache"
     args = ["qfi-sweep", "-w", "0.3", "--gbar-min", "1.0", "--gbar-max", "1.8",

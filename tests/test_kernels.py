@@ -126,3 +126,59 @@ def test_pp_energy_matrix_elements_against_quadrature():
     pot = quad_overlap(phi, lambda x: (params.omega * (x + gt) ** 2 / 2.0 + eps0) * phi(x))
     tun = -0.5 * params.Omega * quad_overlap(phi, lambda x: phi(-x))
     assert got == pytest.approx(kin + pot + tun, abs=1e-10)
+
+
+def _central_column(f, x, k, h):
+    # fourth-order central difference of the vector function f in x[k]
+    def at(t):
+        y = list(x)
+        y[k] += t
+        return np.asarray(f(y), dtype=float)
+    return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
+
+
+def test_overlap_log_hessian_matches_central_differences():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        xi_i, xi_j = np.exp(rng.uniform(*polaron.LOG_XI_BOUNDS, size=2))
+        x_i, x_j = rng.uniform(-3.0, 3.0, 2)
+
+        def log_grad(v):     # over (x_i, x_j, xi_i, xi_j), the Hessian's order
+            _, lx_i, lxi_i, lx_j, lxi_j = kernels.gaussian_overlap(v[2], v[0], v[3], v[1])
+            return lx_i, lx_j, lxi_i, lxi_j
+
+        v = [x_i, x_j, xi_i, xi_j]
+        fd = np.column_stack([_central_column(log_grad, v, k, 1e-4 * max(1.0, abs(v[k])))
+                              for k in range(4)])
+        got = np.array(kernels.overlap_log_hessian(xi_i, x_i, xi_j, x_j))
+        np.testing.assert_allclose(got, fd, rtol=1e-7, atol=1e-7 * np.max(np.abs(fd)))
+
+
+def test_pp_energy_hessian_matches_central_differences():
+    # the 7x7 second derivatives over (w_a, w_b, x_a, x_b, xi_a, xi_b, g_tilde)
+    # against differences of the closed-form gradient; the g_tilde row from
+    # differences of the gradient in g_tilde, its diagonal entry from second
+    # differences of the energy
+    rng = np.random.default_rng(13)
+    for placement in ("merged", "split"):
+        for xi_choice in ("lower", "upper", "between"):
+            for args in _energy_draws(rng, placement, xi_choice, count=4):
+                e, grad, hess = kernels.pp_energy(*args, hessian=True)
+                assert (e, grad) == kernels.pp_energy(*args, gradient=True)
+
+                def grad_at(v):
+                    return kernels.pp_energy(*v[:6], *args[6:8], v[6], gradient=True)[1]
+
+                v = [*args[:6], args[8]]
+                steps = [1e-4 * max(1.0, abs(a)) for a in v]
+                fd = np.column_stack([_central_column(grad_at, v, k, steps[k])
+                                      for k in range(7)])
+                scale = np.max(np.abs(hess))
+                np.testing.assert_allclose(hess[:6], fd, rtol=1e-6, atol=1e-6 * scale)
+
+                def energy_at(t):
+                    return kernels.pp_energy(*args[:8], args[8] + t)
+
+                h = steps[6]
+                second = (energy_at(h) - 2.0 * e + energy_at(-h)) / (h * h)
+                assert hess[6, 6] == pytest.approx(second, abs=1e-5 * scale)

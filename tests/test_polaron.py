@@ -380,3 +380,98 @@ def test_flows_refuse_an_indefinite_hessian():
     sweep = polaron.PolaronSweep(0.1, 1.0, np.array([1.3]), [saddle])
     with pytest.raises(DerivativeInvalidError, match="not positive definite"):
         parameter_derivatives(sweep, 0)
+
+
+# --- closed-form Hessian and the Newton continuation --------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratio=_ratio, gbar=_gbar, p=_polaron_vectors())
+def test_closed_form_hessian_matches_central_differences(ratio, gbar, p):
+    # H and d_gbar grad E against fourth-order central differences of the
+    # closed-form gradient, in p and in g_bar
+    base = ModelParams(ratio, 1.0, 0.0)
+    params = base.with_g(gbar * base.gc0)
+    e, grad, hess, mixed = polaron._objective(p, params, hessian=True)
+    e_first, grad_first = polaron._objective(p, params)
+    assert e == e_first
+    np.testing.assert_array_equal(grad, grad_first)
+    fd = np.column_stack([_central(lambda q: polaron._objective(q, params)[1], p, k)
+                          for k in range(5)])
+    np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+    np.testing.assert_allclose(hess, hess.T, rtol=1e-14, atol=1e-14 * np.max(np.abs(hess)))
+
+    def grad_at(g):
+        return polaron._objective(p, base.with_g(g[0] * base.gc0))[1]
+
+    fd_mixed = _central(grad_at, [gbar], 0, h=1e-4 * gbar)
+    np.testing.assert_allclose(mixed, fd_mixed, rtol=1e-6,
+                               atol=1e-6 * max(np.max(np.abs(fd_mixed)), np.max(np.abs(fd))))
+
+
+def test_sweep_reaches_nelder_mead_energy_in_flat_valley():
+    # below the transition at w/W = 0.02 the energy is nearly flat along the
+    # merged-polaron direction; a warm-started L-BFGS-B sweep stopped up to
+    # 5e-11 above the derivative-free oracle on this grid
+    sweep = continuation_sweep(0.02, 1.0, np.linspace(0.60, 0.76, 5))
+    for k, ans in enumerate(sweep.ansatz):
+        assert ans.energy <= nelder_mead_energy(sweep.params_at(k)) + 1e-12
+
+
+def test_warm_points_make_no_optimizer_calls(monkeypatch):
+    # the multi-start L-BFGS-B runs at the first point only; the predictor and
+    # the Newton corrector carry the rest of the sweep
+    calls = []
+    optimize_fn = polaron.optimize
+    monkeypatch.setattr(polaron, "optimize",
+                        lambda *a, **k: calls.append(k) or optimize_fn(*a, **k))
+    steps = []
+    newton_fn = polaron._newton
+
+    def newton(point, params):
+        result = newton_fn(point, params)
+        steps.append(result[1])
+        return result
+
+    monkeypatch.setattr(polaron, "_newton", newton)
+    sweep = continuation_sweep(0.1, 1.0, np.linspace(0.8, 1.8, 51))
+    assert calls == [{}]
+    assert sweep.discontinuities == ()
+    assert len(steps) == 51
+    assert np.mean(steps[1:]) <= 4.0 and max(steps) <= 12
+
+
+def test_corrector_falls_back_to_lbfgsb_when_it_cannot_descend(monkeypatch):
+    # a corrector that stops at once without descending hands the point to
+    # single-start L-BFGS-B from the previous point's ansatz
+    monkeypatch.setattr(polaron, "_newton", lambda point, params: (point, 0, True))
+    calls = []
+    optimize_fn = polaron.optimize
+    monkeypatch.setattr(polaron, "optimize",
+                        lambda *a, **k: calls.append(k) or optimize_fn(*a, **k))
+    sweep = continuation_sweep(0.1, 1.0, [1.2, 1.25])
+    assert calls[1:] == [{"warm_start": sweep.ansatz[0], "multi_start": False}]
+    assert sweep.ansatz[1].energy <= optimize_fn(sweep.params_at(1)).energy + 1e-12
+
+
+def test_parameter_derivatives_use_one_hessian_evaluation(monkeypatch):
+    sweep = continuation_sweep(0.1, 1.0, [1.3])
+    calls = []
+    objective = polaron._objective
+    monkeypatch.setattr(polaron, "_objective",
+                        lambda *a, **k: calls.append(k) or objective(*a, **k))
+    parameter_derivatives(sweep, 0)
+    assert calls == [{"hessian": True}]
+
+
+def test_manifold_curvature_matches_central_differences():
+    psi, s, eps = 0.47, 0.31, 1e-4
+    a_pp, b_pp, a_ps, b_ps, a_ss, b_ss = polaron._manifold_curvature(psi, s)
+
+    def first(q, t):
+        return np.array(polaron._manifold(q, t)[2:])    # (a_psi, b_psi, a_s, b_s)
+
+    d_psi = (first(psi + eps, s) - first(psi - eps, s)) / (2 * eps)
+    d_s = (first(psi, s + eps) - first(psi, s - eps)) / (2 * eps)
+    np.testing.assert_allclose([a_pp, b_pp, a_ps, b_ps], d_psi, atol=1e-7)
+    np.testing.assert_allclose([a_ps, b_ps, a_ss, b_ss], d_s, atol=1e-7)

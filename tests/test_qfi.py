@@ -114,6 +114,20 @@ def test_pp_full_matches_ed_near_transition():
         assert abs(pp.first_derivative_term) < 1e-10  # analytic manifold chain rule
 
 
+@pytest.mark.parametrize("ratio", [0.002, 0.005])
+def test_pp_full_exists_where_the_polarons_merge(ratio):
+    # below the transition at small w/W the polarons nearly merge: the energy
+    # Hessian's smallest eigenvalue is ~1e-10 of its largest, of either sign,
+    # along a direction the state hardly moves in. The flows drop it, and F_Q
+    # exists and matches ED at every point (5 and 3 of these points raised
+    # DerivativeInvalidError with the L-BFGS-B sweep and finite-difference H)
+    base = ModelParams(ratio, 1.0, 0.0)
+    sweep = _sweep(ratio, 0.5, 0.9, 50)
+    for k in range(50):
+        ed = qfi.qfi_ed(base.with_g(float(sweep.gbar[k]) * base.gc0))
+        assert qfi.qfi_pp_full(sweep, k).f_q_gbar == pytest.approx(ed.f_q_gbar, rel=5e-3)
+
+
 def test_pp_simplified_forms_agree_algebraically():
     sweep = _sweep(0.1, 1.25, 1.35, 5)
     sample = qfi.qfi_pp_simplified(sweep, 2)
