@@ -16,7 +16,7 @@ from .critical import (
     gc_from_distance,
     gc_xi,
 )
-from .edsolver import QuantumState, ground_state, sector_gap
+from .edsolver import QuantumState, ground_state
 from .errors import (
     DerivativeInvalidError,
     NonconvergenceError,
@@ -24,13 +24,12 @@ from .errors import (
     QrabiError,
     SchemaError,
 )
-from .model import FockHamiltonian, ModelParams, build_hamiltonian, parity_operator
+from .model import ModelParams
 from .polaron import PolaronAnsatz, PolaronSweep, continuation_sweep, optimize
 from .qfi import (
     PeakEstimate,
     QfiSample,
     acceleration_condition,
-    fidelity_susceptibility,
     find_peak,
     qfi_ed,
     qfi_pp_full,
@@ -44,7 +43,6 @@ __all__ = [
     "CriticalEstimate",
     "DerivativeInvalidError",
     "FitResult",
-    "FockHamiltonian",
     "ModelParams",
     "NonconvergenceError",
     "ParameterDomainError",
@@ -57,9 +55,7 @@ __all__ = [
     "SchemaError",
     "SweepRecord",
     "acceleration_condition",
-    "build_hamiltonian",
     "continuation_sweep",
-    "fidelity_susceptibility",
     "find_peak",
     "fit_fourier",
     "fit_fractional",
@@ -71,11 +67,9 @@ __all__ = [
     "ground_state",
     "load",
     "optimize",
-    "parity_operator",
     "qfi_ed",
     "qfi_pp_full",
     "qfi_pp_simplified",
     "save",
-    "sector_gap",
     "__version__",
 ]

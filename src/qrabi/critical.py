@@ -96,16 +96,12 @@ def gc_xi(omega: float, Omega: float, d_c1: float = DEFAULT_DC1) -> CriticalEsti
     _check_freq(omega, Omega)
     if d_c1 <= 0:
         raise ParameterDomainError(f"d_c1 must be > 0, got {d_c1}")
-    g0 = 0.5 * math.sqrt(omega * Omega)
-    omega_c1 = d_c1 * omega
-    base, corr = _gcxi_fourth_power_terms(g0, omega_c1)
-    g4 = base + corr
-    value = g4 ** 0.25
-    # defining-equation residual; 1 - gc0^4/g^4 = corr/g4 exactly
-    u = corr / g4
-    residual = abs(u ** 0.75 * math.sqrt(2.0) * value / omega - d_c1) / d_c1
+    residual = gc_xi_residual(omega, Omega, d_c1)
     if residual > 1e-10:
         raise QrabiError(f"gc_xi closed form failed residual check ({residual:.3e})")
+    g0 = 0.5 * math.sqrt(omega * Omega)
+    base, corr = _gcxi_fourth_power_terms(g0, d_c1 * omega)
+    value = (base + corr) ** 0.25
     return CriticalEstimate(value, value / g0, "gcxi", omega / Omega)
 
 
@@ -116,6 +112,7 @@ def gc_xi_residual(omega: float, Omega: float, d_c1: float = DEFAULT_DC1) -> flo
     omega_c1 = d_c1 * omega
     base, corr = _gcxi_fourth_power_terms(g0, omega_c1)
     g4 = base + corr
+    # 1 - gc0^4/g^4 = corr/g4 exactly
     u = corr / g4
     return abs(u ** 0.75 * math.sqrt(2.0) * g4 ** 0.25 / omega - d_c1) / d_c1
 

@@ -4,8 +4,9 @@ derivative.
 The ground state lives in the parity sector P = sigma_x (-1)^n = -1, where the
 Hamiltonian reduces to a real symmetric tridiagonal matrix T over photon number
 (the spin-x orientation is fixed to (-1)^(n+1) by the parity constraint).
-Solves use that reduction at every cutoff; the dense full-space solver in
-``model`` remains available as a cross-check oracle.
+Solves use that reduction at every cutoff, and only this sector is solved;
+the dense full-space Hamiltonian and the parity +1 sector are cross-check
+oracles in ``tests/conftest.py``.
 
 The cutoff search starts from the photon number of the displaced oscillator
 and grows geometrically until the energy and the basis tail have converged.
@@ -51,11 +52,12 @@ class ConvergenceReport:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Ground (or sector-lowest) state with individually normalized spin components.
+    """Ground state with individually normalized spin components.
 
     ``coeffs_plus[n]`` and ``coeffs_minus[n]`` are the Fock coefficients of the
     two spin-z components, each normalized to 1; the physical state carries a
-    global 1/sqrt(2). For parity -1, coeffs_minus[n] = -(-1)^n coeffs_plus[n].
+    global 1/sqrt(2). In the parity -1 sector, coeffs_minus[n] =
+    -(-1)^n coeffs_plus[n].
     """
 
     params: ModelParams
@@ -63,32 +65,29 @@ class QuantumState:
     energy: float
     coeffs_plus: np.ndarray
     coeffs_minus: np.ndarray
-    parity: int = -1
 
     def full_vector(self) -> np.ndarray:
         """Spin-major full-space vector with total norm 1."""
         return np.concatenate([self.coeffs_plus, self.coeffs_minus]) / math.sqrt(2.0)
 
 
-def sector_tridiagonal(params: ModelParams, cutoff: int, parity: int = -1):
-    """(diagonal, off-diagonal) of the parity-sector Hamiltonian.
+def sector_tridiagonal(params: ModelParams, cutoff: int):
+    """(diagonal, off-diagonal) of the parity -1 sector Hamiltonian.
 
-    In the sector, the spin-x eigenvalue at photon number n is parity*(-1)^n,
+    In the sector, the spin-x eigenvalue at photon number n is -(-1)^n, and
     the sigma_z coupling hops n -> n+1 within the sector. The arrays are
     read-only: the last pair built is reused by the next caller at the same
-    (params, cutoff, parity), so one point builds its matrix once.
+    (params, cutoff), so one point builds its matrix once.
     """
     if cutoff < 1:
         raise ParameterDomainError(f"cutoff must be >= 1, got {cutoff}")
-    if parity not in (1, -1):
-        raise ParameterDomainError(f"parity must be +1 or -1, got {parity}")
-    return _tridiagonal(params, cutoff, parity)
+    return _tridiagonal(params, cutoff)
 
 
 @functools.lru_cache(maxsize=1)
-def _tridiagonal(params: ModelParams, cutoff: int, parity: int):
+def _tridiagonal(params: ModelParams, cutoff: int):
     n = np.arange(cutoff + 1)
-    diag = params.omega * n + 0.5 * params.Omega * parity * (-1.0) ** n
+    diag = params.omega * n - 0.5 * params.Omega * (-1.0) ** n
     off = params.g * np.sqrt(n[1:])
     diag.setflags(write=False)
     off.setflags(write=False)
@@ -100,23 +99,22 @@ def _check_info(info: int, routine: str) -> None:
         raise QrabiError(f"LAPACK {routine} failed with info = {info}")
 
 
-def sector_eigenpairs(params: ModelParams, cutoff: int, parity: int = -1, n_states: int = 1):
-    """Lowest eigenpairs in one parity sector; vectors are columns.
+def sector_eigenpairs(params: ModelParams, cutoff: int):
+    """Lowest eigenpair of the parity -1 sector as (values, vectors): one
+    value, and its vector as the one column.
 
-    Bisection for the eigenvalues (dstebz) and inverse iteration for the
-    vectors (dstein): the LAPACK pair behind scipy's ``eigh_tridiagonal`` with
+    Bisection for the eigenvalue (dstebz) and inverse iteration for the
+    vector (dstein): the LAPACK pair behind scipy's ``eigh_tridiagonal`` with
     an index range, called without its input validation. A nonzero LAPACK
     ``info`` raises QrabiError.
     """
-    diag, off = sector_tridiagonal(params, cutoff, parity)
-    m, vals, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, n_states, 0.0, "B")
+    diag, off = sector_tridiagonal(params, cutoff)
+    m, vals, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 0.0, "B")
     _check_info(info, "dstebz")
     vals = vals[:m]
     vecs, info = dstein(diag, off, vals, iblock, isplit)
     _check_info(info, "dstein")
-    # "B" orders by block of a split matrix (g = 0), not by value
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return vals, vecs
 
 
 def _gauge_fix(vec: np.ndarray) -> np.ndarray:
@@ -126,21 +124,20 @@ def _gauge_fix(vec: np.ndarray) -> np.ndarray:
 
 
 def state_from_sector_vector(params: ModelParams, cutoff: int, energy: float,
-                             vec: np.ndarray, parity: int = -1) -> QuantumState:
+                             vec: np.ndarray) -> QuantumState:
     """Lift a sector eigenvector (norm 1 over n) to spin components.
 
-    |s_x> = (|+z> + s_x |-z>)/sqrt(2) with s_x = parity*(-1)^n, so the spin
+    |s_x> = (|+z> + s_x |-z>)/sqrt(2) with s_x = -(-1)^n, so the spin
     components share the sector amplitudes up to the alternating sign.
     """
     vec = _gauge_fix(np.asarray(vec, dtype=float))
-    signs = parity * (-1.0) ** np.arange(cutoff + 1)
+    signs = -(-1.0) ** np.arange(cutoff + 1)
     return QuantumState(
         params=params,
         cutoff=cutoff,
         energy=float(energy),
         coeffs_plus=vec.copy(),
         coeffs_minus=signs * vec,
-        parity=parity,
     )
 
 
@@ -162,8 +159,7 @@ def _tail_weight(vec: np.ndarray) -> float:
     return float(np.sum(vec[start:] ** 2))
 
 
-def interlacing_bound(params: ModelParams, cutoff: int, energy: float, vec: np.ndarray,
-                      parity: int = -1) -> float:
+def interlacing_bound(params: ModelParams, cutoff: int, energy: float, vec: np.ndarray) -> float:
     """Upper bound on E(cutoff) - E(N) from the ground pair (energy, vec) at N > cutoff.
 
     The cutoff-N0 sector matrix is the leading principal submatrix of the
@@ -171,15 +167,15 @@ def interlacing_bound(params: ModelParams, cutoff: int, energy: float, vec: np.n
     most the Rayleigh quotient RQ of any vector on n <= N0. With vec cut to
     n <= N0, RQ - E(N) >= E(N0) - E(N) >= 0; rounding below zero reads 0.
     """
-    diag, off = sector_tridiagonal(params, vec.size - 1, parity)
+    diag, off = sector_tridiagonal(params, vec.size - 1)
     head = vec[:cutoff + 1]
     rayleigh = float(head @ _tridiagonal_apply(diag[:cutoff + 1], off[:cutoff], head))
     return max(rayleigh / float(head @ head) - energy, 0.0)
 
 
 def ground_state(params: ModelParams, tol: float = 1e-10,
-                 max_cutoff: int = HARD_CUTOFF_LIMIT, parity: int = -1):
-    """Adaptively converged lowest state of one parity sector.
+                 max_cutoff: int = HARD_CUTOFF_LIMIT):
+    """Adaptively converged ground state, the lowest state of the parity -1 sector.
 
     Grows the cutoff by 1.5x from ``initial_cutoff`` until the relative energy
     change from the previous cutoff is at most ``tol`` and the tail weight
@@ -195,10 +191,10 @@ def ground_state(params: ModelParams, tol: float = 1e-10,
     delta = math.inf
     while cutoff < max_cutoff:
         new_cutoff = min(math.ceil(CUTOFF_GROWTH * cutoff), max_cutoff)
-        vals, vecs = sector_eigenpairs(params, new_cutoff, parity)
+        vals, vecs = sector_eigenpairs(params, new_cutoff)
         new_energy, new_vec = float(vals[0]), vecs[:, 0]
         if energy is None:
-            delta = interlacing_bound(params, cutoff, new_energy, new_vec, parity)
+            delta = interlacing_bound(params, cutoff, new_energy, new_vec)
         else:
             delta = abs(new_energy - energy)
         converged = (
@@ -208,19 +204,13 @@ def ground_state(params: ModelParams, tol: float = 1e-10,
         energy, cutoff = new_energy, new_cutoff
         if converged:
             report = ConvergenceReport(final_cutoff=cutoff, energy_delta=delta, tol=tol)
-            return state_from_sector_vector(params, cutoff, energy, new_vec, parity), report
+            return state_from_sector_vector(params, cutoff, energy, new_vec), report
     report = ConvergenceReport(final_cutoff=cutoff, energy_delta=delta, tol=tol)
     raise NonconvergenceError(
         f"cutoff limit {max_cutoff} reached without convergence "
         f"(energy delta {delta:.3e}); the polaron ansatz is the documented fallback",
         payload=report,
     )
-
-
-def ground_state_fixed(params: ModelParams, cutoff: int, parity: int = -1) -> QuantumState:
-    """Lowest sector state at a fixed cutoff (no convergence check)."""
-    vals, vecs = sector_eigenpairs(params, cutoff, parity)
-    return state_from_sector_vector(params, cutoff, float(vals[0]), vecs[:, 0], parity)
 
 
 @dataclass(frozen=True)
@@ -256,7 +246,7 @@ class _PinnedSystem:
 
 def _pinned_system(state: QuantumState) -> _PinnedSystem:
     """T - E0 of the state's sector, pinned at the largest component of psi and factored."""
-    diag, off = sector_tridiagonal(state.params, state.cutoff, state.parity)
+    diag, off = sector_tridiagonal(state.params, state.cutoff)
     m = int(np.argmax(np.abs(state.coeffs_plus)))
     pinned_diag = diag - state.energy
     pinned_diag[m] = 1.0
@@ -352,14 +342,6 @@ def ground_state_response(params: ModelParams, tol: float = 1e-10) -> GroundStat
             f"at cutoff {state.cutoff}"
         )
     return GroundStateResponse(state=state, dvec=x, residual=residual, report=report)
-
-
-def sector_gap(params: ModelParams, cutoff: int) -> float:
-    """E1 - E0 across both parity sectors at a fixed cutoff."""
-    e_minus = sector_eigenpairs(params, cutoff, parity=-1, n_states=2)[0]
-    e_plus = sector_eigenpairs(params, cutoff, parity=+1, n_states=1)[0]
-    energies = np.sort(np.concatenate([e_minus, e_plus]))
-    return float(energies[1] - energies[0])
 
 
 def position_wavefunction(state: QuantumState, grid) -> tuple[np.ndarray, np.ndarray]:

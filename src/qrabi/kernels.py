@@ -1,49 +1,26 @@
-"""Hot numeric kernels.
+"""Numeric kernels: the oscillator eigenfunction table and the two-polaron
+energy with its closed-form derivatives.
 
-``oscillator_table`` has a numba fast path and a pure-numpy fallback. Set the
-environment variable ``QRABI_DISABLE_NUMBA=1`` to force the numpy path (also
-used automatically when numba is unavailable); the flag is read once at
-import time. ``pp_energy``, ``gaussian_overlap`` and ``overlap_log_hessian``
-are plain Python: the polaron optimizer evaluates the energy together with
-its closed-form gradient, and the Newton corrector and the parameter flows
-with its closed-form Hessian as well.
+All kernels are plain Python and numpy. The polaron optimizer evaluates
+``pp_energy`` together with its closed-form gradient, and the Newton
+corrector and the parameter flows with its closed-form Hessian as well.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("QRABI_DISABLE_NUMBA", "")
-NUMBA_DISABLED = _FLAG not in ("", "0", "false", "False")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled by QRABI_DISABLE_NUMBA")
-    from numba import njit as _njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
 
 def using_numba() -> bool:
-    """True when the compiled kernel path is active."""
-    return NUMBA_ENABLED
+    """False: no kernel is compiled. Kept for callers that report the backend."""
+    return False
 
 
-def _oscillator_table_impl(n_max, x):
+def oscillator_table(n_max, x):
+    """Normalized oscillator eigenfunctions h_0..h_n_max on the points x,
+    one row per n."""
     # Normalized recurrence: overflow-free up to n ~ 1e4. h_0 underflows for
     # |x| beyond ~38, in which case the column is exactly zero.
     out = np.zeros((n_max + 1, x.size))
@@ -258,11 +235,3 @@ def pp_energy(w_a, w_b, x_a, x_b, xi_a, xi_b, omega, Omega, g_tilde, gradient=Fa
     ])
     return energy, grad, hess
 
-
-if NUMBA_ENABLED:
-    oscillator_table = _njit(cache=True)(_oscillator_table_impl)
-else:
-    oscillator_table = _oscillator_table_impl
-
-# Uncompiled reference of oscillator_table; pp_energy has no compiled path.
-oscillator_table_numpy = _oscillator_table_impl

@@ -1,16 +1,14 @@
-"""Model parameters, truncated Fock-space Hamiltonian and parity structure.
+"""Model parameters of H = omega a^dag a + g sigma_z (a^dag + a) + (Omega/2) sigma_x.
 
-The Hamiltonian is H = omega a^dag a + g sigma_z (a^dag + a) + (Omega/2) sigma_x.
-Basis ordering is spin-major: index = s*(N+1) + n with s = 0 for sigma_z = +1
-and s = 1 for sigma_z = -1, so the Omega/2 term is a clean off-diagonal block.
+The matrices are built where they are solved: the parity-sector tridiagonal
+in ``edsolver``; the dense full-space matrix is a test oracle
+(``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ParameterDomainError
 
@@ -61,63 +59,3 @@ class ModelParams:
     def with_g(self, g: float) -> "ModelParams":
         return ModelParams(self.omega, self.Omega, g)
 
-
-@dataclass(frozen=True)
-class FockHamiltonian:
-    """Dense real-symmetric Hamiltonian on the truncated two-spin Fock basis."""
-
-    params: ModelParams
-    cutoff: int
-    matrix: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return 2 * (self.cutoff + 1)
-
-
-def build_hamiltonian(params: ModelParams, cutoff: int) -> FockHamiltonian:
-    """Assemble the dense Hamiltonian for photon numbers n = 0..cutoff."""
-    if cutoff < 1:
-        raise ParameterDomainError(f"cutoff must be >= 1, got {cutoff}")
-    n = np.arange(cutoff + 1)
-    dim = cutoff + 1
-    coupling = np.zeros((dim, dim))
-    ladder = params.g * np.sqrt(n[1:])  # <n|a|n+1> * g
-    coupling[n[1:] - 1, n[1:]] = ladder
-    coupling[n[1:], n[1:] - 1] = ladder
-    number = np.diag(params.omega * n)
-    h = np.zeros((2 * dim, 2 * dim))
-    h[:dim, :dim] = number + coupling     # sigma_z = +1 block
-    h[dim:, dim:] = number - coupling     # sigma_z = -1 block
-    off = 0.5 * params.Omega * np.eye(dim)
-    h[:dim, dim:] = off
-    h[dim:, :dim] = off
-    return FockHamiltonian(params=params, cutoff=cutoff, matrix=h)
-
-
-def parity_operator(cutoff: int) -> np.ndarray:
-    """P = sigma_x (x) (-1)^n in the spin-major basis; P @ P = identity."""
-    if cutoff < 1:
-        raise ParameterDomainError(f"cutoff must be >= 1, got {cutoff}")
-    dim = cutoff + 1
-    signs = np.diag((-1.0) ** np.arange(dim))
-    p = np.zeros((2 * dim, 2 * dim))
-    p[:dim, dim:] = signs
-    p[dim:, :dim] = signs
-    return p
-
-
-def energy_offset(params: ModelParams) -> float:
-    """Constant potential offset eps0 = -(g_tilde^2 + 1) * omega / 2."""
-    return -0.5 * (params.g_tilde ** 2 + 1.0) * params.omega
-
-
-def potential(params: ModelParams, sigma_z: int, x) -> float:
-    """Spin-dependent potential v_sigma(x) = omega (x + g_tilde sigma_z)^2 / 2 + eps0."""
-    if sigma_z not in (1, -1):
-        raise ParameterDomainError(f"sigma_z must be +1 or -1, got {sigma_z}")
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ParameterDomainError("position must be finite")
-    val = 0.5 * params.omega * (x + params.g_tilde * sigma_z) ** 2 + energy_offset(params)
-    return float(val) if val.ndim == 0 else val

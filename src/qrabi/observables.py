@@ -5,7 +5,6 @@ bridges the QFI ridge to the observable ridge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +42,6 @@ def x_expectation_pp(ansatz: pp.PolaronAnsatz, params: ModelParams) -> float:
     return total
 
 
-def _finite_difference(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # central differences, one-sided at the ends; same grid as computed
-    return np.gradient(y, x)
-
-
 def _x_and_slope(response: GroundStateResponse) -> tuple[float, float, float]:
     """(<x>_+, <x>_-, d|<x>_+|/dg) of an ED ground-state response.
 
@@ -64,7 +58,8 @@ def susceptibility_sweep(omega: float, Omega: float, gbar_grid, method: str = "E
 
     ED derivatives are exact (linear response at each point); PP derivatives
     are central differences on the grid, and with method="PP" the
-    main-polaron velocity and acceleration are attached.
+    main-polaron velocity and acceleration are attached; a PP grid needs at
+    least two points, all distinct.
     """
     gbar = np.asarray(gbar_grid, dtype=float)
     if np.any(np.diff(gbar) < 0):
@@ -81,6 +76,10 @@ def susceptibility_sweep(omega: float, Omega: float, gbar_grid, method: str = "E
             response = ground_state_response(base.with_g(float(g[k])), tol=tol)
             xp[k], xm[k], d_abs[k] = _x_and_slope(response)
     elif method == "PP":
+        # a repeated point is a zero step of the differences
+        if gbar.size < 2 or np.any(np.diff(gbar) == 0):
+            raise ParameterDomainError(
+                "PP derivatives need a g_bar grid of at least two distinct points")
         sweep = pp.continuation_sweep(omega, Omega, gbar)
         xp = np.array([
             x_expectation_pp(a, sweep.params_at(k)) for k, a in enumerate(sweep.ansatz)
@@ -90,10 +89,8 @@ def susceptibility_sweep(omega: float, Omega: float, gbar_grid, method: str = "E
         x_pol = zeta * np.array([sweep.params_at(k).g_tilde for k in range(gbar.size)])
         velocity = np.gradient(x_pol, g)
         acceleration = np.gradient(velocity, g)
-        if gbar.size >= 2 and np.ptp(g) > 0:
-            d_abs = _finite_difference(np.abs(xp), g)
-        else:
-            d_abs = np.zeros_like(xp)
+        # central differences, one-sided at the ends
+        d_abs = np.gradient(np.abs(xp), g)
     else:
         raise ParameterDomainError(f"unknown method {method!r}")
 

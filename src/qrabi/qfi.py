@@ -1,6 +1,6 @@
 """Quantum Fisher information engines.
 
-ED route: exact linear response of the converged parity-sector ground state,
+ED route: exact linear response of the converged parity -1 sector ground state,
 F_Q = 4 <d psi|d psi> with |d psi> from one banded solve
 (``edsolver.ground_state_response``); the sum-over-states fidelity
 susceptibility evaluated without the spectrum.
@@ -29,6 +29,10 @@ from .model import ModelParams
 
 PEAK_RANGE = (0.5, 3.0)
 PEAK_XTOL = 1e-10
+# the PP-full peak search: scan points over the range, then the golden-section
+# tolerance in g_bar around the largest
+PP_SCAN_POINTS = 41
+PP_REFINE_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -86,11 +90,6 @@ def qfi_ed(params: ModelParams, *, tol: float = 1e-10, check_step: bool = False)
         cutoff=response.state.cutoff, residual=response.residual,
         energy_delta=response.report.energy_delta,
     )
-
-
-def fidelity_susceptibility(params: ModelParams, tol: float = 1e-10) -> float:
-    """chi_F = F_Q/4 for the coupling parameter."""
-    return qfi_ed(params, tol=tol).f_q_g / 4.0
 
 
 def qfi_pp_full(sweep: pp.PolaronSweep, index: int) -> QfiSample:
@@ -157,13 +156,9 @@ def qfi_pp_simplified(sweep: pp.PolaronSweep, index: int) -> QfiSample:
 def qfi_pp_at(omega: float, Omega: float, gbar: float,
               warm: pp.PolaronAnsatz | None = None) -> QfiSample:
     """Polaron QFI at an arbitrary coupling: one optimization, flows at the point."""
-    ans = optimize_at(ModelParams(omega, Omega, 0.0), gbar, warm)
+    base = ModelParams(omega, Omega, 0.0)
+    ans = pp.optimize(base.with_g(gbar * base.gc0), warm_start=warm, multi_start=warm is None)
     return qfi_pp_full(pp.PolaronSweep(omega, Omega, np.array([gbar]), [ans]), 0)
-
-
-def optimize_at(base: ModelParams, gbar: float, warm=None) -> pp.PolaronAnsatz:
-    params = base.with_g(gbar * base.gc0)
-    return pp.optimize(params, warm_start=warm, multi_start=warm is None)
 
 
 def _golden_max(f, lo, hi, tol):
@@ -187,15 +182,14 @@ def _golden_max(f, lo, hi, tol):
 
 def find_peak(omega: float, Omega: float, method: str = "ED",
               gbar_range: tuple[float, float] = PEAK_RANGE,
-              coarse_points: int = 41, refine_tol: float = 1e-4,
               tol: float = 1e-10) -> PeakEstimate:
     """Locate the QFI maximum g_cF within ``gbar_range``.
 
     ED: the root of the exact dF/dg_bar, bracketed from the gc2 estimate and
     refined by Brent's method to 1e-10 in g_bar (``_find_peak_ed``).
-    PP-full, which has no exact derivative: a scan of ``coarse_points``
-    points, then golden-section refinement to ``refine_tol`` around the
-    largest; ``coarse_points`` and ``refine_tol`` serve only this route.
+    PP-full, which has no exact derivative: a scan of ``PP_SCAN_POINTS``
+    points, then golden-section refinement to ``PP_REFINE_TOL`` around the
+    largest.
     Without an interior maximum the search warns and returns the range end
     (ED) or the scan argmax (PP-full) with ``flat_peak=True``.
     """
@@ -205,7 +199,7 @@ def find_peak(omega: float, Omega: float, method: str = "ED",
         return _find_peak_ed(omega, Omega, gbar_range, tol)
 
     base = ModelParams(omega, Omega, 0.0)
-    grid = np.linspace(gbar_range[0], gbar_range[1], coarse_points)
+    grid = np.linspace(gbar_range[0], gbar_range[1], PP_SCAN_POINTS)
     sweep = pp.continuation_sweep(omega, Omega, grid)
     values = np.array([qfi_pp_full(sweep, k).f_q_gbar for k in range(len(grid))])
     warm_by_gbar = dict(zip(np.round(grid, 12), sweep.ansatz))
@@ -222,7 +216,8 @@ def find_peak(omega: float, Omega: float, method: str = "ED",
             g_cf=gbar_cf * base.gc0, gbar_cf=gbar_cf, f_q_max=float(values[k]),
             bracket_width=float(grid[1] - grid[0]), method=method, flat_peak=True,
         )
-    gbar_cf, f_max, width = _golden_max(f, float(grid[k - 1]), float(grid[k + 1]), refine_tol)
+    gbar_cf, f_max, width = _golden_max(f, float(grid[k - 1]), float(grid[k + 1]),
+                                        PP_REFINE_TOL)
     return PeakEstimate(
         g_cf=gbar_cf * base.gc0, gbar_cf=gbar_cf, f_q_max=float(f_max),
         bracket_width=float(width), method=method,

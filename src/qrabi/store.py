@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +98,8 @@ def load(path) -> SweepRecord:
         header = json.loads(json_part)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"corrupt header JSON: {exc}", offset=exc.pos)
+    if not isinstance(header, dict) or not isinstance(header.get("columns"), list):
+        raise SchemaError("header is not a JSON object with a column list", offset=0)
     columns = header.pop("columns")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):

@@ -1,15 +1,17 @@
 """Shared numerical oracles for the test suite.
 
 Everything here is deliberately independent of the package internals: direct
-quadrature, dense grid diagonalization, and explicit Gaussian algebra, used to
-validate the closed forms and solvers against first principles. The polaron
-optimizer oracles (derivative-free minimization, re-optimized finite
-differences) evaluate the package's energy, which the quadrature oracles check.
+quadrature, dense grid diagonalization, the dense full-space Fock Hamiltonian,
+and explicit Gaussian algebra, used to validate the closed forms and solvers
+against first principles. The polaron optimizer oracles (derivative-free
+minimization, re-optimized finite differences) evaluate the package's energy,
+which the quadrature oracles check.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -115,22 +117,69 @@ def grid_ground_energy(params: ModelParams, n: int = 2400, lim: float = 14.0) ->
     return float(np.linalg.eigvalsh(ham)[0])
 
 
-def sector_matrix(params: ModelParams, cutoff: int):
-    """(diagonal, off-diagonal) of the parity -1 sector Hamiltonian.
+@dataclass(frozen=True)
+class FockHamiltonian:
+    """Dense real-symmetric Hamiltonian on the truncated two-spin Fock basis."""
 
-    In the sector, sigma_x = -(-1)^n at photon number n and g sigma_z (a + a^dag)
-    hops n -> n +- 1, so the matrix is tridiagonal with diagonal
-    omega n - (Omega/2)(-1)^n and off-diagonal g sqrt(n).
+    params: ModelParams
+    cutoff: int
+    matrix: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return 2 * (self.cutoff + 1)
+
+
+def build_hamiltonian(params: ModelParams, cutoff: int) -> FockHamiltonian:
+    """Dense H = omega a^dag a + g sigma_z (a^dag + a) + (Omega/2) sigma_x for
+    photon numbers n = 0..cutoff.
+
+    Basis ordering is spin-major: index = s*(N+1) + n with s = 0 for
+    sigma_z = +1 and s = 1 for sigma_z = -1, so the Omega/2 term is an
+    off-diagonal block.
     """
     n = np.arange(cutoff + 1)
-    diag = params.omega * n - 0.5 * params.Omega * (-1.0) ** n
+    dim = cutoff + 1
+    coupling = np.zeros((dim, dim))
+    ladder = params.g * np.sqrt(n[1:])  # <n|a|n+1> * g
+    coupling[n[1:] - 1, n[1:]] = ladder
+    coupling[n[1:], n[1:] - 1] = ladder
+    number = np.diag(params.omega * n)
+    h = np.zeros((2 * dim, 2 * dim))
+    h[:dim, :dim] = number + coupling     # sigma_z = +1 block
+    h[dim:, dim:] = number - coupling     # sigma_z = -1 block
+    off = 0.5 * params.Omega * np.eye(dim)
+    h[:dim, dim:] = off
+    h[dim:, :dim] = off
+    return FockHamiltonian(params=params, cutoff=cutoff, matrix=h)
+
+
+def parity_operator(cutoff: int) -> np.ndarray:
+    """P = sigma_x (x) (-1)^n in the spin-major basis; P @ P = identity."""
+    dim = cutoff + 1
+    signs = np.diag((-1.0) ** np.arange(dim))
+    p = np.zeros((2 * dim, 2 * dim))
+    p[:dim, dim:] = signs
+    p[dim:, :dim] = signs
+    return p
+
+
+def sector_matrix(params: ModelParams, cutoff: int, parity: int = -1):
+    """(diagonal, off-diagonal) of one parity sector's Hamiltonian.
+
+    In the sector, sigma_x = parity (-1)^n at photon number n and
+    g sigma_z (a + a^dag) hops n -> n +- 1, so the matrix is tridiagonal with
+    diagonal omega n + parity (Omega/2)(-1)^n and off-diagonal g sqrt(n).
+    """
+    n = np.arange(cutoff + 1)
+    diag = params.omega * n + parity * 0.5 * params.Omega * (-1.0) ** n
     off = params.g * np.sqrt(n[1:])
     return diag, off
 
 
-def sector_ground_pair(params: ModelParams, cutoff: int):
-    """Lowest eigenvalue and eigenvector (arbitrary sign) of the sector matrix."""
-    vals, vecs = eigh_tridiagonal(*sector_matrix(params, cutoff), select="i",
+def sector_ground_pair(params: ModelParams, cutoff: int, parity: int = -1):
+    """Lowest eigenvalue and eigenvector (arbitrary sign) of a sector matrix."""
+    vals, vecs = eigh_tridiagonal(*sector_matrix(params, cutoff, parity), select="i",
                                   select_range=(0, 0))
     return float(vals[0]), vecs[:, 0]
 

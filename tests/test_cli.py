@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from qrabi import qfi, store
 from qrabi.cli import main
-from qrabi.errors import QrabiError
+from qrabi.errors import DerivativeInvalidError, QrabiError
 
 
 @pytest.fixture
@@ -120,6 +120,27 @@ def test_qfi_sweep_with_failed_point_is_not_cached(runner, tmp_path, monkeypatch
     result = _invoke(runner, args)
     assert result.exit_code == 3
     assert len(calls) == 22
+
+
+def test_qfi_sweep_both_with_failed_pp_point_is_not_cached(runner, tmp_path, monkeypatch):
+    # ED succeeds everywhere; the PP failure alone must mark the point failed
+    real = qfi.qfi_pp_full
+
+    def failing_at_3(sweep, index):
+        if index == 3:
+            raise DerivativeInvalidError("injected failure")
+        return real(sweep, index)
+
+    monkeypatch.setattr(qfi, "qfi_pp_full", failing_at_3)
+    cache = tmp_path / "cache"
+    result = _invoke(runner, ["qfi-sweep", "-w", "0.1", "--method", "both",
+                              "--gbar-min", "1.0", "--gbar-max", "1.4", "--gbar-steps", "9",
+                              "--out", str(tmp_path / "q"), "--cache", str(cache)])
+    assert result.exit_code == 3
+    rec = store.load(tmp_path / "q_w0.1.csv")
+    assert list(rec.column("status")) == [0.0] * 3 + [1.0] + [0.0] * 5
+    assert np.all(rec.column("F_Q_ed") > 0)
+    assert not list(cache.glob("*.sweep"))
 
 
 def test_qfi_sweep_env_cache_override(runner, tmp_path, monkeypatch):

@@ -5,21 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_ground_energy, sector_ground_pair, two_solve_qfi
+from conftest import build_hamiltonian, grid_ground_energy, sector_ground_pair, two_solve_qfi
 from qrabi import edsolver, qfi
 from qrabi.edsolver import (
     expectation_x,
     ground_state,
-    ground_state_fixed,
     ground_state_response,
     interlacing_bound,
     photon_number,
     position_wavefunction,
     sector_eigenpairs,
-    sector_gap,
 )
 from qrabi.errors import NonconvergenceError, ParameterDomainError, QrabiError
-from qrabi.model import ModelParams, build_hamiltonian
+from qrabi.model import ModelParams
 
 
 def test_decoupled_limit():
@@ -51,9 +49,9 @@ def test_sector_solver_matches_dense_full_space():
     for params in (ModelParams(0.1, 1.0, 0.2), ModelParams(0.5, 1.0, 0.6),
                    ModelParams(1.0, 1.0, 0.3)):
         cutoff = 80
-        state = ground_state_fixed(params, cutoff)
+        energy = sector_eigenpairs(params, cutoff)[0][0]
         dense = np.linalg.eigvalsh(build_hamiltonian(params, cutoff).matrix)[0]
-        assert state.energy == pytest.approx(dense, abs=1e-12)
+        assert energy == pytest.approx(dense, abs=1e-12)
 
 
 def test_ground_state_has_negative_parity():
@@ -61,8 +59,8 @@ def test_ground_state_has_negative_parity():
         base = ModelParams(0.2, 1.0, 0.0)
         params = base.with_g(gbar * base.gc0)
         cutoff = 256
-        e_minus = sector_eigenpairs(params, cutoff, parity=-1)[0][0]
-        e_plus = sector_eigenpairs(params, cutoff, parity=+1)[0][0]
+        e_minus = sector_eigenpairs(params, cutoff)[0][0]
+        e_plus, _ = sector_ground_pair(params, cutoff, parity=+1)
         assert e_minus < e_plus
 
 
@@ -82,8 +80,8 @@ def test_state_invariants():
 def test_adaptive_cutoff_stability():
     params = ModelParams(0.1, 1.0, 0.25)
     state, report = ground_state(params, tol=1e-10)
-    bigger = ground_state_fixed(params, 2 * report.final_cutoff)
-    assert abs(bigger.energy - state.energy) < 1e-10 * abs(state.energy)
+    bigger, _ = sector_ground_pair(params, 2 * report.final_cutoff)
+    assert abs(bigger - state.energy) < 1e-10 * abs(state.energy)
 
 
 def test_nonconvergence_carries_report():
@@ -136,11 +134,6 @@ def test_photon_number_monotone_across_transition():
     assert np.all(np.diff(values) > 0)
 
 
-def test_sector_gap_positive():
-    params = ModelParams(0.1, 1.0, 0.1)
-    assert sector_gap(params, 128) > 0
-
-
 def test_response_residual_above_bound_raises(monkeypatch):
     monkeypatch.setattr(edsolver, "RESPONSE_RESIDUAL_TOL", 0.0)
     with pytest.raises(QrabiError, match="residual"):
@@ -179,7 +172,7 @@ def test_tight_start_cutoff_grows_on_the_energy_test(monkeypatch, ratio, gbar, s
     cutoff, energy, _ = two_solve_qfi(params, start=start)
     assert report.final_cutoff >= cutoff > math.ceil(1.5 * start)
     assert state.energy == pytest.approx(energy, rel=1e-10)
-    assert state.energy == pytest.approx(ground_state_fixed(params, 2 * cutoff).energy,
+    assert state.energy == pytest.approx(sector_ground_pair(params, 2 * cutoff)[0],
                                          rel=1e-10)
 
 

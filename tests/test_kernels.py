@@ -10,7 +10,7 @@ from qrabi.polaron import PolaronAnsatz, energy, weights_from_angle
 
 
 def test_backend_selection_reports():
-    assert isinstance(kernels.using_numba(), bool)
+    assert kernels.using_numba() is False
 
 
 def test_oscillator_table_low_orders():
@@ -44,15 +44,6 @@ def test_oscillator_table_stable_at_high_order():
 def test_oscillator_table_underflows_to_zero_far_out():
     table = kernels.oscillator_table(2, np.array([-45.0, 45.0]))
     assert np.array_equal(table, np.zeros((3, 2)))
-
-
-def test_backends_agree_oscillator():
-    # the compiled loop may contract multiply-add differently, so agreement
-    # is to rounding, not bitwise
-    x = np.linspace(-6.0, 6.0, 101)
-    a = kernels.oscillator_table(50, x)
-    b = kernels.oscillator_table_numpy(50, x)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
 
 def _energy_draws(rng, placement, xi_choice, count=8):

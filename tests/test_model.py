@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import build_hamiltonian, parity_operator
 from qrabi.errors import ParameterDomainError
-from qrabi.model import ModelParams, build_hamiltonian, energy_offset, parity_operator
+from qrabi.model import ModelParams
 
 
 def test_derived_couplings():
@@ -60,9 +61,3 @@ def test_decoupled_spectrum():
         [0.5 * np.arange(11) + 0.5, 0.5 * np.arange(11) - 0.5]
     ))
     assert np.allclose(vals, expected, atol=1e-12)
-
-
-def test_energy_offset():
-    params = ModelParams(0.5, 1.0, 0.3)
-    gt = params.g_tilde
-    assert energy_offset(params) == pytest.approx(-(gt ** 2 + 1.0) * 0.5 / 2.0)

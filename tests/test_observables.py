@@ -76,6 +76,12 @@ def test_susceptibility_sweep_rejects_descending_grid():
         observables.susceptibility_sweep(0.1, 1.0, [1.0, 1.2], method="XX")
 
 
+@pytest.mark.parametrize("grid", [[1.2], [1.2, 1.2], [1.0, 1.0, 1.2]])
+def test_susceptibility_sweep_pp_needs_two_distinct_points(grid):
+    with pytest.raises(ParameterDomainError, match="two distinct"):
+        observables.susceptibility_sweep(0.1, 1.0, grid, method="PP")
+
+
 def test_coincidence_map_small():
     omega_grid = np.array([0.1, 0.3])
     gbar_grid = np.linspace(1.0, 1.8, 33)

@@ -94,7 +94,7 @@ def test_fidelity_consistency():
     delta = 1e-3 * params.gc0
     cutoff = qfi.qfi_ed(params.with_g(params.g + delta)).cutoff
     f = overlap_fidelity(params, delta, cutoff)
-    chi = qfi.fidelity_susceptibility(params)
+    chi = qfi.qfi_ed(params).f_q_g / 4.0
     assert 2.0 * (1.0 - f) / delta ** 2 == pytest.approx(chi, rel=0.01)
     assert overlap_fidelity(params, 0.0, cutoff) == pytest.approx(1.0, abs=1e-12)
 
@@ -158,7 +158,7 @@ def test_find_peak_methods_agree():
 
 def test_find_peak_flat_warns():
     with pytest.warns(UserWarning):
-        est = qfi.find_peak(0.1, 1.0, gbar_range=(0.5, 1.0), coarse_points=11)
+        est = qfi.find_peak(0.1, 1.0, gbar_range=(0.5, 1.0))
     assert est.flat_peak
 
 

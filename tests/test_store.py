@@ -67,6 +67,15 @@ def test_load_rejects_foreign_file(tmp_path):
     assert exc.value.offset == 0
 
 
+@pytest.mark.parametrize("header", ['{"kind": "qfi-sweep"}', '["a", "b"]'])
+def test_load_rejects_header_without_columns(tmp_path, header):
+    path = tmp_path / "x.sweep"
+    path.write_text(f"#qrm-sweep v1 {header}\n1,2\n")
+    with pytest.raises(SchemaError) as exc:
+        store.load(path)
+    assert exc.value.offset == 0
+
+
 def test_load_rejects_future_schema(tmp_path):
     path = tmp_path / "x.sweep"
     path.write_text('#qrm-sweep v99 {"columns": ["a"]}\n1\n')
