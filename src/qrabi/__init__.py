@@ -13,7 +13,6 @@ from .critical import (
     gc0,
     gc1,
     gc2,
-    gc_from_distance,
     gc_xi,
 )
 from .edsolver import QuantumState, ground_state
@@ -62,7 +61,6 @@ __all__ = [
     "gc0",
     "gc1",
     "gc2",
-    "gc_from_distance",
     "gc_xi",
     "ground_state",
     "load",

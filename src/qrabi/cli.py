@@ -29,6 +29,8 @@ EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 
 DEFAULT_FREQS = critical.DEFAULT_FIT_GRID
+# the numerics families behind a qfi-sweep record, by --method
+SWEEP_FAMILIES = {"ed": ("ed",), "pp": ("pp",), "both": ("ed", "pp")}
 
 
 def _cache_dir(cache):
@@ -54,7 +56,7 @@ def main():
 @click.option("--gbar-min", default=0.5, show_default=True, type=float)
 @click.option("--gbar-max", default=3.0, show_default=True, type=float)
 @click.option("--gbar-steps", default=126, show_default=True, type=int)
-@click.option("--method", type=click.Choice(["ed", "pp", "both"]), default="ed",
+@click.option("--method", type=click.Choice(list(SWEEP_FAMILIES)), default="ed",
               show_default=True)
 @click.option("--tol", default=1e-10, show_default=True, type=float)
 @click.option("--gc2-variant", default="alphaFS", show_default=True,
@@ -75,6 +77,7 @@ def cmd_qfi_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, method, tol,
             "kind": "qfi-sweep", "omega": omega, "Omega": Omega,
             "grid": [gbar_min, gbar_max, gbar_steps],
             "tolerances": {"tol": tol, "method": method},
+            "code_version": store.code_version(*SWEEP_FAMILIES[method]),
             "omega_ratio": ratio, "gc2_variant": gc2_variant,
         }
         digest = store.compute_hash(meta)
@@ -175,14 +178,16 @@ def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out):
         sys.exit(EXIT_PARTIAL)
 
 
-def _peak_cached(omega, Omega, cache_dir, method, tol):
+def _peak_cached(omega, Omega, cache_dir, tol):
+    """ED QFI peak, from the cache when a record of the same search exists."""
     meta = {"kind": "qfi-peak", "omega": omega, "Omega": Omega,
-            "grid": list(qfi.PEAK_RANGE), "tolerances": {"tol": tol, "method": method}}
+            "grid": list(qfi.PEAK_RANGE), "tolerances": {"tol": tol, "method": "ED"},
+            "code_version": store.code_version("ed")}
     digest = store.compute_hash(meta)
     record = store.lookup(cache_dir, digest)
     if record is not None:
         return float(record.column("gbar_cf")[0]), record
-    est = qfi.find_peak(omega, Omega, method=method, gbar_range=qfi.PEAK_RANGE, tol=tol)
+    est = qfi.find_peak(omega, Omega, method="ED", gbar_range=qfi.PEAK_RANGE, tol=tol)
     record = store.SweepRecord(
         meta=meta, columns=["gbar_cf", "g_cf", "f_q_max", "bracket_width", "evaluations"],
         data=np.array([[est.gbar_cf, est.g_cf, est.f_q_max, est.bracket_width,
@@ -220,7 +225,7 @@ def cmd_gc(omega_ratio, dc1, tol, with_peaks, cache, out):
                        f"gc2/gc0 = {', '.join(outside)} (<= 1)", err=True)
         gcf = math.nan
         if with_peaks:
-            gbar_cf, _ = _peak_cached(omega, Omega, cache_dir, "ED", tol)
+            gbar_cf, _ = _peak_cached(omega, Omega, cache_dir, tol)
             gcf = gbar_cf * g0.value
         rows.append([
             ratio, g0.value, g1.value, gx.value, g2a.value, g2b.value, g2c.value,
@@ -255,7 +260,7 @@ def cmd_fit(omega_ratio, tol, max_order, cache, out):
     cache_dir = _cache_dir(cache)
     data = []
     for ratio in omega_ratio:
-        gbar_cf, _ = _peak_cached(float(ratio), 1.0, cache_dir, "ED", tol)
+        gbar_cf, _ = _peak_cached(float(ratio), 1.0, cache_dir, tol)
         data.append((ratio, gbar_cf - 1.0))
     data = np.array(data)
     results = []
@@ -338,12 +343,14 @@ def cmd_verify(tol):
     params = ModelParams(0.1, 1.0, 0.2)
     try:
         sample = qfi.qfi_ed(params, tol=tol)
-        state, _ = ground_state(params, tol=tol)
+        state, report = ground_state(params, tol=tol)
     except QrabiError as exc:
         check(f"ED QFI ({exc})", False)
     else:
         check(f"cutoff energy bound {sample.energy_delta:.1e} <= tol |E0| = "
-              f"{tol * abs(state.energy):.1e}", sample.energy_delta <= tol * abs(state.energy))
+              f"{tol * abs(state.energy):.1e} (cutoff {report.final_cutoff} against "
+              f"truncation {report.truncation_cutoff}, eigensolves {report.eigensolves})",
+              sample.energy_delta <= tol * abs(state.energy))
         check("F_Q >= 0", sample.f_q_g >= 0)
         rel = 4.0 * sample.first_derivative_term ** 2 / sample.f_q_g
         check("<psi'|psi> negligible", rel < 1e-10)

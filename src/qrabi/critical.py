@@ -61,20 +61,6 @@ def gc1(omega: float, Omega: float) -> CriticalEstimate:
     return CriticalEstimate(value, value / g0, "gc1", omega / Omega)
 
 
-def gc_from_distance(omega: float, Omega: float, d_c: float) -> CriticalEstimate:
-    """Solve sqrt(1 - gc0^4/g^4) * sqrt(2) g / omega = d_c for g.
-
-    With d_c = 2 and no frequency renormalization this reproduces gc1.
-    """
-    _check_freq(omega, Omega)
-    if d_c <= 0:
-        raise ParameterDomainError(f"d_c must be > 0, got {d_c}")
-    g0 = 0.5 * math.sqrt(omega * Omega)
-    g2 = (d_c ** 2 * omega ** 2 + math.sqrt(d_c ** 4 * omega ** 4 + 16.0 * g0 ** 4)) / 4.0
-    value = math.sqrt(g2)
-    return CriticalEstimate(value, value / g0, f"distance(d_c={d_c})", omega / Omega)
-
-
 def _gcxi_fourth_power_terms(g0: float, omega_c1: float):
     """(gc0^4, additive correction) of gc_xi^4, with the correction computed
     without cancellation so the defining-equation residual stays at roundoff."""

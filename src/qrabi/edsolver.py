@@ -8,11 +8,13 @@ Solves use that reduction at every cutoff, and only this sector is solved;
 the dense full-space Hamiltonian and the parity +1 sector are cross-check
 oracles in ``tests/conftest.py``.
 
-The cutoff search starts from the photon number of the displaced oscillator
-and grows geometrically until the energy and the basis tail have converged.
-One eigensolve per growth step suffices: the energy at the previous cutoff
-is bounded from both sides by interlacing, so the start cutoff is never
-solved.
+The cutoff search solves once at a start cutoff sized to the photon number
+of the displaced oscillator, and certifies it against its truncation three
+photon-number widths lower: interlacing bounds that truncation's energy from
+both sides, so it is never solved, and the removed rows must carry a weight
+below 1e-12. Only a start that fails the certificate grows geometrically.
+The one eigensolve bisects only as far as inverse iteration needs, far below
+the sector gap, and takes the energy as the Rayleigh quotient of the vector.
 Because dH/dg = sigma_z (a + a^dag) conserves parity, the derivative of the
 ground state with respect to g stays in the sector and follows from one
 banded linear solve at the converged cutoff (first-order perturbation theory
@@ -35,18 +37,35 @@ from .errors import NonconvergenceError, ParameterDomainError, QrabiError
 from .model import ModelParams
 
 HARD_CUTOFF_LIMIT = 16384
-TAIL_FRACTION = 0.9
 TAIL_WEIGHT_TOL = 1e-12
 CUTOFF_GROWTH = 1.5
 START_WIDTHS = 12.0
 START_MARGIN = 32
+TRUNCATION_WIDTHS = 9.0
+TRUNCATION_MARGIN = 16
+# bisection tolerance of the sector eigensolve, in units of omega; the gap
+# to the next sector level is >= 0.118 omega for omega/Omega >= 1e-4
+EIGENVALUE_ABSTOL = 1e-6
 RESPONSE_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """Certificate of ``ground_state``'s cutoff search.
+
+    ``final_cutoff`` is certified against its truncation to
+    ``truncation_cutoff`` (``truncation_cutoff(params)`` when the start
+    cutoff converged, the previous cutoff after growth steps): the energy
+    change ``energy_delta`` (an interlacing bound, or the difference of
+    solved energies) is at most ``tol`` relative, and the rows beyond the
+    truncation carry a weight below 1e-12. ``eigensolves`` counts the sector
+    eigensolves of the search.
+    """
+
     final_cutoff: int
     energy_delta: float
+    truncation_cutoff: int
+    eigensolves: int
     tol: float = 1e-10
 
 
@@ -103,18 +122,24 @@ def sector_eigenpairs(params: ModelParams, cutoff: int):
     """Lowest eigenpair of the parity -1 sector as (values, vectors): one
     value, and its vector as the one column.
 
-    Bisection for the eigenvalue (dstebz) and inverse iteration for the
-    vector (dstein): the LAPACK pair behind scipy's ``eigh_tridiagonal`` with
-    an index range, called without its input validation. A nonzero LAPACK
-    ``info`` raises QrabiError.
+    Bisection (dstebz) brackets the eigenvalue only to ``EIGENVALUE_ABSTOL``
+    omega, five orders of magnitude below the gap to the next sector level;
+    inverse iteration (dstein) from that estimate converges the vector, each
+    iteration shrinking its error by the ratio of the two. The value returned
+    is the vector's Rayleigh quotient, whose error is quadratic in the
+    vector's. These are the LAPACK routines behind scipy's
+    ``eigh_tridiagonal`` with an index range, called without its input
+    validation. A nonzero LAPACK ``info`` raises QrabiError.
     """
     diag, off = sector_tridiagonal(params, cutoff)
-    m, vals, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 0.0, "B")
+    m, vals, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1,
+                                           EIGENVALUE_ABSTOL * params.omega, "B")
     _check_info(info, "dstebz")
-    vals = vals[:m]
-    vecs, info = dstein(diag, off, vals, iblock, isplit)
+    vecs, info = dstein(diag, off, vals[:m], iblock, isplit)
     _check_info(info, "dstein")
-    return vals, vecs
+    vec = vecs[:, 0]
+    rayleigh = float(vec @ _tridiagonal_apply(diag, off, vec)) / float(vec @ vec)
+    return np.array([rayleigh]), vecs
 
 
 def _gauge_fix(vec: np.ndarray) -> np.ndarray:
@@ -141,22 +166,27 @@ def state_from_sector_vector(params: ModelParams, cutoff: int, energy: float,
     )
 
 
+def _photon_cutoff(params: ModelParams, widths: float, margin: int) -> int:
+    nbar = (params.g / params.omega) ** 2
+    return math.ceil(nbar + widths * math.sqrt(nbar)) + margin
+
+
 def initial_cutoff(params: ModelParams) -> int:
-    """Start cutoff nbar + 12 sqrt(nbar) + 32 with nbar = (g/omega)^2.
+    """Start cutoff, the one solved: nbar + 12 sqrt(nbar) + 32 with nbar = (g/omega)^2.
 
     nbar is the photon number of the oscillator displaced by g/omega, the
     superradiant limit of the ground state, whose Poisson photon distribution
     has width sqrt(nbar); below the transition nbar overestimates the photon
-    number. Twelve widths put the truncation error far below the default
-    energy tolerance, so the first growth step normally confirms convergence.
+    number. Even its truncation three widths lower (``truncation_cutoff``)
+    meets the default energy tolerance with orders of magnitude to spare, so
+    the start cutoff is normally certified by that truncation and not grown.
     """
-    nbar = (params.g / params.omega) ** 2
-    return math.ceil(nbar + START_WIDTHS * math.sqrt(nbar)) + START_MARGIN
+    return _photon_cutoff(params, START_WIDTHS, START_MARGIN)
 
 
-def _tail_weight(vec: np.ndarray) -> float:
-    start = int(TAIL_FRACTION * (vec.size - 1))
-    return float(np.sum(vec[start:] ** 2))
+def truncation_cutoff(params: ModelParams) -> int:
+    """nbar + 9 sqrt(nbar) + 16, the truncation that certifies ``initial_cutoff``."""
+    return _photon_cutoff(params, TRUNCATION_WIDTHS, TRUNCATION_MARGIN)
 
 
 def interlacing_bound(params: ModelParams, cutoff: int, energy: float, vec: np.ndarray) -> float:
@@ -177,35 +207,44 @@ def ground_state(params: ModelParams, tol: float = 1e-10,
                  max_cutoff: int = HARD_CUTOFF_LIMIT):
     """Adaptively converged ground state, the lowest state of the parity -1 sector.
 
-    Grows the cutoff by 1.5x from ``initial_cutoff`` until the relative energy
-    change from the previous cutoff is at most ``tol`` and the tail weight
-    beyond 0.9*N is below 1e-12. The start cutoff is not solved: its energy
-    change is bounded by ``interlacing_bound`` with the grown cutoff's ground
-    pair; later steps compare with the energy solved at the previous cutoff.
-    The report's ``energy_delta`` is that bound or difference.
+    Solves at ``initial_cutoff`` N and certifies it against its truncation
+    to ``truncation_cutoff`` N_s: the energy change E(N_s) - E(N), bounded by
+    ``interlacing_bound`` without solving N_s, must be at most ``tol``
+    relative, and the weight of the removed rows n > N_s below 1e-12. If
+    either test fails, the cutoff grows by 1.5x, and each later step compares
+    with the energy solved at the previous cutoff and takes the tail beyond
+    it. The report carries the bound or difference, the truncation and the
+    number of eigensolves.
     """
     if tol <= 0:
         raise ParameterDomainError(f"tol must be > 0, got {tol}")
     cutoff = min(initial_cutoff(params), max_cutoff)
+    truncation = truncation_cutoff(params)
     energy = None
     delta = math.inf
-    while cutoff < max_cutoff:
-        new_cutoff = min(math.ceil(CUTOFF_GROWTH * cutoff), max_cutoff)
-        vals, vecs = sector_eigenpairs(params, new_cutoff)
+    eigensolves = 0
+    # a start capped at or below its own truncation has nothing to certify
+    # against and no room to grow; every grown cutoff exceeds the previous one
+    while truncation < cutoff or cutoff < max_cutoff:
+        vals, vecs = sector_eigenpairs(params, cutoff)
+        eigensolves += 1
         new_energy, new_vec = float(vals[0]), vecs[:, 0]
-        if energy is None:
-            delta = interlacing_bound(params, cutoff, new_energy, new_vec)
-        else:
+        if energy is not None:
             delta = abs(new_energy - energy)
-        converged = (
-            delta <= tol * max(abs(new_energy), 1e-30)
-            and _tail_weight(new_vec) < TAIL_WEIGHT_TOL
-        )
-        energy, cutoff = new_energy, new_cutoff
-        if converged:
-            report = ConvergenceReport(final_cutoff=cutoff, energy_delta=delta, tol=tol)
-            return state_from_sector_vector(params, cutoff, energy, new_vec), report
-    report = ConvergenceReport(final_cutoff=cutoff, energy_delta=delta, tol=tol)
+        elif truncation < cutoff:
+            delta = interlacing_bound(params, truncation, new_energy, new_vec)
+        tail = float(np.sum(new_vec[truncation + 1:] ** 2))
+        if delta <= tol * max(abs(new_energy), 1e-30) and tail < TAIL_WEIGHT_TOL:
+            report = ConvergenceReport(final_cutoff=cutoff, energy_delta=delta,
+                                       truncation_cutoff=truncation,
+                                       eigensolves=eigensolves, tol=tol)
+            return state_from_sector_vector(params, cutoff, new_energy, new_vec), report
+        if cutoff >= max_cutoff:
+            break
+        energy, truncation = new_energy, cutoff
+        cutoff = min(math.ceil(CUTOFF_GROWTH * cutoff), max_cutoff)
+    report = ConvergenceReport(final_cutoff=cutoff, energy_delta=delta,
+                               truncation_cutoff=truncation, eigensolves=eigensolves, tol=tol)
     raise NonconvergenceError(
         f"cutoff limit {max_cutoff} reached without convergence "
         f"(energy delta {delta:.3e}); the polaron ansatz is the documented fallback",

@@ -290,13 +290,9 @@ def _final_bracket(evaluated, root) -> float:
     return min(above) - max(below)
 
 
-def acceleration_condition(sweep: pp.PolaronSweep, form: str = "acceleration") -> CriticalEstimate:
-    """Transition coupling from the vanishing polaron acceleration.
-
-    ``acceleration`` finds the sign change of a = d^2(zeta g_bar)/d g_bar^2 of
-    the main polaron; ``crossing`` finds g_bar = 2 zeta'/(-zeta''), an
-    algebraic rearrangement of the same condition.
-    """
+def acceleration_condition(sweep: pp.PolaronSweep) -> CriticalEstimate:
+    """Transition coupling from the vanishing polaron acceleration: the sign
+    change of a = d^2(zeta g_bar)/d g_bar^2 of the main polaron."""
     gbar = np.asarray(sweep.gbar, dtype=float)
     zeta = np.array([a.zeta_alpha for a in sweep.ansatz])
     xp = zeta * gbar
@@ -304,20 +300,11 @@ def acceleration_condition(sweep: pp.PolaronSweep, form: str = "acceleration") -
     if n < 5:
         raise QrabiError("sweep too short for second derivatives")
 
-    d1 = np.gradient(zeta, gbar)
-    d2 = np.gradient(d1, gbar)
-    if form == "acceleration":
-        accel = np.gradient(np.gradient(xp, gbar), gbar)
-        target = accel
-    elif form == "crossing":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            target = np.where(d2 < 0, 2.0 * d1 / (-d2) - gbar, np.nan)
-    else:
-        raise ParameterDomainError(f"unknown form {form!r}")
+    accel = np.gradient(np.gradient(xp, gbar), gbar)
 
     interior = slice(2, n - 2)
     idxs = np.arange(n)[interior]
-    vals = target[interior]
+    vals = accel[interior]
     root = None
     for i in range(len(vals) - 1):
         v0, v1 = vals[i], vals[i + 1]

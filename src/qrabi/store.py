@@ -20,11 +20,19 @@ import numpy as np
 from .errors import SchemaError
 
 SCHEMA_VERSION = 1
-# Identity of the numerics behind a record; it enters the content hash, so
-# changing it turns every record computed by older numerics into a miss.
-# Change it whenever a computation that feeds a record changes.
-CODE_VERSION = "qrabi-0.1.0+pp-newton"
+# Identity of the numerics behind a record, one version per numerics family:
+# "ed" (sector ground state, linear response, QFI peak) and "pp" (polaron
+# ansatz). A record's hash carries the versions of the families it uses, so
+# changing one turns exactly the records computed by its older numerics into
+# misses. Change a family's version whenever a computation of it that feeds
+# a record changes.
+CODE_VERSIONS = {"ed": "qrabi-0.1.0+ed-sized-eigensolve", "pp": "qrabi-0.1.0+pp-newton"}
 MAGIC = "#qrm-sweep"
+
+
+def code_version(*families: str) -> dict:
+    """The ``code_version`` metadata of a record computed by ``families``."""
+    return {family: CODE_VERSIONS[family] for family in sorted(families)}
 
 
 @dataclass
@@ -54,14 +62,15 @@ def compute_hash(meta: dict) -> str:
     """Stable content hash over the identifying metadata.
 
     Only the keys that determine the computation enter the hash; payload
-    ordering and presentation do not.
+    ordering and presentation do not. A record that names no code version
+    counts as computed by every family.
     """
     identity = {
         k: meta.get(k)
         for k in ("omega", "Omega", "grid", "tolerances", "code_version", "kind")
     }
     if identity.get("code_version") is None:
-        identity["code_version"] = CODE_VERSION
+        identity["code_version"] = code_version(*CODE_VERSIONS)
     blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -72,7 +81,7 @@ def save(record: SweepRecord, path) -> None:
         raise SchemaError("refusing to save non-finite payload values")
     header = dict(record.meta)
     header["columns"] = record.columns
-    header.setdefault("code_version", CODE_VERSION)
+    header.setdefault("code_version", code_version(*CODE_VERSIONS))
     lines = [f"{MAGIC} v{record.schema_version} {json.dumps(header, sort_keys=True)}"]
     for row in record.data:
         lines.append(",".join(f"{v:.17g}" for v in row))

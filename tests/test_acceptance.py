@@ -152,7 +152,7 @@ def test_criterion_07_pp_fidelity_to_ed(capsys, sweep_01):
 def test_criterion_08_triple_bridge(capsys, sweep_01):
     t0 = time.perf_counter()
     peak = qfi.find_peak(0.1, 1.0, method="ED").gbar_cf
-    accel = qfi.acceleration_condition(sweep_01, form="acceleration").ratio
+    accel = qfi.acceleration_condition(sweep_01).ratio
     grid = np.linspace(1.0, 1.6, 61)
     samples = observables.susceptibility_sweep(0.1, 1.0, grid, method="ED")
     sus_peak = grid[int(np.argmax([s.d_abs_x_dg for s in samples]))]

@@ -97,8 +97,8 @@ def test_qfi_sweep_and_cache_reuse(runner, tmp_path):
 
 
 def test_qfi_sweep_with_failed_point_is_not_cached(runner, tmp_path, monkeypatch):
-    # at w/W = 0.001 only gbar = 7.5 needs more photons than the cutoff limit
-    # allows: 1 failed point of 11, which must not be cached or exit 0
+    # at w/W = 0.001 only gbar = 8.0 has its truncation cutoff (17155) above
+    # the cutoff limit: 1 failed point of 11, which must not be cached or exit 0
     calls = []
     qfi_ed = qfi.qfi_ed
 
@@ -108,7 +108,7 @@ def test_qfi_sweep_with_failed_point_is_not_cached(runner, tmp_path, monkeypatch
 
     monkeypatch.setattr(qfi, "qfi_ed", counted)
     cache = tmp_path / "cache"
-    args = ["qfi-sweep", "-w", "0.001", "--gbar-min", "7.0", "--gbar-max", "7.5",
+    args = ["qfi-sweep", "-w", "0.001", "--gbar-min", "5.5", "--gbar-max", "8.0",
             "--gbar-steps", "11", "--out", str(tmp_path / "q"), "--cache", str(cache)]
     result = _invoke(runner, args)
     assert result.exit_code == 3
@@ -141,6 +141,30 @@ def test_qfi_sweep_both_with_failed_pp_point_is_not_cached(runner, tmp_path, mon
     assert list(rec.column("status")) == [0.0] * 3 + [1.0] + [0.0] * 5
     assert np.all(rec.column("F_Q_ed") > 0)
     assert not list(cache.glob("*.sweep"))
+
+
+def test_ed_version_bump_keeps_pp_records(runner, tmp_path, monkeypatch):
+    # a record's hash carries the versions of the numerics families it uses:
+    # a new ED version misses ED sweeps and QFI peaks, and PP sweeps still hit
+    cache = tmp_path / "cache"
+    sweep = ["qfi-sweep", "-w", "0.1", "--gbar-min", "1.0", "--gbar-max", "1.4",
+             "--gbar-steps", "5", "--out", str(tmp_path / "q"), "--cache", str(cache)]
+    commands = {
+        "pp": [*sweep, "--method", "pp"],
+        "ed": [*sweep, "--method", "ed"],
+        "peak": ["gc", "--with-peaks", "-w", "0.1", "--out", str(tmp_path / "gc.csv"),
+                 "--cache", str(cache)],
+    }
+
+    def new_records(args):
+        before = set(cache.glob("*.sweep"))
+        assert _invoke(runner, args).exit_code == 0
+        return len(set(cache.glob("*.sweep")) - before)
+
+    assert [new_records(args) for args in commands.values()] == [1, 1, 1]
+    monkeypatch.setitem(store.CODE_VERSIONS, "ed", store.CODE_VERSIONS["ed"] + "-next")
+    assert {name: new_records(args) for name, args in commands.items()} == {
+        "pp": 0, "ed": 1, "peak": 1}
 
 
 def test_qfi_sweep_env_cache_override(runner, tmp_path, monkeypatch):
@@ -237,6 +261,7 @@ def test_verify_passes(runner):
     assert result.exit_code == 0
     assert "FAIL" not in result.output
     assert "all invariants passed" in result.output
+    assert "truncation" in result.output and "eigensolves 1" in result.output
 
 
 def test_help_documents_defaults(runner):

@@ -37,12 +37,6 @@ def test_gc1_taylor_coefficients():
     assert np.allclose(coeffs, [2.0, 2.0, -4.0, -10.0], atol=1e-6)
 
 
-def test_gc_from_distance_reproduces_gc1():
-    for omega in (0.05, 0.1, 0.5, 2.0):
-        est = critical.gc_from_distance(omega, 1.0, d_c=2.0)
-        assert est.value == pytest.approx(critical.gc1(omega, 1.0).value, rel=1e-13)
-
-
 def test_gcxi_residual_over_frequency_range():
     worst = max(
         critical.gc_xi_residual(r, 1.0) for r in np.geomspace(1e-3, 3.0, 200)

@@ -11,10 +11,12 @@ from qrabi.edsolver import (
     expectation_x,
     ground_state,
     ground_state_response,
+    initial_cutoff,
     interlacing_bound,
     photon_number,
     position_wavefunction,
     sector_eigenpairs,
+    truncation_cutoff,
 )
 from qrabi.errors import NonconvergenceError, ParameterDomainError, QrabiError
 from qrabi.model import ModelParams
@@ -89,6 +91,9 @@ def test_nonconvergence_carries_report():
     with pytest.raises(NonconvergenceError) as exc:
         ground_state(params, tol=1e-14, max_cutoff=64)
     assert exc.value.payload.final_cutoff == 64
+    # the start cutoff and its truncation both lie above the limit: no solve
+    # could be certified, so none is made
+    assert exc.value.payload.eigensolves == 0
 
 
 def test_position_wavefunction_vacuum_and_normalization():
@@ -147,24 +152,55 @@ def test_invalid_tol():
 
 @pytest.mark.parametrize("ratio", [0.001, 0.005, 0.1, 0.5])
 def test_one_eigensolve_search_matches_two_solve_oracle(ratio):
+    # the start cutoff is solved once and certified; the oracle solves it and
+    # grows once, and both land on the same energy and F_Q
     base = ModelParams(ratio, 1.0, 0.0)
     for gbar in (0.0, 0.8, 1.3, 2.5):
         params = base.with_g(gbar * base.gc0)
-        cutoff, energy, f_q = two_solve_qfi(params)
+        _, energy, f_q = two_solve_qfi(params)
         state, report = ground_state(params)
-        assert state.cutoff == report.final_cutoff == cutoff
+        assert state.cutoff == report.final_cutoff == initial_cutoff(params)
+        assert report.truncation_cutoff == truncation_cutoff(params)
+        assert report.eigensolves == 1
         assert state.energy == pytest.approx(energy, rel=1e-13)
         sample = qfi.qfi_ed(params)
         assert sample.f_q_g == pytest.approx(f_q, rel=1e-12)
         assert sample.energy_delta == report.energy_delta <= 1e-10 * abs(state.energy)
 
 
+@pytest.mark.parametrize("ratio", np.geomspace(5e-4, 1.0, 30)[::5])
+def test_start_cutoff_is_certified_on_the_grid(ratio):
+    # a 6 x 6 subset of the 1080-point grid (w/W in geomspace(5e-4, 1, 30),
+    # gbar in linspace(0, 3.5, 36)): one eigensolve per point, and F_Q as the
+    # two-solve search gives it
+    base = ModelParams(ratio, 1.0, 0.0)
+    for gbar in np.linspace(0.0, 3.5, 36)[::7]:
+        params = base.with_g(gbar * base.gc0)
+        _, report = ground_state(params)
+        assert report.eigensolves == 1
+        _, _, f_q = two_solve_qfi(params)
+        assert qfi.qfi_ed(params).f_q_g == pytest.approx(f_q, rel=1e-11)
+
+
+@pytest.mark.parametrize("ratio", [1e-4, 0.005, 0.1, 1.0])
+def test_sector_energy_matches_full_bisection(ratio):
+    # bisection stops at 1e-6 omega; the Rayleigh quotient of the inverse-
+    # iteration vector recovers the energy that bisection to abstol 0 finds
+    base = ModelParams(ratio, 1.0, 0.0)
+    for gbar in (0.0, 0.5, 1.0, 1.5, 2.5, 3.5):
+        params = base.with_g(gbar * base.gc0)
+        cutoff = initial_cutoff(params)
+        energy = sector_eigenpairs(params, cutoff)[0][0]
+        assert energy == pytest.approx(sector_ground_pair(params, cutoff)[0], rel=1e-14)
+
+
 @pytest.mark.parametrize("ratio, gbar, start", [(0.5, 2.5, 19), (0.1, 2.0, 31),
                                                  (0.02, 2.0, 79), (0.02, 2.5, 109)])
 def test_tight_start_cutoff_grows_on_the_energy_test(monkeypatch, ratio, gbar, start):
-    # from these starts the first grown cutoff passes the tail-weight test but
-    # not the energy test; the certificate bounds the true energy change from
-    # above, so the search stops no earlier than the two-solve search
+    # these starts lie below their truncation cutoff, so nothing certifies
+    # them; the search then grows and compares solved energies like the
+    # two-solve search, with the tail taken beyond the whole previous cutoff,
+    # so it stops no earlier
     base = ModelParams(ratio, 1.0, 0.0)
     params = base.with_g(gbar * base.gc0)
     monkeypatch.setattr(edsolver, "initial_cutoff", lambda p: start)

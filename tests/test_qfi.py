@@ -204,13 +204,6 @@ def test_find_peak_matches_golden_section(ratio):
     assert qfi.find_peak(ratio, 1.0, method="ED").gbar_cf == pytest.approx(gbar_ref, abs=1e-4)
 
 
-def test_acceleration_condition_forms_agree():
-    sweep = _sweep(0.1, 1.0, 1.6, 61)
-    a_form = qfi.acceleration_condition(sweep, form="acceleration")
-    c_form = qfi.acceleration_condition(sweep, form="crossing")
-    assert a_form.ratio == pytest.approx(c_form.ratio, abs=0.02)
-
-
 def test_acceleration_condition_synthetic_zeta():
     # sigmoid displacement x(gbar) = 1/(1+exp(-k(gbar-gc))): the acceleration
     # x'' changes sign exactly at the inflection point gc
@@ -222,7 +215,7 @@ def test_acceleration_condition_synthetic_zeta():
         polaron.PolaronAnsatz(1.0, 0.0, z, -z, 1.0, 1.0, energy=0.0) for z in zeta
     ]
     sweep = polaron.PolaronSweep(0.1, 1.0, gbar, ansatz)
-    est = qfi.acceleration_condition(sweep, form="acceleration")
+    est = qfi.acceleration_condition(sweep)
     assert est.ratio == pytest.approx(gc, abs=1e-3)
 
 

@@ -110,10 +110,12 @@ def test_record_of_older_numerics_is_a_miss(tmp_path):
     # difference ED QFI; Nelder-Mead PP with neighbour-difference flows; the
     # two-eigensolve cutoff test; the four-ordered-pair PP energy; the
     # scan-and-golden-section QFI peak; warm-started L-BFGS-B PP sweeps with
-    # finite-difference Hessians); the same request now hashes differently
+    # finite-difference Hessians; one version for both numerics families);
+    # the same request now hashes differently
     for version in ("qrabi-0.1.0", "qrabi-0.1.0+ed-linear-response",
                     "qrabi-0.1.0+pp-gradient", "qrabi-0.1.0+ed-one-eigensolve",
-                    "qrabi-0.1.0+pp-three-pairs", "qrabi-0.1.0+ed-peak-root"):
+                    "qrabi-0.1.0+pp-three-pairs", "qrabi-0.1.0+ed-peak-root",
+                    "qrabi-0.1.0+pp-newton"):
         old = _record({"code_version": version})
         store.store(tmp_path, old)
         assert store.lookup(tmp_path, old.content_hash()) is not None
