@@ -113,12 +113,7 @@ def _compute_qfi_sweep(omega, Omega, grid, method, tol, gc2_variant, meta):
                 pass
     pp_vals = np.full(n, np.nan)
     if want_pp:
-        sweep = polaron.continuation_sweep(omega, Omega, grid)
-        for k in range(n):
-            try:
-                pp_vals[k] = qfi.qfi_pp_full(sweep, k).f_q_gbar
-            except QrabiError:
-                pass
+        pp_vals = qfi.qfi_pp_full(polaron.continuation_sweep(omega, Omega, grid))
     cols = [grid * base.gc0, grid, grid * base.gc0 / gc2_val]
     if want_ed:
         columns += ["F_Q_ed", "F_Q_ed_rel"]
@@ -145,36 +140,27 @@ def _compute_qfi_sweep(omega, Omega, grid, method, tol, gc2_variant, meta):
 def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out):
     """Variational polaron continuation sweep with ansatz parameters per point.
 
-    A point whose QFI assembly fails is written as F_Q_pp = -1 and the command
-    exits 3.
+    A point whose QFI assembly fails has status 1 and F_Q_pp = -1, and the
+    command exits 3.
     """
     grid = _gbar_grid(gbar_min, gbar_max, gbar_steps)
     omega, Omega = float(omega_ratio), 1.0
     sweep = polaron.continuation_sweep(omega, Omega, grid)
-    rows = []
-    failed = False
-    for k, ans in enumerate(sweep.ansatz):
-        try:
-            fq = qfi.qfi_pp_full(sweep, k).f_q_gbar
-        except QrabiError:
-            fq = math.nan
-        if not math.isfinite(fq):
-            fq, failed = -1.0, True
-        rows.append([
-            grid[k], ans.energy, ans.alpha, ans.beta, ans.zeta_alpha,
-            ans.zeta_beta, ans.xi_alpha, ans.xi_beta, fq,
-        ])
+    fq = qfi.qfi_pp_full(sweep)
+    failed = ~np.isfinite(fq)
+    rows = [[grid[k], ans.energy, ans.alpha, ans.beta, ans.zeta_alpha, ans.zeta_beta,
+             ans.xi_alpha, ans.xi_beta] for k, ans in enumerate(sweep.ansatz)]
     meta = {"kind": "pp-sweep", "omega": omega, "Omega": Omega,
             "grid": [gbar_min, gbar_max, gbar_steps], "tolerances": {}}
     record = store.SweepRecord(
         meta=meta,
         columns=["gbar", "energy", "alpha", "beta", "zeta_alpha", "zeta_beta",
-                 "xi_alpha", "xi_beta", "F_Q_pp"],
-        data=np.array(rows),
+                 "xi_alpha", "xi_beta", "F_Q_pp", "status"],
+        data=np.column_stack([rows, np.where(failed, -1.0, fq), failed.astype(float)]),
     )
     store.save(record, out)
     click.echo(f"wrote {out}")
-    if failed:
+    if np.any(failed):
         sys.exit(EXIT_PARTIAL)
 
 

@@ -47,6 +47,7 @@ TRUNCATION_MARGIN = 16
 # to the next sector level is >= 0.118 omega for omega/Omega >= 1e-4
 EIGENVALUE_ABSTOL = 1e-6
 RESPONSE_RESIDUAL_TOL = 1e-8
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -195,12 +196,14 @@ def interlacing_bound(params: ModelParams, cutoff: int, energy: float, vec: np.n
     The cutoff-N0 sector matrix is the leading principal submatrix of the
     cutoff-N one, so by Cauchy interlacing E(N) <= E(N0), and E(N0) is at
     most the Rayleigh quotient RQ of any vector on n <= N0. With vec cut to
-    n <= N0, RQ - E(N) >= E(N0) - E(N) >= 0; rounding below zero reads 0.
+    n <= N0, RQ - E(N) >= E(N0) - E(N) >= 0. RQ - E(N) carries the rounding
+    of E, so the bound is floored at eps |E|: a certificate at rounding reads
+    eps |E|, never 0, and a ``tol`` below eps cannot be certified by it.
     """
     diag, off = sector_tridiagonal(params, vec.size - 1)
     head = vec[:cutoff + 1]
     rayleigh = float(head @ _tridiagonal_apply(diag[:cutoff + 1], off[:cutoff], head))
-    return max(rayleigh / float(head @ head) - energy, 0.0)
+    return max(rayleigh / float(head @ head) - energy, _EPS * abs(energy))
 
 
 def ground_state(params: ModelParams, tol: float = 1e-10,

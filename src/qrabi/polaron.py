@@ -11,10 +11,12 @@ gradient and Hessian H, with the mixed derivative d_gbar grad E
 (``_objective``). ``optimize`` minimizes it by multi-start L-BFGS-B. A
 continuation sweep is predictor-corrector: each point after the first starts
 from the tangent p + dg_bar dp/dg_bar of the previous one, and a projected
-Newton corrector with the exact H converges it (``_newton``). The flows
+Newton corrector with the exact H converges it (``_newton``). The sweep keeps
+p, H and d_gbar grad E of every converged point. The flows
 dp/dg_bar = -H^-1 d_gbar grad E at a minimum follow from the
-implicit-function theorem, from the same H at the point itself, so they do
-not depend on the grid the sweep was taken on.
+implicit-function theorem, from that H at the point itself, so they do not
+depend on the grid the sweep was taken on; ``parameter_derivatives`` takes
+them at every point of a sweep at once, NaN at a saddle.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from scipy.linalg.lapack import dsyev
 from scipy.optimize import minimize
 
 from . import kernels
-from .errors import DerivativeInvalidError, ParameterDomainError
+from .errors import ParameterDomainError
 from .model import ModelParams
 
 NORMALIZATION_TOL = 1e-8
@@ -83,12 +85,13 @@ class PolaronAnsatz:
         )
 
 
-@dataclass(frozen=True)
-class OverlapTable:
-    """All 2x2 inner products entering the polaron-picture QFI assembly.
+class OverlapTable(NamedTuple):
+    """All 2x2 inner products entering the polaron-picture QFI assembly,
+    stacked over the points of a sweep.
 
-    Index order is (alpha, beta). ``dx_phi[i, j]`` is <d phi_i/d x_i | phi_j>,
-    ``dx_dxi[i, j]`` is <d phi_i/d x_i | d phi_j/d xi_j>, and so on.
+    Index order is (point, i, j) with i, j in (alpha, beta). ``dx_phi[k, i, j]``
+    is <d phi_i/d x_i | phi_j>, ``dx_dxi[k, i, j]`` is
+    <d phi_i/d x_i | d phi_j/d xi_j>, and so on.
     """
 
     s: np.ndarray
@@ -135,17 +138,16 @@ def _pair_entries(xi_i, x_i, xi_j, x_j):
     return s_ij, s_ij * lx_i, s_ij * lxi_i, dx_dx, dx_dxi, dxi_dx, dxi_dxi
 
 
-def derivative_overlaps(ansatz: PolaronAnsatz, params: ModelParams) -> OverlapTable:
-    """Evaluate every closed-form overlap/derivative inner product."""
-    pols = ansatz.polarons(params)
-    _check_xi(pols[0].xi, pols[1].xi)
-    mats = [np.zeros((2, 2)) for _ in range(7)]
-    for i in range(2):
-        for j in range(2):
-            entries = _pair_entries(pols[i].xi, pols[i].x, pols[j].xi, pols[j].x)
-            for m, e in zip(mats, entries):
-                m[i, j] = e
-    return OverlapTable(*mats)
+def _overlap_table(xi: np.ndarray, x: np.ndarray) -> OverlapTable:
+    """``_pair_entries`` of every ordered pair at every point; ``xi`` and
+    ``x`` are (points x 2) over (alpha, beta). The entries are evaluated on
+    Python floats, so the one Gaussian-overlap formula serves them."""
+    entries = np.array([
+        [[_pair_entries(xi_k[i], x_k[i], xi_k[j], x_k[j]) for j in range(2)]
+         for i in range(2)]
+        for xi_k, x_k in zip(xi.tolist(), x.tolist())
+    ])
+    return OverlapTable(*np.moveaxis(entries, -1, 0))
 
 
 def energy(ansatz: PolaronAnsatz, params: ModelParams) -> float:
@@ -206,12 +208,6 @@ def weights_from_angle(psi: float, s: float) -> np.ndarray:
 
 def angle_from_weights(alpha: float, beta: float) -> float:
     return math.atan2(beta, alpha)
-
-
-def weight_derivatives(psi: float, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(d(alpha,beta)/dpsi, d(alpha,beta)/dS) of the manifold map."""
-    _, _, a_psi, b_psi, a_s, b_s = _manifold(psi, s)
-    return np.array([a_psi, b_psi]), np.array([a_s, b_s])
 
 
 def _vector_to_ansatz(p: np.ndarray, params: ModelParams) -> PolaronAnsatz:
@@ -405,21 +401,6 @@ def optimize(params: ModelParams, warm_start: PolaronAnsatz | None = None,
     return replace(ansatz, energy=float(best.fun))
 
 
-@dataclass
-class PolaronSweep:
-    """Continuation sweep of optimized ansaetze over an ascending g_bar grid."""
-
-    omega: float
-    Omega: float
-    gbar: np.ndarray
-    ansatz: list[PolaronAnsatz]
-    discontinuities: tuple[int, ...] = ()
-
-    def params_at(self, index: int) -> ModelParams:
-        base = ModelParams(self.omega, self.Omega, 0.0)
-        return base.with_g(float(self.gbar[index]) * base.gc0)
-
-
 def _parameter_jumps(vectors: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.diff(vectors, axis=0), axis=1)
 
@@ -493,6 +474,43 @@ class _Point(NamedTuple):
         return _on_free(_free(self.p, self.grad), self.hess, -self.mixed)
 
 
+@dataclass
+class PolaronSweep:
+    """Optimized ansaetze over an ascending g_bar grid, with the state of each
+    point: p (points x 5), the energy Hessian ``hess`` (points x 5 x 5) and
+    d_gbar grad E ``mixed`` (points x 5) there.
+
+    ``continuation_sweep`` fills the state from its Newton corrector. A sweep
+    built from bare ansaetze evaluates it with one ``_objective(hessian=True)``
+    per point.
+    """
+
+    omega: float
+    Omega: float
+    gbar: np.ndarray
+    ansatz: list[PolaronAnsatz]
+    discontinuities: tuple[int, ...] = ()
+    p: np.ndarray | None = None
+    hess: np.ndarray | None = None
+    mixed: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.p is None:
+            params = [self.params_at(k) for k in range(len(self.ansatz))]
+            self.p, self.hess, self.mixed = _stack([
+                _Point.at(_ansatz_to_vector(a, pk), pk) for a, pk in zip(self.ansatz, params)])
+
+    def params_at(self, index: int) -> ModelParams:
+        base = ModelParams(self.omega, self.Omega, 0.0)
+        return base.with_g(float(self.gbar[index]) * base.gc0)
+
+
+def _stack(points: list[_Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, H, d_gbar grad E) of the points as stacked arrays."""
+    return (np.array([pt.p for pt in points]), np.array([pt.hess for pt in points]),
+            np.array([pt.mixed for pt in points]))
+
+
 def _newton(point: _Point, params: ModelParams) -> tuple[_Point, int, bool]:
     """Projected, safeguarded Newton corrector: (final iterate, steps taken,
     whether it stopped because it could not descend).
@@ -548,7 +566,9 @@ def continuation_sweep(omega: float, Omega: float, gbar_grid) -> PolaronSweep:
     the previous p where that has the lower energy, and is converged by the
     Newton corrector (``_newton``). Branch discontinuities (parameter jump
     > 10x the local scale) trigger a multi-start re-run at the offending
-    points; surviving jumps are recorded.
+    points; surviving jumps are recorded. The sweep keeps the corrector's
+    p, H and d_gbar grad E at every converged point; a re-run point gets
+    them from one more Hessian evaluation.
     """
     gbar = np.asarray(gbar_grid, dtype=float)
     if gbar.size == 0:
@@ -557,95 +577,103 @@ def continuation_sweep(omega: float, Omega: float, gbar_grid) -> PolaronSweep:
         raise ParameterDomainError("g_bar grid must be ascending")
     base = ModelParams(omega, Omega, 0.0)
     results: list[PolaronAnsatz] = []
-    point = None
+    points: list[_Point] = []
     for k, gb in enumerate(gbar):
         params = base.with_g(float(gb) * base.gc0)
-        if point is None:
+        if not points:
             cold = _ansatz_to_vector(optimize(params), params)
             point = _newton(_Point.at(cold, params), params)[0]
         else:
+            point = points[-1]
             predicted = _clip(point.p + (gb - gbar[k - 1]) * point.tangent())
             start = min(predicted, point.p, key=lambda q: _energy_at(q, params))
             point = _corrected(_Point.at(start, params), params, results[-1])
+        points.append(point)
         results.append(_ansatz_at(point, params))
+    flagged: tuple[int, ...] = ()
     if gbar.size >= 4:
-        vectors = np.array([
-            _ansatz_to_vector(a, base.with_g(float(gbar[k]) * base.gc0))
-            for k, a in enumerate(results)
-        ])
-        jumps = _parameter_jumps(vectors)
+        jumps = _parameter_jumps(np.array([pt.p for pt in points]))
         scale = np.median(jumps) + 1e-9
-        flagged = np.flatnonzero(jumps > 10.0 * scale)
-        for k in flagged:
+        for k in np.flatnonzero(jumps > 10.0 * scale):
             for idx in (k, k + 1):
                 params = base.with_g(float(gbar[idx]) * base.gc0)
                 ans = optimize(params, warm_start=results[idx], multi_start=True)
                 if ans.energy < results[idx].energy:
                     results[idx] = ans
-        vectors = np.array([
-            _ansatz_to_vector(a, base.with_g(float(gbar[k]) * base.gc0))
-            for k, a in enumerate(results)
-        ])
-        jumps = _parameter_jumps(vectors)
+                    points[idx] = _Point.at(_ansatz_to_vector(ans, params), params)
+        jumps = _parameter_jumps(np.array([pt.p for pt in points]))
         flagged = tuple(int(k) for k in np.flatnonzero(jumps > 10.0 * (np.median(jumps) + 1e-9)))
-    else:
-        flagged = ()
-    return PolaronSweep(omega, Omega, gbar, results, discontinuities=flagged)
+    return PolaronSweep(omega, Omega, gbar, results, flagged, *_stack(points))
 
 
-def parameter_derivatives(sweep: PolaronSweep, index: int) -> dict:
-    """Flows of the variational parameters at a sweep point.
+def parameter_derivatives(sweep: PolaronSweep) -> dict:
+    """Flows of the variational parameters at every point of a sweep.
 
     At a minimum grad E(p, g_bar) = 0, so by the implicit-function theorem
     dp/dg_bar = -H^-1 d_gbar grad E over the components off their bounds; a
     component held by an active bound does not flow. H and d_gbar grad E are
-    the closed-form second derivatives of the energy at the point itself
-    (``_objective``), so no grid neighbour enters. The weight flows are
+    the sweep's own, the closed-form second derivatives at each point, so no
+    grid neighbour enters. The eigensolves take the stack of every point's H
+    with its held rows and columns zeroed, so they add the eigenvalue 0,
+    which is dropped as flat and changes neither the largest eigenvalue nor
+    the refusal test of a free block with a positive eigenvalue. Eigenvalues
+    within ``FLAT_TOL`` of the largest are flat directions and are dropped;
+    a point whose free block has an eigenvalue below -FLAT_TOL times the
+    largest is a saddle, and its flows are NaN. The weight flows are
     propagated through the normalization manifold (chain rule in the mixing
-    angle and the overlap S), which keeps the assembled <psi'|psi> at
-    machine zero.
+    angle and the overlap S), which keeps the assembled <psi'|psi> at machine
+    zero.
+
+    Returns arrays over the points: the ``free`` component masks, the number
+    of ``dropped`` flat directions, ``dpsi``, ``dzeta``, ``dxi``, ``dx``,
+    ``ds``, the ``weights`` and ``dweights``, and the ``overlap_table`` of
+    the point.
     """
-    if not 0 <= index < len(sweep.ansatz):
-        raise DerivativeInvalidError(
-            f"index {index} outside the sweep of {len(sweep.ansatz)} points")
-    ansatz = sweep.ansatz[index]
-    params = sweep.params_at(index)
-    gbar = float(sweep.gbar[index])
-    p = _ansatz_to_vector(ansatz, params)
-    free = np.flatnonzero((p > _LOWER + ACTIVE_BOUND_TOL) & (p < _UPPER - ACTIVE_BOUND_TOL))
+    p = sweep.p
+    free = (p > _LOWER + ACTIVE_BOUND_TOL) & (p < _UPPER - ACTIVE_BOUND_TOL)
+    padded = np.where(free[:, :, None] & free[:, None, :], sweep.hess, 0.0)
+    # the corrector's dsyev, point by point: as fast as one batched numpy eigh
+    # of 5x5 matrices, and it leaves numpy's own LAPACK unloaded (0.75 MB of RSS)
+    lam, vec = (np.array(part) for part in zip(*map(_eigh, padded)))
+    flat = FLAT_TOL * lam[:, -1:]
+    # a free block without a positive eigenvalue is refused below; the floor
+    # at 0 keeps its zeroed held rows from being inverted
+    stiff = lam > np.maximum(flat, 0.0)
+    inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=stiff)
+    coefficients = np.einsum("kji,kj->ki", vec, np.where(free, sweep.mixed, 0.0)) * inverse
+    dp = np.where(free, -np.einsum("kij,kj->ki", vec, coefficients), 0.0)
+    dp[lam[:, 0] < -flat[:, 0]] = np.nan
+    dpsi = dp[:, 0]
+    dzeta = dp[:, 1:3]
+    xi = np.exp(p[:, 3:5])
+    dxi = xi * dp[:, 3:5]
 
-    _, _, hess, mixed = _objective(p, params, hessian=True)
-    lam, vec = _eigh(hess[np.ix_(free, free)])
-    flat = FLAT_TOL * lam[-1]
-    if lam[0] < -flat:
-        raise DerivativeInvalidError(f"energy Hessian not positive definite at index {index}")
-    stiff = vec[:, lam > flat]
-    dp = np.zeros(p.size)
-    dp[free] = -stiff @ ((mixed[free] @ stiff) / lam[lam > flat])
-    dpsi = dp[0]
-    dzeta = dp[1:3]
-    dxi = np.array([ansatz.xi_alpha, ansatz.xi_beta]) * dp[3:5]
-
-    # dx_i/dg_bar = (dzeta_i/dg_bar * g_bar + zeta_i) * sqrt(Omega/(2*omega))
-    scale = math.sqrt(sweep.Omega / (2.0 * sweep.omega))
-    zeta = np.array([ansatz.zeta_alpha, ansatz.zeta_beta])
-    dx = (dzeta * gbar + zeta) * scale
+    # x_i = zeta_i g_tilde with g_tilde = g_bar sqrt(Omega/(2 omega)), so
+    # dx_i/dg_bar = (dzeta_i/dg_bar g_bar + zeta_i) sqrt(Omega/(2 omega));
+    # g_tilde itself as ``params_at(k).g_tilde`` computes it
+    gbar = np.asarray(sweep.gbar, dtype=float)
+    gc0 = ModelParams(sweep.omega, sweep.Omega, 0.0).gc0
+    g_tilde = math.sqrt(2.0) * (gbar * gc0) / sweep.omega
+    zeta = p[:, 1:3]
+    dx = (dzeta * gbar[:, None] + zeta) * math.sqrt(sweep.Omega / (2.0 * sweep.omega))
 
     # dS/dg_bar assembled from the same closed forms used in the QFI
-    table = derivative_overlaps(ansatz, params)
-    ds = (
-        table.dx_phi[0, 1] * dx[0] + table.dxi_phi[0, 1] * dxi[0]
-        + table.dx_phi[1, 0] * dx[1] + table.dxi_phi[1, 0] * dxi[1]
-    )
-    d_w_psi, d_w_s = weight_derivatives(p[0], table.s[0, 1])
-    dweights = d_w_psi * dpsi + d_w_s * ds
+    table = _overlap_table(xi, zeta * g_tilde[:, None])
+    ds = (table.dx_phi[:, 0, 1] * dx[:, 0] + table.dxi_phi[:, 0, 1] * dxi[:, 0]
+          + table.dx_phi[:, 1, 0] * dx[:, 1] + table.dxi_phi[:, 1, 0] * dxi[:, 1])
+    manifold = np.array([_manifold(psi, s)
+                         for psi, s in zip(p[:, 0].tolist(), table.s[:, 0, 1].tolist())])
+    dweights = manifold[:, 2:4] * dpsi[:, None] + manifold[:, 4:6] * ds[:, None]
 
     return {
+        "free": free,
+        "dropped": np.count_nonzero(free, axis=1) - np.count_nonzero(stiff, axis=1),
+        "dpsi": dpsi,
         "dzeta": dzeta,
         "dxi": dxi,
         "dx": dx,
-        "dweights": dweights,
-        "dpsi": dpsi,
         "ds": ds,
+        "weights": manifold[:, :2],
+        "dweights": dweights,
         "overlap_table": table,
     }

@@ -7,9 +7,11 @@ susceptibility evaluated without the spectrum.
 The ED QFI peak is the root of the exact dF_Q/dg
 (``GroundStateResponse.dfisher_dg``), found by Brent's method.
 Polaron route: analytic assembly from the closed-form overlap derivatives and
-the implicit-function parameter flows at each optimized point
-(``polaron.parameter_derivatives``), defined at every point of a sweep,
-endpoints included, and independent of its grid spacing.
+the implicit-function parameter flows (``polaron.parameter_derivatives``),
+one array computation over a whole sweep from the energy Hessians its Newton
+corrector already holds. It is defined at every point of a sweep, endpoints
+included, independent of the grid spacing, and NaN at a point whose flows are
+refused (a saddle of the energy).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from scipy.optimize import brentq
 from . import polaron as pp
 from .critical import CriticalEstimate, gc2
 from .edsolver import ground_state_response
-from .errors import ParameterDomainError, QrabiError
+from .errors import DerivativeInvalidError, ParameterDomainError, QrabiError
 from .model import ModelParams
 
 PEAK_RANGE = (0.5, 3.0)
@@ -53,7 +55,6 @@ class QfiSample:
     cutoff: int | None = None
     residual: float | None = None
     energy_delta: float | None = None
-    kinetic_energy_form: float | None = None
 
 
 @dataclass(frozen=True)
@@ -92,73 +93,65 @@ def qfi_ed(params: ModelParams, *, tol: float = 1e-10, check_step: bool = False)
     )
 
 
-def qfi_pp_full(sweep: pp.PolaronSweep, index: int) -> QfiSample:
-    """Full analytic assembly of the polaron-picture QFI at a sweep point."""
-    derivs = pp.parameter_derivatives(sweep, index)
-    table = derivs["overlap_table"]
-    ansatz = sweep.ansatz[index]
-    params = sweep.params_at(index)
-    w = ansatz.weights()
-    wp = derivs["dweights"]
-    dx = derivs["dx"]
-    dxi = derivs["dxi"]
+def _pp_overlap_terms(sweep: pp.PolaronSweep) -> tuple[np.ndarray, np.ndarray]:
+    """(<psi'|psi>, <psi'|psi'>) at every point of a sweep, psi' = d psi/d g_bar,
+    from the closed-form overlaps and the parameter flows."""
+    flows = pp.parameter_derivatives(sweep)
+    t = flows["overlap_table"]
+    w, wp = flows["weights"], flows["dweights"]
+    dx, dxi = flows["dx"][:, :, None], flows["dxi"][:, :, None]
+    dx_j, dxi_j = flows["dx"][:, None, :], flows["dxi"][:, None, :]
+    phi_ip_phi_j = t.dx_phi * dx + t.dxi_phi * dxi
+    phi_ip_phi_jp = (t.dx_dx * dx * dx_j + t.dx_dxi * dx * dxi_j
+                     + t.dxi_dx * dxi * dx_j + t.dxi_dxi * dxi * dxi_j)
 
-    phi_ip_phi_j = table.dx_phi * dx[:, None] + table.dxi_phi * dxi[:, None]
-    phi_ip_phi_jp = (
-        table.dx_dx * np.outer(dx, dx)
-        + table.dx_dxi * np.outer(dx, dxi)
-        + table.dxi_dx * np.outer(dxi, dx)
-        + table.dxi_dxi * np.outer(dxi, dxi)
-    )
+    def quadratic(u, m, v):
+        return np.einsum("ki,kij,kj->k", u, m, v)
 
-    first = float(w @ phi_ip_phi_j @ w + wp @ table.s @ w)
+    first = quadratic(w, phi_ip_phi_j, w) + quadratic(wp, t.s, w)
     # sum_ij w_i w'_j <phi_i'|phi_j> and sum_ij w'_i w_j <phi_i|phi_j'> are
     # equal for real wavefunctions, hence the factor 2
-    second = float(
-        w @ phi_ip_phi_jp @ w
-        + wp @ table.s @ wp
-        + 2.0 * (w @ phi_ip_phi_j @ wp)
-    )
-    f_gbar = 4.0 * (second - first ** 2)
-    gc0 = params.gc0
-    return QfiSample(
-        g=params.g, g_bar=float(sweep.gbar[index]),
-        f_q_g=f_gbar / gc0 ** 2, f_q_gbar=f_gbar,
-        method="PP-full", first_derivative_term=first,
-    )
+    second = (quadratic(w, phi_ip_phi_jp, w) + quadratic(wp, t.s, wp)
+              + 2.0 * quadratic(w, phi_ip_phi_j, wp))
+    return first, second
 
 
-def qfi_pp_simplified(sweep: pp.PolaronSweep, index: int) -> QfiSample:
-    """Leading-order near-transition form (Omega/omega) [zeta' g_bar + zeta]^2 xi.
+def qfi_pp_full(sweep: pp.PolaronSweep) -> np.ndarray:
+    """Full analytic assembly of the polaron-picture QFI per g_bar,
+    F = 4 (<psi'|psi'> - <psi'|psi>^2), at every point of a sweep; NaN where
+    the flows are refused (``polaron.parameter_derivatives``)."""
+    first, second = _pp_overlap_terms(sweep)
+    return 4.0 * (second - first ** 2)
 
-    ``kinetic_energy_form`` holds the algebraically identical (1/2) m_F v_p^2
-    with m_F = 2 (Omega/omega) xi and v_p = d(zeta g_bar)/d g_bar.
+
+def qfi_pp_simplified(sweep: pp.PolaronSweep) -> np.ndarray:
+    """Leading-order near-transition form (Omega/omega) [zeta' g_bar + zeta]^2 xi
+    of the main polaron per g_bar, at every point of a sweep; NaN where the
+    flows are refused. It equals the kinetic energy (1/2) m_F v_p^2 with
+    m_F = 2 (Omega/omega) xi and polaron velocity v_p = d(zeta g_bar)/d g_bar.
     """
-    derivs = pp.parameter_derivatives(sweep, index)
-    ansatz = sweep.ansatz[index]
-    params = sweep.params_at(index)
-    gbar = float(sweep.gbar[index])
-    zeta = ansatz.zeta_alpha
-    xi = ansatz.xi_alpha
-    dzeta = float(derivs["dzeta"][0])
-    ratio = sweep.Omega / sweep.omega
-    v_p = dzeta * gbar + zeta
-    f_gbar = ratio * v_p ** 2 * xi
-    kinetic = 0.5 * (2.0 * ratio * xi) * v_p ** 2
-    gc0 = params.gc0
-    return QfiSample(
-        g=params.g, g_bar=gbar, f_q_g=f_gbar / gc0 ** 2, f_q_gbar=f_gbar,
-        method="PP-simplified", first_derivative_term=0.0,
-        kinetic_energy_form=kinetic,
-    )
+    dzeta = pp.parameter_derivatives(sweep)["dzeta"][:, 0]
+    v_p = dzeta * sweep.gbar + sweep.p[:, 1]
+    return sweep.Omega / sweep.omega * v_p ** 2 * np.exp(sweep.p[:, 3])
 
 
 def qfi_pp_at(omega: float, Omega: float, gbar: float,
               warm: pp.PolaronAnsatz | None = None) -> QfiSample:
-    """Polaron QFI at an arbitrary coupling: one optimization, flows at the point."""
+    """Polaron QFI at an arbitrary coupling: one optimization, flows at the point.
+
+    Raises ``DerivativeInvalidError`` where the flows are refused.
+    """
     base = ModelParams(omega, Omega, 0.0)
-    ans = pp.optimize(base.with_g(gbar * base.gc0), warm_start=warm, multi_start=warm is None)
-    return qfi_pp_full(pp.PolaronSweep(omega, Omega, np.array([gbar]), [ans]), 0)
+    params = base.with_g(gbar * base.gc0)
+    ans = pp.optimize(params, warm_start=warm, multi_start=warm is None)
+    first, second = _pp_overlap_terms(pp.PolaronSweep(omega, Omega, np.array([gbar]), [ans]))
+    f_gbar = float(4.0 * (second - first ** 2)[0])
+    if not math.isfinite(f_gbar):
+        raise DerivativeInvalidError(f"energy Hessian not positive definite at g_bar = {gbar}")
+    return QfiSample(
+        g=params.g, g_bar=gbar, f_q_g=f_gbar / base.gc0 ** 2, f_q_gbar=f_gbar,
+        method="PP-full", first_derivative_term=float(first[0]),
+    )
 
 
 def _golden_max(f, lo, hi, tol):
@@ -189,7 +182,7 @@ def find_peak(omega: float, Omega: float, method: str = "ED",
     refined by Brent's method to 1e-10 in g_bar (``_find_peak_ed``).
     PP-full, which has no exact derivative: a scan of ``PP_SCAN_POINTS``
     points, then golden-section refinement to ``PP_REFINE_TOL`` around the
-    largest.
+    largest; scan points with refused flows are skipped.
     Without an interior maximum the search warns and returns the range end
     (ED) or the scan argmax (PP-full) with ``flat_peak=True``.
     """
@@ -201,14 +194,16 @@ def find_peak(omega: float, Omega: float, method: str = "ED",
     base = ModelParams(omega, Omega, 0.0)
     grid = np.linspace(gbar_range[0], gbar_range[1], PP_SCAN_POINTS)
     sweep = pp.continuation_sweep(omega, Omega, grid)
-    values = np.array([qfi_pp_full(sweep, k).f_q_gbar for k in range(len(grid))])
+    values = qfi_pp_full(sweep)
+    if not np.any(np.isfinite(values)):
+        raise DerivativeInvalidError("the flows are refused at every scan point")
     warm_by_gbar = dict(zip(np.round(grid, 12), sweep.ansatz))
 
     def f(gbar):
         key = min(warm_by_gbar, key=lambda gk: abs(gk - gbar))
         return qfi_pp_at(omega, Omega, gbar, warm=warm_by_gbar[key]).f_q_gbar
 
-    k = int(np.argmax(values))
+    k = int(np.nanargmax(values))
     if k == 0 or k == len(grid) - 1:
         warnings.warn("no interior QFI maximum in scan range; returning scan argmax")
         gbar_cf = float(grid[k])

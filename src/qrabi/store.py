@@ -26,7 +26,7 @@ SCHEMA_VERSION = 1
 # changing one turns exactly the records computed by its older numerics into
 # misses. Change a family's version whenever a computation of it that feeds
 # a record changes.
-CODE_VERSIONS = {"ed": "qrabi-0.1.0+ed-sized-eigensolve", "pp": "qrabi-0.1.0+pp-newton"}
+CODE_VERSIONS = {"ed": "qrabi-0.1.0+ed-sized-eigensolve", "pp": "qrabi-0.1.0+pp-sweep-flows"}
 MAGIC = "#qrm-sweep"
 
 

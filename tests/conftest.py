@@ -393,3 +393,64 @@ def golden_section_peak(omega: float, Omega: float, gbar_range=(0.5, 3.0),
             d = a + invphi * (b - a)
             fd = f(d)
     return 0.5 * (a + b), max(fc, fd)
+
+
+def per_point_derivative_overlaps(ansatz: PolaronAnsatz, params: ModelParams):
+    """The seven 2x2 tables (s, dx_phi, dxi_phi, dx_dx, dx_dxi, dxi_dx,
+    dxi_dxi) of ``polaron._pair_entries`` at one point, index order
+    (alpha, beta)."""
+    pols = ansatz.polarons(params)
+    mats = [np.zeros((2, 2)) for _ in range(7)]
+    for i in range(2):
+        for j in range(2):
+            entries = polaron._pair_entries(pols[i].xi, pols[i].x, pols[j].xi, pols[j].x)
+            for m, e in zip(mats, entries):
+                m[i, j] = e
+    return mats
+
+
+def per_point_parameter_derivatives(sweep, index: int) -> dict:
+    """Implicit-function flows at one sweep point, from a Hessian evaluated
+    again at the point's ansatz and one ``eigh`` of its free block; raises
+    ``DerivativeInvalidError`` at a saddle."""
+    from qrabi.errors import DerivativeInvalidError
+
+    ansatz = sweep.ansatz[index]
+    params = sweep.params_at(index)
+    gbar = float(sweep.gbar[index])
+    p = polaron._ansatz_to_vector(ansatz, params)
+    free = np.flatnonzero((p > polaron._LOWER + polaron.ACTIVE_BOUND_TOL)
+                          & (p < polaron._UPPER - polaron.ACTIVE_BOUND_TOL))
+    _, _, hess, mixed = polaron._objective(p, params, hessian=True)
+    lam, vec = np.linalg.eigh(hess[np.ix_(free, free)])
+    flat = polaron.FLAT_TOL * lam[-1]
+    if lam[0] < -flat:
+        raise DerivativeInvalidError(f"energy Hessian not positive definite at index {index}")
+    stiff = vec[:, lam > flat]
+    dp = np.zeros(p.size)
+    dp[free] = -stiff @ ((mixed[free] @ stiff) / lam[lam > flat])
+    dxi = np.array([ansatz.xi_alpha, ansatz.xi_beta]) * dp[3:5]
+    zeta = np.array([ansatz.zeta_alpha, ansatz.zeta_beta])
+    dx = (dp[1:3] * gbar + zeta) * math.sqrt(sweep.Omega / (2.0 * sweep.omega))
+    s, dx_phi, dxi_phi, *_ = per_point_derivative_overlaps(ansatz, params)
+    ds = (dx_phi[0, 1] * dx[0] + dxi_phi[0, 1] * dxi[0]
+          + dx_phi[1, 0] * dx[1] + dxi_phi[1, 0] * dxi[1])
+    d_w_psi, d_w_s = np.array(polaron._manifold(p[0], s[0, 1])[2:]).reshape(2, 2)
+    return {"dpsi": dp[0], "dzeta": dp[1:3], "dxi": dxi, "dx": dx, "ds": ds,
+            "dweights": d_w_psi * dp[0] + d_w_s * ds}
+
+
+def per_point_qfi_pp(sweep, index: int) -> float:
+    """Polaron-picture F_Q per g_bar at one sweep point, assembled from 2x2
+    matrices point by point: the oracle of the sweep-wide ``qfi_pp_full``."""
+    d = per_point_parameter_derivatives(sweep, index)
+    ansatz = sweep.ansatz[index]
+    s, dx_phi, dxi_phi, dx_dx, dx_dxi, dxi_dx, dxi_dxi = per_point_derivative_overlaps(
+        ansatz, sweep.params_at(index))
+    w, wp, dx, dxi = ansatz.weights(), d["dweights"], d["dx"], d["dxi"]
+    phi_ip_phi_j = dx_phi * dx[:, None] + dxi_phi * dxi[:, None]
+    phi_ip_phi_jp = (dx_dx * np.outer(dx, dx) + dx_dxi * np.outer(dx, dxi)
+                     + dxi_dx * np.outer(dxi, dx) + dxi_dxi * np.outer(dxi, dxi))
+    first = w @ phi_ip_phi_j @ w + wp @ s @ w
+    second = w @ phi_ip_phi_jp @ w + wp @ s @ wp + 2.0 * (w @ phi_ip_phi_j @ wp)
+    return float(4.0 * (second - first ** 2))

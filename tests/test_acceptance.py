@@ -129,13 +129,14 @@ def test_criterion_07_pp_fidelity_to_ed(capsys, sweep_01):
     worst_qfi = 0.0
     worst_x = 0.0
     bound_ok = True
+    f_pp = qfi.qfi_pp_full(sweep)
     for k, gbar in enumerate(sweep.gbar):
         if not (0.8 - 1e-9 <= gbar <= 1.6 + 1e-9):
             continue
         params = base.with_g(float(gbar) * base.gc0)
         state, _ = ground_state(params)
         bound_ok &= sweep.ansatz[k].energy >= state.energy - 1e-12
-        pp = qfi.qfi_pp_full(sweep, k).f_q_gbar
+        pp = f_pp[k]
         ed = qfi.qfi_ed(params).f_q_gbar
         worst_qfi = max(worst_qfi, abs(pp / ed - 1.0))
         if gbar >= 1.35:

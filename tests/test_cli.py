@@ -7,7 +7,6 @@ from click.testing import CliRunner
 
 from qrabi import qfi, store
 from qrabi.cli import main
-from qrabi.errors import DerivativeInvalidError, QrabiError
 
 
 @pytest.fixture
@@ -122,16 +121,21 @@ def test_qfi_sweep_with_failed_point_is_not_cached(runner, tmp_path, monkeypatch
     assert len(calls) == 22
 
 
-def test_qfi_sweep_both_with_failed_pp_point_is_not_cached(runner, tmp_path, monkeypatch):
-    # ED succeeds everywhere; the PP failure alone must mark the point failed
+def _nan_at(index):
+    """``qfi.qfi_pp_full`` with its sweep-wide result NaN at one index."""
     real = qfi.qfi_pp_full
 
-    def failing_at_3(sweep, index):
-        if index == 3:
-            raise DerivativeInvalidError("injected failure")
-        return real(sweep, index)
+    def patched(sweep):
+        values = real(sweep).copy()
+        values[index] = np.nan
+        return values
 
-    monkeypatch.setattr(qfi, "qfi_pp_full", failing_at_3)
+    return patched
+
+
+def test_qfi_sweep_both_with_failed_pp_point_is_not_cached(runner, tmp_path, monkeypatch):
+    # ED succeeds everywhere; the PP failure alone must mark the point failed
+    monkeypatch.setattr(qfi, "qfi_pp_full", _nan_at(3))
     cache = tmp_path / "cache"
     result = _invoke(runner, ["qfi-sweep", "-w", "0.1", "--method", "both",
                               "--gbar-min", "1.0", "--gbar-max", "1.4", "--gbar-steps", "9",
@@ -165,6 +169,26 @@ def test_ed_version_bump_keeps_pp_records(runner, tmp_path, monkeypatch):
     monkeypatch.setitem(store.CODE_VERSIONS, "ed", store.CODE_VERSIONS["ed"] + "-next")
     assert {name: new_records(args) for name, args in commands.items()} == {
         "pp": 0, "ed": 1, "peak": 1}
+
+
+def test_pp_version_bump_misses_pp_records_only(runner, tmp_path, monkeypatch):
+    # records cached by the per-point PP QFI assembly (the previous "pp"
+    # version) miss; ED records, whose numerics did not change, still hit
+    cache = tmp_path / "cache"
+    sweep = ["qfi-sweep", "-w", "0.1", "--gbar-min", "1.0", "--gbar-max", "1.4",
+             "--gbar-steps", "5", "--out", str(tmp_path / "q"), "--cache", str(cache)]
+
+    def new_records(method):
+        before = set(cache.glob("*.sweep"))
+        assert _invoke(runner, [*sweep, "--method", method]).exit_code == 0
+        return len(set(cache.glob("*.sweep")) - before)
+
+    current = store.CODE_VERSIONS["pp"]
+    assert current != "qrabi-0.1.0+pp-newton"
+    monkeypatch.setitem(store.CODE_VERSIONS, "pp", "qrabi-0.1.0+pp-newton")
+    assert [new_records("pp"), new_records("ed")] == [1, 1]
+    monkeypatch.setitem(store.CODE_VERSIONS, "pp", current)
+    assert {"pp": new_records("pp"), "ed": new_records("ed")} == {"pp": 1, "ed": 0}
 
 
 def test_qfi_sweep_env_cache_override(runner, tmp_path, monkeypatch):
@@ -203,7 +227,8 @@ def test_pp_sweep(runner, tmp_path):
                               "--out", str(out)])
     assert result.exit_code == 0
     rec = store.load(out)
-    assert rec.data.shape == (5, 9)
+    assert rec.data.shape == (5, 10)
+    assert np.all(rec.column("status") == 0.0)
     assert np.all(rec.column("alpha") > 0)
     assert np.all(rec.column("zeta_alpha") >= rec.column("zeta_beta"))
     # the flows are taken at each point, so the endpoints carry a QFI value too
@@ -211,20 +236,15 @@ def test_pp_sweep(runner, tmp_path):
 
 
 def test_pp_sweep_with_failed_point_exits_3(runner, tmp_path, monkeypatch):
-    real = qfi.qfi_pp_full
-
-    def failing_at_2(sweep, index):
-        if index == 2:
-            raise QrabiError("injected failure")
-        return real(sweep, index)
-
-    monkeypatch.setattr(qfi, "qfi_pp_full", failing_at_2)
+    monkeypatch.setattr(qfi, "qfi_pp_full", _nan_at(2))
     out = tmp_path / "pp.csv"
     result = _invoke(runner, ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2",
                               "--gbar-max", "1.4", "--gbar-steps", "5",
                               "--out", str(out)])
     assert result.exit_code == 3
-    fq = store.load(out).column("F_Q_pp")
+    rec = store.load(out)
+    fq = rec.column("F_Q_pp")
+    assert list(rec.column("status")) == [0.0, 0.0, 1.0, 0.0, 0.0]
     assert fq[2] == -1.0
     assert np.all(np.delete(fq, 2) > 0)
 

@@ -226,6 +226,15 @@ def test_interlacing_bound_covers_the_energy_change(ratio, gbar, cutoff):
     assert bound >= 0.0
 
 
+def test_certificate_at_rounding_is_not_zero():
+    # deep in the oscillator regime the truncation error is far below the
+    # energy's rounding: the certificate then reads eps |E| at most a few
+    # ulps, never exactly 0
+    base = ModelParams(0.001, 1.0, 0.0)
+    state, report = ground_state(base.with_g(6.0 * base.gc0))
+    assert 0.0 < report.energy_delta <= 1e-13 * abs(state.energy)
+
+
 @pytest.mark.parametrize("routine", ["dstebz", "dstein", "dgttrf"])
 def test_lapack_failure_raises(monkeypatch, routine):
     real = getattr(edsolver, routine)

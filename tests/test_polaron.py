@@ -12,24 +12,24 @@ from conftest import (
     nelder_mead_energy,
     numeric_pair_oracle,
     optimized_flow_oracle,
+    per_point_parameter_derivatives,
     random_ansatz,
     vector_energy,
 )
-from qrabi import kernels, polaron
-from qrabi.errors import DerivativeInvalidError, ParameterDomainError
+from qrabi import kernels, polaron, qfi
+from qrabi.errors import ParameterDomainError
 from qrabi.model import ModelParams
 from qrabi.polaron import (
     Polaron,
     PolaronAnsatz,
     angle_from_weights,
+    PolaronSweep,
     continuation_sweep,
-    derivative_overlaps,
     energy,
     optimize,
     overlap,
     parameter_derivatives,
     semiclassical_zeta,
-    weight_derivatives,
     weights_from_angle,
 )
 
@@ -60,13 +60,15 @@ def test_overlap_rejects_nonpositive_xi():
 
 
 def test_diagonal_derivative_overlaps_vanish():
-    params = ModelParams(0.1, 1.0, 0.2)
-    ansatz = random_ansatz(RNG, params)
-    table = derivative_overlaps(ansatz, params)
+    base = ModelParams(0.1, 1.0, 0.0)
+    gbar = np.array([1.1, 1.2, 1.3])
+    ansatz = [random_ansatz(RNG, base.with_g(gb * base.gc0)) for gb in gbar]
+    table = parameter_derivatives(PolaronSweep(0.1, 1.0, gbar, ansatz))["overlap_table"]
     # translating or rescaling a normalized wavepacket preserves its norm
     for i in (0, 1):
-        assert table.dx_phi[i, i] == pytest.approx(0.0, abs=1e-14)
-        assert table.dxi_phi[i, i] == pytest.approx(0.0, abs=1e-14)
+        np.testing.assert_allclose(table.s[:, i, i], 1.0, atol=1e-14)
+        np.testing.assert_allclose(table.dx_phi[:, i, i], 0.0, atol=1e-14)
+        np.testing.assert_allclose(table.dxi_phi[:, i, i], 0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("draw", range(12))
@@ -106,7 +108,7 @@ def test_weight_round_trip():
 
 def test_weight_derivatives_match_finite_differences():
     psi, s, eps = 0.47, 0.31, 1e-7
-    d_psi, d_s = weight_derivatives(psi, s)
+    d_psi, d_s = np.array(polaron._manifold(psi, s)[2:]).reshape(2, 2)
     fd_psi = (weights_from_angle(psi + eps, s) - weights_from_angle(psi - eps, s)) / (2 * eps)
     fd_s = (weights_from_angle(psi, s + eps) - weights_from_angle(psi, s - eps)) / (2 * eps)
     assert np.allclose(d_psi, fd_psi, atol=1e-8)
@@ -255,17 +257,17 @@ def test_parameter_derivatives_match_semiclassical_flow():
     gbar = 1.5
     grid = np.array([gbar - 0.01, gbar, gbar + 0.01])
     sweep = continuation_sweep(0.01, 1.0, grid)
-    derivs = parameter_derivatives(sweep, 1)
+    derivs = parameter_derivatives(sweep)
     z = semiclassical_zeta(gbar)
     analytic = 2.0 * gbar ** -5 / z
-    assert derivs["dzeta"][0] == pytest.approx(analytic, rel=0.05)
+    assert derivs["dzeta"][1, 0] == pytest.approx(analytic, rel=0.05)
 
 
 def test_parameter_derivatives_step_consistency():
     for step in (0.02, 0.01):
         grid = np.array([1.4 - step, 1.4, 1.4 + step])
         sweep = continuation_sweep(0.1, 1.0, grid)
-        d = parameter_derivatives(sweep, 1)["dzeta"][0]
+        d = parameter_derivatives(sweep)["dzeta"][1, 0]
         if step == 0.02:
             coarse = d
     assert d == pytest.approx(coarse, rel=1e-3)
@@ -273,15 +275,12 @@ def test_parameter_derivatives_step_consistency():
 
 def test_parameter_derivatives_needs_interior_index():
     # the flows need no grid neighbours: the endpoints match the re-optimized
-    # finite-difference oracle like any other point; outside the sweep raises
+    # finite-difference oracle like any other point
     sweep = continuation_sweep(0.1, 1.0, np.linspace(1.1, 1.3, 5))
+    d = parameter_derivatives(sweep)
     for index in (0, 4):
-        d = parameter_derivatives(sweep, index)
-        ift = np.array([d["dpsi"], *d["dzeta"], *d["dxi"]])
+        ift = np.array([d["dpsi"][index], *d["dzeta"][index], *d["dxi"][index]])
         np.testing.assert_allclose(ift, optimized_flow_oracle(sweep, index), rtol=1e-3)
-    for index in (-1, 5):
-        with pytest.raises(DerivativeInvalidError):
-            parameter_derivatives(sweep, index)
 
 
 # --- closed-form gradient and the gradient optimizer --------------------------
@@ -366,20 +365,32 @@ def test_optimize_reaches_nelder_mead_energy(ratio, gbar):
                                          (0.02, 1.2), (0.02, 1.6)])
 def test_implicit_flows_match_reoptimized_differences(ratio, gbar):
     sweep = continuation_sweep(ratio, 1.0, [gbar])
-    d = parameter_derivatives(sweep, 0)
-    ift = np.array([d["dpsi"], *d["dzeta"], *d["dxi"]])
+    d = parameter_derivatives(sweep)
+    ift = np.array([d["dpsi"][0], *d["dzeta"][0], *d["dxi"][0]])
     np.testing.assert_allclose(ift, optimized_flow_oracle(sweep, 0), rtol=1e-3)
 
 
 def test_flows_refuse_an_indefinite_hessian():
     # equal-weight polarons at +-0.5 g_tilde with unit widths: a saddle of the
-    # energy at g_bar = 1.3, not a minimum, so the flows are undefined there
+    # energy at g_bar = 1.3, not a minimum, so the flows are undefined there.
+    # It is refused by the test on its free block alone, and the minimum
+    # beside it in the same sweep keeps its flows
     base = ModelParams(0.1, 1.0, 0.0)
-    saddle = polaron._vector_to_ansatz(np.array([math.pi / 4, 0.5, -0.5, 0.0, 0.0]),
-                                       base.with_g(1.3 * base.gc0))
-    sweep = polaron.PolaronSweep(0.1, 1.0, np.array([1.3]), [saddle])
-    with pytest.raises(DerivativeInvalidError, match="not positive definite"):
-        parameter_derivatives(sweep, 0)
+    params = base.with_g(1.3 * base.gc0)
+    saddle_p = np.array([math.pi / 4, 0.5, -0.5, 0.0, 0.0])
+    lam = np.linalg.eigvalsh(polaron._objective(saddle_p, params, hessian=True)[2])
+    assert lam[0] < -polaron.FLAT_TOL * lam[-1]
+    saddle = polaron._vector_to_ansatz(saddle_p, params)
+    minimum = optimize(params)
+    sweep = PolaronSweep(0.1, 1.0, np.array([1.3, 1.3]), [saddle, minimum])
+    d = parameter_derivatives(sweep)
+    for key in ("dpsi", "dzeta", "dxi", "dx", "ds", "dweights"):
+        assert np.all(np.isnan(d[key][0])), key
+        assert np.all(np.isfinite(d[key][1])), key
+    alone = per_point_parameter_derivatives(sweep, 1)
+    np.testing.assert_allclose(d["dzeta"][1], alone["dzeta"], rtol=1e-10)
+    fq = qfi.qfi_pp_full(sweep)
+    assert math.isnan(fq[0]) and fq[1] > 0
 
 
 # --- closed-form Hessian and the Newton continuation --------------------------
@@ -454,14 +465,31 @@ def test_corrector_falls_back_to_lbfgsb_when_it_cannot_descend(monkeypatch):
     assert sweep.ansatz[1].energy <= optimize_fn(sweep.params_at(1)).energy + 1e-12
 
 
-def test_parameter_derivatives_use_one_hessian_evaluation(monkeypatch):
-    sweep = continuation_sweep(0.1, 1.0, [1.3])
+def test_qfi_pass_of_a_sweep_makes_no_hessian_evaluation(monkeypatch):
+    # the flows and both QFI assemblies use the Hessians that the Newton
+    # corrector left in the sweep
+    sweep = continuation_sweep(0.1, 1.0, np.linspace(1.0, 1.5, 11))
     calls = []
     objective = polaron._objective
     monkeypatch.setattr(polaron, "_objective",
                         lambda *a, **k: calls.append(k) or objective(*a, **k))
-    parameter_derivatives(sweep, 0)
-    assert calls == [{"hessian": True}]
+    assert np.all(qfi.qfi_pp_full(sweep) > 0)
+    assert np.all(qfi.qfi_pp_simplified(sweep) > 0)
+    assert not [k for k in calls if k.get("hessian")]
+
+
+def test_sweep_state_is_the_hessian_at_each_point():
+    # the stored p, H and d_gbar grad E are the closed forms at the stored
+    # ansatz, whether the corrector left them or a sweep of bare ansaetze
+    # evaluated them
+    sweep = continuation_sweep(0.02, 1.0, np.linspace(0.6, 1.4, 9))
+    bare = PolaronSweep(sweep.omega, sweep.Omega, sweep.gbar, sweep.ansatz)
+    for k in range(9):
+        np.testing.assert_allclose(sweep.p[k], bare.p[k], rtol=1e-13, atol=1e-13)
+        _, _, hess, mixed = polaron._objective(sweep.p[k], sweep.params_at(k), hessian=True)
+        np.testing.assert_array_equal(sweep.hess[k], hess)
+        np.testing.assert_array_equal(sweep.mixed[k], mixed)
+        np.testing.assert_allclose(bare.hess[k], hess, rtol=1e-8, atol=1e-8 * np.abs(hess).max())
 
 
 def test_manifold_curvature_matches_central_differences():

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import aligned, fd_dfisher, fd_qfi, golden_section_peak, overlap_fidelity
+from conftest import (
+    aligned,
+    fd_dfisher,
+    fd_qfi,
+    golden_section_peak,
+    overlap_fidelity,
+    per_point_qfi_pp,
+)
 from qrabi import edsolver, polaron, qfi
 from qrabi.critical import DEFAULT_FIT_GRID, gc2
 from qrabi.errors import ParameterDomainError, QrabiError
@@ -106,12 +113,26 @@ def _sweep(omega, lo, hi, n):
 def test_pp_full_matches_ed_near_transition():
     base = ModelParams(0.1, 1.0, 0.0)
     sweep = _sweep(0.1, 1.15, 1.45, 16)
+    f_pp = qfi.qfi_pp_full(sweep)
+    first, _ = qfi._pp_overlap_terms(sweep)
     for k in (4, 8, 12):
         gbar = float(sweep.gbar[k])
-        pp = qfi.qfi_pp_full(sweep, k)
         ed = qfi.qfi_ed(base.with_g(gbar * base.gc0))
-        assert pp.f_q_gbar == pytest.approx(ed.f_q_gbar, rel=0.08)
-        assert abs(pp.first_derivative_term) < 1e-10  # analytic manifold chain rule
+        assert f_pp[k] == pytest.approx(ed.f_q_gbar, rel=0.08)
+        assert abs(first[k]) < 1e-10  # analytic manifold chain rule
+
+
+@pytest.mark.parametrize("ratio, lo, hi, n", [(0.1, 0.8, 1.8, 51), (0.02, 0.8, 1.8, 51),
+                                              (0.02, 0.60, 0.76, 17)])
+def test_pp_full_matches_per_point_oracle(ratio, lo, hi, n):
+    # the sweep-wide assembly from the corrector's Hessians against the
+    # per-point one from a Hessian evaluated again at each ansatz; on the
+    # flat-valley grid (0.02, 0.60-0.76) flat directions are dropped
+    sweep = _sweep(ratio, lo, hi, n)
+    oracle = np.array([per_point_qfi_pp(sweep, k) for k in range(n)])
+    np.testing.assert_allclose(qfi.qfi_pp_full(sweep), oracle, rtol=1e-10, atol=0.0)
+    if hi < 1.0:
+        assert np.any(polaron.parameter_derivatives(sweep)["dropped"] > 0)
 
 
 @pytest.mark.parametrize("ratio", [0.002, 0.005])
@@ -123,22 +144,39 @@ def test_pp_full_exists_where_the_polarons_merge(ratio):
     # DerivativeInvalidError with the L-BFGS-B sweep and finite-difference H)
     base = ModelParams(ratio, 1.0, 0.0)
     sweep = _sweep(ratio, 0.5, 0.9, 50)
+    f_pp = qfi.qfi_pp_full(sweep)
     for k in range(50):
         ed = qfi.qfi_ed(base.with_g(float(sweep.gbar[k]) * base.gc0))
-        assert qfi.qfi_pp_full(sweep, k).f_q_gbar == pytest.approx(ed.f_q_gbar, rel=5e-3)
+        assert f_pp[k] == pytest.approx(ed.f_q_gbar, rel=5e-3)
 
 
 def test_pp_simplified_forms_agree_algebraically():
+    # (Omega/omega) v_p^2 xi is the kinetic energy (1/2) m_F v_p^2 with
+    # m_F = 2 (Omega/omega) xi, v_p = d(zeta g_bar)/d g_bar from the flows
     sweep = _sweep(0.1, 1.25, 1.35, 5)
-    sample = qfi.qfi_pp_simplified(sweep, 2)
-    assert sample.kinetic_energy_form == pytest.approx(sample.f_q_gbar, rel=1e-12)
+    dzeta = polaron.parameter_derivatives(sweep)["dzeta"][:, 0]
+    ratio = sweep.Omega / sweep.omega
+    zeta = np.array([a.zeta_alpha for a in sweep.ansatz])
+    xi = np.array([a.xi_alpha for a in sweep.ansatz])
+    kinetic = 0.5 * (2.0 * ratio * xi) * (dzeta * sweep.gbar + zeta) ** 2
+    np.testing.assert_allclose(qfi.qfi_pp_simplified(sweep), kinetic, rtol=1e-12)
 
 
 def test_pp_simplified_is_leading_order_of_full():
     sweep = _sweep(0.1, 1.25, 1.35, 5)
-    full = qfi.qfi_pp_full(sweep, 2).f_q_gbar
-    simp = qfi.qfi_pp_simplified(sweep, 2).f_q_gbar
+    full = qfi.qfi_pp_full(sweep)[2]
+    simp = qfi.qfi_pp_simplified(sweep)[2]
     assert simp == pytest.approx(full, rel=0.35)
+
+
+def test_pp_at_is_the_sweep_value_at_its_point():
+    # one optimization and the flows at the point, as a one-point sweep
+    sweep = _sweep(0.1, 1.3, 1.3, 1)
+    sample = qfi.qfi_pp_at(0.1, 1.0, 1.3)
+    assert sample.f_q_gbar == pytest.approx(qfi.qfi_pp_full(sweep)[0], rel=1e-6)
+    assert sample.f_q_g == pytest.approx(sample.f_q_gbar / ModelParams(0.1, 1.0, 0.0).gc0 ** 2,
+                                         rel=1e-14)
+    assert abs(sample.first_derivative_term) < 1e-10
 
 
 def test_find_peak_matches_gc2():
