@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import ParameterDomainError, QrabiError
@@ -125,15 +124,21 @@ def gc2(omega: float, Omega: float, variant: str = "alphaFS") -> CriticalEstimat
 
 
 # --- numeric series expansions --------------------------------------------
+# mpmath is imported inside the functions below, its only users, so that no
+# command loads it at start-up
 
 
 def _gc1_ratio_mp(r):
     # gc1/gc0 at omega = r, Omega = 1, in mpmath arithmetic
+    import mpmath as mp
+
     g04 = r * r / 16
     return mp.sqrt(r * r + mp.sqrt(r ** 4 + g04)) / (mp.sqrt(r) / 2)
 
 
 def _gcxi_ratio_mp(r, d_c1):
+    import mpmath as mp
+
     g0 = mp.sqrt(r) / 2
     omega_c1 = d_c1 * r
     gt0 = g0 / omega_c1
@@ -150,6 +155,8 @@ def series_coefficients(func, exponents, r_lo=1e-9, r_hi=1e-6, n_points=40, dps=
     Evaluated in high-precision arithmetic so that divided differences of the
     tiny expansion terms survive; no symbolic machinery involved.
     """
+    import mpmath as mp
+
     exponents = [mp.mpf(e) for e in exponents]
     with mp.workdps(dps):
         rs = [mp.mpf(r_lo) * (mp.mpf(r_hi) / mp.mpf(r_lo)) ** (mp.mpf(k) / (n_points - 1))
@@ -173,6 +180,8 @@ def gc1_taylor_coefficients(n_terms: int = 4) -> np.ndarray:
 
 def gcxi_fractional_coefficients(n_terms: int = 2, d_c1: float = DEFAULT_DC1) -> np.ndarray:
     """Fractional-power (2n/3) expansion coefficients of gc_xi/gc0."""
+    import mpmath as mp
+
     exps = [mp.mpf(2 * (n + 1)) / 3 for n in range(n_terms + 2)]
     coeffs = series_coefficients(lambda r: _gcxi_ratio_mp(r, d_c1), exps,
                                  r_lo=1e-9, r_hi=1e-6)

@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dsyev
-from scipy.optimize import minimize
 
 from . import kernels
 from .errors import ParameterDomainError
@@ -362,6 +361,9 @@ _LOWER, _UPPER = np.array(_BOUNDS).T
 
 
 def _minimize_from(p0: np.ndarray, params: ModelParams):
+    # imported here, so the ED commands start without scipy.optimize
+    from scipy.optimize import minimize
+
     # ftol = 0: stop on the projected gradient or when a step no longer lowers
     # the energy; the longer memory resolves the flat directions of
     # near-merged polarons below the transition
@@ -557,11 +559,13 @@ def _ansatz_at(point: _Point, params: ModelParams) -> PolaronAnsatz:
     return replace(canonicalize(_vector_to_ansatz(point.p, params)), energy=point.energy)
 
 
-def continuation_sweep(omega: float, Omega: float, gbar_grid) -> PolaronSweep:
+def continuation_sweep(omega: float, Omega: float, gbar_grid,
+                       warm_start: PolaronAnsatz | None = None) -> PolaronSweep:
     """Predictor-corrector continuation along the grid.
 
-    The first point is a multi-start L-BFGS-B minimization, polished by the
-    Newton corrector. Each later point starts from the tangent predictor
+    The first point is a multi-start L-BFGS-B minimization, or a single-start
+    one from ``warm_start`` when given, polished by the Newton corrector. Each
+    later point starts from the tangent predictor
     p + dg_bar dp/dg_bar of the previous one, clipped into the bounds, or from
     the previous p where that has the lower energy, and is converged by the
     Newton corrector (``_newton``). Branch discontinuities (parameter jump
@@ -581,7 +585,9 @@ def continuation_sweep(omega: float, Omega: float, gbar_grid) -> PolaronSweep:
     for k, gb in enumerate(gbar):
         params = base.with_g(float(gb) * base.gc0)
         if not points:
-            cold = _ansatz_to_vector(optimize(params), params)
+            ans = (optimize(params) if warm_start is None
+                   else optimize(params, warm_start=warm_start, multi_start=False))
+            cold = _ansatz_to_vector(ans, params)
             point = _newton(_Point.at(cold, params), params)[0]
         else:
             point = points[-1]

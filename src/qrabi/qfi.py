@@ -17,20 +17,23 @@ refused (a saddle of the energy).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import polaron as pp
 from .critical import CriticalEstimate, gc2
 from .edsolver import ground_state_response
-from .errors import DerivativeInvalidError, ParameterDomainError, QrabiError
+from .errors import DerivativeInvalidError, NonconvergenceError, ParameterDomainError, QrabiError
 from .model import ModelParams
 
 PEAK_RANGE = (0.5, 3.0)
 PEAK_XTOL = 1e-10
+# scipy.optimize.brentq's default and smallest relative tolerance
+BRENT_RTOL = 4.0 * sys.float_info.epsilon
+BRENT_MAXITER = 100
 # the PP-full peak search: scan points over the range, then the golden-section
 # tolerance in g_bar around the largest
 PP_SCAN_POINTS = 41
@@ -137,14 +140,17 @@ def qfi_pp_simplified(sweep: pp.PolaronSweep) -> np.ndarray:
 
 def qfi_pp_at(omega: float, Omega: float, gbar: float,
               warm: pp.PolaronAnsatz | None = None) -> QfiSample:
-    """Polaron QFI at an arbitrary coupling: one optimization, flows at the point.
+    """Polaron QFI at an arbitrary coupling: the one-point continuation sweep,
+    an optimization (single-start from ``warm`` when given) polished by the
+    sweep's Newton corrector, with the flows at the point. Without ``warm`` it
+    is the value a sweep through ``gbar`` has there.
 
     Raises ``DerivativeInvalidError`` where the flows are refused.
     """
     base = ModelParams(omega, Omega, 0.0)
     params = base.with_g(gbar * base.gc0)
-    ans = pp.optimize(params, warm_start=warm, multi_start=warm is None)
-    first, second = _pp_overlap_terms(pp.PolaronSweep(omega, Omega, np.array([gbar]), [ans]))
+    sweep = pp.continuation_sweep(omega, Omega, [gbar], warm_start=warm)
+    first, second = _pp_overlap_terms(sweep)
     f_gbar = float(4.0 * (second - first ** 2)[0])
     if not math.isfinite(f_gbar):
         raise DerivativeInvalidError(f"energy Hessian not positive definite at g_bar = {gbar}")
@@ -266,13 +272,72 @@ def _find_peak_ed(omega, Omega, gbar_range, tol) -> PeakEstimate:
         gbar, step = nxt, 2.0 * step
 
     a, b = sorted((gbar, nxt))
-    root = brentq(slope, a, b, xtol=PEAK_XTOL)
+    root = _brentq(slope, a, b, xtol=PEAK_XTOL)
     f_max = evaluate(root)[0]
     return PeakEstimate(
         g_cf=root * base.gc0, gbar_cf=root, f_q_max=f_max,
         bracket_width=_final_bracket(evaluated, root), method="ED",
         evaluations=len(evaluated),
     )
+
+
+def _brentq(f, xa, xb, xtol, maxiter=BRENT_MAXITER) -> float:
+    """Root of f in [xa, xb] by Brent's method, a line-for-line port of scipy's
+    ``Zeros/brentq.c``: at scipy's default rtol, ``BRENT_RTOL``, its root and
+    its sequence of evaluations are bitwise those of ``scipy.optimize.brentq``
+    with the same xtol and maxiter, and it needs no ``scipy.optimize`` import.
+    Raises ``QrabiError`` when f(xa) and f(xb) have the same sign or f is NaN,
+    ``NonconvergenceError`` after ``maxiter`` iterations.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise QrabiError(f"the function value at x = {x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise QrabiError(f"f({xpre}) and f({xcur}) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 delta
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NonconvergenceError(f"Brent's method did not converge in {maxiter} iterations",
+                              payload=xcur)
 
 
 def _final_bracket(evaluated, root) -> float:

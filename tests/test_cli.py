@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,3 +294,43 @@ def test_help_documents_defaults(runner):
     assert "--omega-ratio" in result.output
     assert "--gbar-min" in result.output
     assert "default" in result.output.lower()
+
+
+# Run in a fresh interpreter: the ED commands on tiny grids, then pp-sweep;
+# prints which of the slow-to-import modules each stage has loaded.
+IMPORT_BUDGET_SCRIPT = """
+import json, sys
+from qrabi.cli import main
+
+SLOW = ("scipy.optimize", "mpmath")
+loaded = {}
+ratios = ["-w", "0.05", "-w", "0.1", "-w", "0.2"]
+for name, args in (
+        ("import", None),
+        ("qfi-sweep", ["qfi-sweep", "--method", "ed", "-w", "0.1", "--gbar-steps", "5"]),
+        ("map", ["map", "--omega-steps", "2", "--gbar-steps", "5"]),
+        ("gc", ["gc", "--with-peaks", *ratios]),
+        ("fit", ["fit", *ratios]),
+        ("pp-sweep", ["pp-sweep", "-w", "0.1", "--gbar-steps", "5"])):
+    if args is not None:
+        main(args, standalone_mode=False)
+    loaded[name] = [m for m in SLOW if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_ed_commands_load_neither_scipy_optimize_nor_mpmath(tmp_path):
+    import qrabi
+
+    src = str(Path(qrabi.__file__).resolve().parents[1])
+    env = dict(os.environ, QRM_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", IMPORT_BUDGET_SCRIPT], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout.strip().splitlines()[-1])
+    for stage in ("import", "qfi-sweep", "map", "gc", "fit"):
+        assert loaded[stage] == [], stage
+    # the check is not vacuous: the PP optimizer does load scipy.optimize
+    assert "scipy.optimize" in loaded["pp-sweep"]
+    assert (tmp_path / "fit_result.json").exists()

@@ -13,7 +13,7 @@ from conftest import (
 )
 from qrabi import edsolver, polaron, qfi
 from qrabi.critical import DEFAULT_FIT_GRID, gc2
-from qrabi.errors import ParameterDomainError, QrabiError
+from qrabi.errors import NonconvergenceError, ParameterDomainError, QrabiError
 from qrabi.model import ModelParams
 
 
@@ -170,13 +170,16 @@ def test_pp_simplified_is_leading_order_of_full():
 
 
 def test_pp_at_is_the_sweep_value_at_its_point():
-    # one optimization and the flows at the point, as a one-point sweep
-    sweep = _sweep(0.1, 1.3, 1.3, 1)
-    sample = qfi.qfi_pp_at(0.1, 1.0, 1.3)
-    assert sample.f_q_gbar == pytest.approx(qfi.qfi_pp_full(sweep)[0], rel=1e-6)
-    assert sample.f_q_g == pytest.approx(sample.f_q_gbar / ModelParams(0.1, 1.0, 0.0).gc0 ** 2,
-                                         rel=1e-14)
-    assert abs(sample.first_derivative_term) < 1e-10
+    # the optimizer point polished by the sweep's Newton corrector: at w/W 0.005,
+    # gbar 0.8, in the flat valley below the transition, the bare L-BFGS-B point
+    # gave an F_Q 2.5e-6 away from the sweep's
+    for omega, gbar in ((0.1, 1.3), (0.005, 0.8)):
+        sweep = _sweep(omega, gbar, gbar, 1)
+        sample = qfi.qfi_pp_at(omega, 1.0, gbar)
+        assert sample.f_q_gbar == pytest.approx(qfi.qfi_pp_full(sweep)[0], rel=1e-12)
+        assert sample.f_q_g == pytest.approx(
+            sample.f_q_gbar / ModelParams(omega, 1.0, 0.0).gc0 ** 2, rel=1e-14)
+        assert abs(sample.first_derivative_term) < 1e-10
 
 
 def test_find_peak_matches_gc2():
@@ -240,6 +243,67 @@ def test_find_peak_ed_root_search(ratio, monkeypatch):
 def test_find_peak_matches_golden_section(ratio):
     gbar_ref, _ = golden_section_peak(ratio, 1.0)
     assert qfi.find_peak(ratio, 1.0, method="ED").gbar_cf == pytest.approx(gbar_ref, abs=1e-4)
+
+
+def _recorded(f):
+    calls = []
+
+    def recorder(x):
+        calls.append(x)
+        return f(x)
+
+    return recorder, calls
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.tanh(40.0 * (x - 0.3)), -1.0, 2.0),
+])
+@pytest.mark.parametrize("xtol", [2e-12, qfi.PEAK_XTOL])
+def test_brent_port_is_scipy_brentq(f, a, b, xtol):
+    # the port must reproduce scipy's roots and evaluation sequences bit for bit
+    from scipy.optimize import brentq
+
+    ours, our_calls = _recorded(f)
+    theirs, their_calls = _recorded(f)
+    root = qfi._brentq(ours, a, b, xtol)
+    assert root == brentq(theirs, a, b, xtol=xtol)
+    assert our_calls == their_calls
+    assert abs(f(root)) < 1e-9
+
+
+@pytest.mark.parametrize("ratio", [0.005, 0.1, 0.5])
+def test_brent_port_is_scipy_brentq_on_the_peak_slope(ratio, monkeypatch):
+    from scipy.optimize import brentq
+
+    port = qfi._brentq
+    runs = {}
+
+    def both(f, a, b, xtol):
+        ours, our_calls = _recorded(f)
+        theirs, their_calls = _recorded(f)
+        runs["ours"] = (port(ours, a, b, xtol), our_calls)
+        runs["scipy"] = (brentq(theirs, a, b, xtol=xtol), their_calls)
+        return runs["ours"][0]
+
+    monkeypatch.setattr(qfi, "_brentq", both)
+    est = qfi.find_peak(ratio, 1.0, method="ED")
+    assert runs["ours"] == runs["scipy"]
+    assert est.gbar_cf == runs["ours"][0]
+    assert len(runs["ours"][1]) >= 3
+
+
+def test_brent_port_edge_cases():
+    with pytest.raises(QrabiError, match="different signs"):
+        qfi._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    # a zero at an endpoint is the root, at either end
+    assert qfi._brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-12) == 1.0
+    assert qfi._brentq(lambda x: x - 2.0, 1.0, 2.0, 1e-12) == 2.0
+    with pytest.raises(QrabiError, match="NaN"):
+        qfi._brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0, 1e-12)
+    with pytest.raises(NonconvergenceError):
+        qfi._brentq(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-12, maxiter=2)
 
 
 def test_acceleration_condition_synthetic_zeta():
