@@ -1,5 +1,6 @@
-"""Closed-form critical couplings, their series expansions, and least-squares
-fitting of numerically located QFI peaks in fractional vs integer power bases.
+"""Closed-form critical couplings, the leading series coefficients of gc_xi,
+and least-squares fitting of numerically located QFI peaks in fractional vs
+integer power bases.
 """
 
 from __future__ import annotations
@@ -121,71 +122,6 @@ def gc2(omega: float, Omega: float, variant: str = "alphaFS") -> CriticalEstimat
     ratio = 1.0 + sum(c * r ** (2.0 * (n + 1) / 3.0) for n, c in enumerate(coeffs))
     g0 = 0.5 * math.sqrt(omega * Omega)
     return CriticalEstimate(ratio * g0, ratio, f"gc2-{variant}", r)
-
-
-# --- numeric series expansions --------------------------------------------
-# mpmath is imported inside the functions below, its only users, so that no
-# command loads it at start-up
-
-
-def _gc1_ratio_mp(r):
-    # gc1/gc0 at omega = r, Omega = 1, in mpmath arithmetic
-    import mpmath as mp
-
-    g04 = r * r / 16
-    return mp.sqrt(r * r + mp.sqrt(r ** 4 + g04)) / (mp.sqrt(r) / 2)
-
-
-def _gcxi_ratio_mp(r, d_c1):
-    import mpmath as mp
-
-    g0 = mp.sqrt(r) / 2
-    omega_c1 = d_c1 * r
-    gt0 = g0 / omega_c1
-    u = gt0 ** 4
-    f12 = 1 + 36 * u + 216 * u * u + 24 * mp.sqrt(3) * gt0 ** 6 * mp.sqrt(27 * u + 1)
-    f4 = f12 ** mp.mpf("1/3")
-    corr = (omega_c1 ** 4 / 12) * (f4 + 1 + 1 / f4 + 24 * u / f4)
-    return (g0 ** 4 + corr) ** mp.mpf("0.25") / g0
-
-
-def series_coefficients(func, exponents, r_lo=1e-9, r_hi=1e-6, n_points=40, dps=60):
-    """Least-squares expansion coefficients of func(r) - 1 on a log grid near 0.
-
-    Evaluated in high-precision arithmetic so that divided differences of the
-    tiny expansion terms survive; no symbolic machinery involved.
-    """
-    import mpmath as mp
-
-    exponents = [mp.mpf(e) for e in exponents]
-    with mp.workdps(dps):
-        rs = [mp.mpf(r_lo) * (mp.mpf(r_hi) / mp.mpf(r_lo)) ** (mp.mpf(k) / (n_points - 1))
-              for k in range(n_points)]
-        a = mp.matrix(n_points, len(exponents))
-        b = mp.matrix(n_points, 1)
-        for k, r in enumerate(rs):
-            for m, e in enumerate(exponents):
-                a[k, m] = r ** e
-            b[k, 0] = func(r) - 1
-        sol = mp.qr_solve(a, b)[0]
-    return np.array([float(sol[m, 0]) for m in range(len(exponents))])
-
-
-def gc1_taylor_coefficients(n_terms: int = 4) -> np.ndarray:
-    """Integer-power expansion coefficients of gc1/gc0 in omega/Omega."""
-    exps = list(range(1, n_terms + 3))  # two guard orders against truncation
-    coeffs = series_coefficients(_gc1_ratio_mp, exps, r_lo=1e-6, r_hi=1e-4)
-    return coeffs[:n_terms]
-
-
-def gcxi_fractional_coefficients(n_terms: int = 2, d_c1: float = DEFAULT_DC1) -> np.ndarray:
-    """Fractional-power (2n/3) expansion coefficients of gc_xi/gc0."""
-    import mpmath as mp
-
-    exps = [mp.mpf(2 * (n + 1)) / 3 for n in range(n_terms + 2)]
-    coeffs = series_coefficients(lambda r: _gcxi_ratio_mp(r, d_c1), exps,
-                                 r_lo=1e-9, r_hi=1e-6)
-    return coeffs[:n_terms]
 
 
 def gcxi_predicted_coefficients(d_c1: float = DEFAULT_DC1) -> tuple[float, float]:

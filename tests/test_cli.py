@@ -195,6 +195,26 @@ def test_pp_version_bump_misses_pp_records_only(runner, tmp_path, monkeypatch):
     assert {"pp": new_records("pp"), "ed": new_records("ed")} == {"pp": 1, "ed": 0}
 
 
+def test_gc2_variant_is_part_of_the_cache_identity(runner, tmp_path):
+    # two variants on one cache: each run computes its own g_over_gc2 column
+    # instead of being served the other variant's record
+    from qrabi import critical
+
+    cache = tmp_path / "cache"
+    for variant in ("alphaFS", "fitted"):
+        out = tmp_path / variant
+        args = ["qfi-sweep", "-w", "0.1", "--gbar-min", "1.0", "--gbar-max", "1.4",
+                "--gbar-steps", "3", "--gc2-variant", variant, "--out", str(out),
+                "--cache", str(cache)]
+        assert _invoke(runner, args).exit_code == 0
+        rec = store.load(f"{out}_w0.1.csv")
+        assert rec.meta["gc2_variant"] == variant
+        np.testing.assert_allclose(
+            rec.column("g_over_gc2"),
+            rec.column("g") / critical.gc2(0.1, 1.0, variant).value, rtol=1e-15)
+    assert len(list(cache.glob("*.sweep"))) == 2
+
+
 def test_qfi_sweep_env_cache_override(runner, tmp_path, monkeypatch):
     env_cache = tmp_path / "envcache"
     monkeypatch.setenv("QRM_CACHE_DIR", str(env_cache))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import gc1_taylor_coefficients, gcxi_fractional_coefficients
 from qrabi import critical
 from qrabi.errors import ParameterDomainError, QrabiError
 
@@ -33,7 +34,7 @@ def test_gc1_small_frequency_limit():
 
 
 def test_gc1_taylor_coefficients():
-    coeffs = critical.gc1_taylor_coefficients(4)
+    coeffs = gc1_taylor_coefficients(4)
     assert np.allclose(coeffs, [2.0, 2.0, -4.0, -10.0], atol=1e-6)
 
 
@@ -49,7 +50,7 @@ def test_gcxi_small_frequency_limit():
 
 
 def test_gcxi_fractional_coefficients():
-    got = critical.gcxi_fractional_coefficients(2)
+    got = gcxi_fractional_coefficients(2)
     want = critical.gcxi_predicted_coefficients()
     assert got[0] == pytest.approx(want[0], abs=1e-4)
     assert got[1] == pytest.approx(want[1], abs=1e-4)

@@ -239,7 +239,6 @@ def test_sweep_smooth_above_transition():
     sweep = continuation_sweep(0.1, 1.0, grid)
     dz = np.abs(np.diff([a.zeta_alpha for a in sweep.ansatz]))
     assert np.max(dz) < 0.05
-    assert sweep.discontinuities == ()
 
 
 def test_separation_grows_past_transition():
@@ -431,7 +430,8 @@ def test_sweep_reaches_nelder_mead_energy_in_flat_valley():
 
 def test_warm_points_make_no_optimizer_calls(monkeypatch):
     # the multi-start L-BFGS-B runs at the first point only; the predictor and
-    # the Newton corrector carry the rest of the sweep
+    # the Newton corrector carry the rest of the sweep, through the transition
+    # at w/W 0.005 too, where the steep turn of p is no cause for a re-run
     calls = []
     optimize_fn = polaron.optimize
     monkeypatch.setattr(polaron, "optimize",
@@ -445,11 +445,52 @@ def test_warm_points_make_no_optimizer_calls(monkeypatch):
         return result
 
     monkeypatch.setattr(polaron, "_newton", newton)
-    sweep = continuation_sweep(0.1, 1.0, np.linspace(0.8, 1.8, 51))
+    continuation_sweep(0.1, 1.0, np.linspace(0.8, 1.8, 51))
     assert calls == [{}]
-    assert sweep.discontinuities == ()
     assert len(steps) == 51
     assert np.mean(steps[1:]) <= 4.0 and max(steps) <= 12
+    calls.clear()
+    continuation_sweep(0.005, 1.0, np.linspace(0.5, 3.0, 126))
+    assert calls == [{}]
+
+
+def test_rerun_happens_exactly_at_refused_points(monkeypatch):
+    # in the flat valley far below the transition the corrector stops at
+    # saddles; the sweep re-runs each of them by multi-start L-BFGS-B from its
+    # own ansatz, and no other point
+    grid = np.linspace(0.1, 0.5, 21)
+    optimize_fn = polaron.optimize
+    reruns = []
+
+    def optimize(params, warm_start=None, multi_start=True):
+        if warm_start is not None and multi_start:
+            reruns.append((params.g_bar, declined))
+            if declined:
+                return warm_start      # not lower: the corrector's point stays
+        return optimize_fn(params, warm_start=warm_start, multi_start=multi_start)
+
+    monkeypatch.setattr(polaron, "optimize", optimize)
+    declined = True
+    corrector = continuation_sweep(0.02, 1.0, grid)
+    refused = np.flatnonzero(np.isnan(parameter_derivatives(corrector)["dpsi"]))
+    assert refused.size > 1
+    declined = False
+    sweep = continuation_sweep(0.02, 1.0, grid)
+    np.testing.assert_allclose([g for g, d in reruns if d], grid[refused], rtol=1e-12)
+    np.testing.assert_allclose([g for g, d in reruns if not d], grid[refused], rtol=1e-12)
+    assert np.count_nonzero(np.isnan(parameter_derivatives(sweep)["dpsi"])) <= 1
+    for k in refused:
+        assert sweep.ansatz[k].energy <= corrector.ansatz[k].energy
+
+
+def test_sweep_through_transition_reaches_cold_energy():
+    # at w/W 0.005 p turns steeply across the transition; the corrector alone
+    # follows it to the energy of a cold multi-start optimization
+    grid = np.linspace(0.5, 3.0, 126)
+    sweep = continuation_sweep(0.005, 1.0, grid)
+    for k in np.flatnonzero((grid >= 0.8 - 1e-12) & (grid <= 1.25 + 1e-12)):
+        cold = optimize(sweep.params_at(k)).energy
+        assert abs(sweep.ansatz[k].energy - cold) <= 1e-13 * abs(cold)
 
 
 def test_corrector_falls_back_to_lbfgsb_when_it_cannot_descend(monkeypatch):
