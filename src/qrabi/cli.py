@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import critical, observables, polaron, qfi, store
-from .edsolver import RESPONSE_RESIDUAL_TOL, ground_state, ground_state_response
+from .edsolver import ENERGY_TOL, RESPONSE_RESIDUAL_TOL, ground_state, ground_state_response
 from .errors import NonconvergenceError, QrabiError
 from .model import ModelParams
 
@@ -58,14 +58,13 @@ def main():
 @click.option("--gbar-steps", default=126, show_default=True, type=int)
 @click.option("--method", type=click.Choice(list(SWEEP_FAMILIES)), default="ed",
               show_default=True)
-@click.option("--tol", default=1e-10, show_default=True, type=float)
 @click.option("--gc2-variant", default="alphaFS", show_default=True,
               type=click.Choice(sorted(critical.GC2_COEFFS)))
 @click.option("--out", default="qfi_sweep", show_default=True,
               help="Output path prefix; one file per frequency.")
 @click.option("--cache", default=".qrabi_cache", show_default=True,
               help="Cache directory (env QRM_CACHE_DIR overrides).")
-def cmd_qfi_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, method, tol,
+def cmd_qfi_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, method,
                   gc2_variant, out, cache):
     """QFI versus coupling at fixed frequency ratios (one record per ratio)."""
     grid = _gbar_grid(gbar_min, gbar_max, gbar_steps)
@@ -76,15 +75,14 @@ def cmd_qfi_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, method, tol,
         meta = {
             "kind": "qfi-sweep", "omega": omega, "Omega": Omega,
             "grid": [gbar_min, gbar_max, gbar_steps],
-            "tolerances": {"tol": tol, "method": method},
+            "tolerances": {"tol": ENERGY_TOL, "method": method},
             "code_version": store.code_version(*SWEEP_FAMILIES[method]),
             "omega_ratio": ratio, "gc2_variant": gc2_variant,
         }
         digest = store.compute_hash(meta)
         record = store.lookup(cache_dir, digest)
         if record is None:
-            record, failed = _compute_qfi_sweep(
-                omega, Omega, grid, method, tol, gc2_variant, meta)
+            record, failed = _compute_qfi_sweep(omega, Omega, grid, method, gc2_variant, meta)
             any_partial = any_partial or failed
             # a record with failed points is never cached, so a rerun retries them
             if not failed:
@@ -96,7 +94,7 @@ def cmd_qfi_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, method, tol,
         sys.exit(EXIT_PARTIAL)
 
 
-def _compute_qfi_sweep(omega, Omega, grid, method, tol, gc2_variant, meta):
+def _compute_qfi_sweep(omega, Omega, grid, method, gc2_variant, meta):
     base = ModelParams(omega, Omega, 0.0)
     gc2_val = critical.gc2(omega, Omega, gc2_variant).value
     columns = ["g", "gbar", "g_over_gc2"]
@@ -107,8 +105,7 @@ def _compute_qfi_sweep(omega, Omega, grid, method, tol, gc2_variant, meta):
     if want_ed:
         for k in range(n):
             try:
-                ed_vals[k] = qfi.qfi_ed(base.with_g(float(grid[k]) * base.gc0),
-                                        tol=tol).f_q_gbar
+                ed_vals[k] = qfi.qfi_ed(base.with_g(float(grid[k]) * base.gc0)).f_q_gbar
             except QrabiError:
                 pass
     pp_vals = np.full(n, np.nan)
@@ -151,7 +148,8 @@ def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out):
     rows = [[grid[k], ans.energy, ans.alpha, ans.beta, ans.zeta_alpha, ans.zeta_beta,
              ans.xi_alpha, ans.xi_beta] for k, ans in enumerate(sweep.ansatz)]
     meta = {"kind": "pp-sweep", "omega": omega, "Omega": Omega,
-            "grid": [gbar_min, gbar_max, gbar_steps], "tolerances": {}}
+            "grid": [gbar_min, gbar_max, gbar_steps], "tolerances": {},
+            "code_version": store.code_version("pp")}
     record = store.SweepRecord(
         meta=meta,
         columns=["gbar", "energy", "alpha", "beta", "zeta_alpha", "zeta_beta",
@@ -164,16 +162,16 @@ def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out):
         sys.exit(EXIT_PARTIAL)
 
 
-def _peak_cached(omega, Omega, cache_dir, tol):
+def _peak_cached(omega, Omega, cache_dir):
     """ED QFI peak, from the cache when a record of the same search exists."""
     meta = {"kind": "qfi-peak", "omega": omega, "Omega": Omega,
-            "grid": list(qfi.PEAK_RANGE), "tolerances": {"tol": tol, "method": "ED"},
+            "grid": list(qfi.PEAK_RANGE), "tolerances": {"tol": ENERGY_TOL, "method": "ED"},
             "code_version": store.code_version("ed")}
     digest = store.compute_hash(meta)
     record = store.lookup(cache_dir, digest)
     if record is not None:
         return float(record.column("gbar_cf")[0]), record
-    est = qfi.find_peak(omega, Omega, method="ED", gbar_range=qfi.PEAK_RANGE, tol=tol)
+    est = qfi.find_peak(omega, Omega, method="ED", gbar_range=qfi.PEAK_RANGE)
     record = store.SweepRecord(
         meta=meta, columns=["gbar_cf", "g_cf", "f_q_max", "bracket_width", "evaluations"],
         data=np.array([[est.gbar_cf, est.g_cf, est.f_q_max, est.bracket_width,
@@ -187,12 +185,11 @@ def _peak_cached(omega, Omega, cache_dir, tol):
 @click.option("--omega-ratio", "-w", multiple=True, type=float, default=DEFAULT_FREQS,
               show_default=True)
 @click.option("--dc1", default=critical.DEFAULT_DC1, show_default=True, type=float)
-@click.option("--tol", default=1e-10, show_default=True, type=float)
 @click.option("--with-peaks/--no-peaks", default=False, show_default=True,
               help="Also compute/cache the numeric QFI-peak coupling g_cF.")
 @click.option("--cache", default=".qrabi_cache", show_default=True)
 @click.option("--out", default="gc_table.csv", show_default=True)
-def cmd_gc(omega_ratio, dc1, tol, with_peaks, cache, out):
+def cmd_gc(omega_ratio, dc1, with_peaks, cache, out):
     """Critical-coupling table in the gc0, gc1 and gc2 scalings."""
     cache_dir = _cache_dir(cache)
     rows = []
@@ -211,7 +208,7 @@ def cmd_gc(omega_ratio, dc1, tol, with_peaks, cache, out):
                        f"gc2/gc0 = {', '.join(outside)} (<= 1)", err=True)
         gcf = math.nan
         if with_peaks:
-            gbar_cf, _ = _peak_cached(omega, Omega, cache_dir, tol)
+            gbar_cf, _ = _peak_cached(omega, Omega, cache_dir)
             gcf = gbar_cf * g0.value
         rows.append([
             ratio, g0.value, g1.value, gx.value, g2a.value, g2b.value, g2c.value,
@@ -221,7 +218,8 @@ def cmd_gc(omega_ratio, dc1, tol, with_peaks, cache, out):
             gcf / g2a.value if math.isfinite(gcf) else -1.0,
         ])
     meta = {"kind": "gc-table", "omega": list(omega_ratio), "Omega": 1.0,
-            "grid": [], "tolerances": {"dc1": dc1, "tol": tol}}
+            "grid": [], "tolerances": {"dc1": dc1, "tol": ENERGY_TOL},
+            "code_version": store.code_version("ed")}
     record = store.SweepRecord(
         meta=meta,
         columns=["omega_ratio", "gc0", "gc1", "gcxi", "gc2_alphaFS",
@@ -237,16 +235,15 @@ def cmd_gc(omega_ratio, dc1, tol, with_peaks, cache, out):
 @main.command("fit")
 @click.option("--omega-ratio", "-w", multiple=True, type=float, default=DEFAULT_FREQS,
               show_default=True)
-@click.option("--tol", default=1e-10, show_default=True, type=float)
 @click.option("--max-order", default=9, show_default=True, type=int)
 @click.option("--cache", default=".qrabi_cache", show_default=True)
 @click.option("--out", default="fit_result.json", show_default=True)
-def cmd_fit(omega_ratio, tol, max_order, cache, out):
+def cmd_fit(omega_ratio, max_order, cache, out):
     """Fractional vs integer-power least-squares fits of cached g_cF data."""
     cache_dir = _cache_dir(cache)
     data = []
     for ratio in omega_ratio:
-        gbar_cf, _ = _peak_cached(float(ratio), 1.0, cache_dir, tol)
+        gbar_cf, _ = _peak_cached(float(ratio), 1.0, cache_dir)
         data.append((ratio, gbar_cf - 1.0))
     data = np.array(data)
     results = []
@@ -274,14 +271,12 @@ def cmd_fit(omega_ratio, tol, max_order, cache, out):
 @click.option("--gbar-min", default=0.8, show_default=True, type=float)
 @click.option("--gbar-max", default=2.0, show_default=True, type=float)
 @click.option("--gbar-steps", default=121, show_default=True, type=int)
-@click.option("--tol", default=1e-10, show_default=True, type=float)
 @click.option("--out", default="map", show_default=True, help="Output path prefix.")
-def cmd_map(omega_min, omega_max, omega_steps, gbar_min, gbar_max, gbar_steps,
-            tol, out):
+def cmd_map(omega_min, omega_max, omega_steps, gbar_min, gbar_max, gbar_steps, out):
     """Row-normalized density maps of F_Q and d|<x>|/dg with gc overlays."""
     omega_grid = np.geomspace(omega_min, omega_max, omega_steps)
     gbar_grid = _gbar_grid(gbar_min, gbar_max, gbar_steps)
-    cmap = observables.coincidence_map(omega_grid, gbar_grid, Omega=1.0, tol=tol)
+    cmap = observables.coincidence_map(omega_grid, gbar_grid, Omega=1.0)
     header = ",".join(f"{g:.17g}" for g in gbar_grid)
     for name, mat in (("qfi", cmap.qfi), ("susceptibility", cmap.susceptibility)):
         path = f"{out}_{name}.csv"
@@ -305,8 +300,7 @@ def cmd_map(omega_min, omega_max, omega_steps, gbar_min, gbar_max, gbar_steps,
 
 
 @main.command("verify")
-@click.option("--tol", default=1e-10, show_default=True, type=float)
-def cmd_verify(tol):
+def cmd_verify():
     """Run the quick invariant suite (exact limits, bounds, residuals)."""
     failures = 0
 
@@ -321,22 +315,22 @@ def cmd_verify(tol):
             ("g=0 ground energy = -Omega/2", ModelParams(0.1, 1.0, 0.0), -0.5),
             ("Omega=0 ground energy = -g^2/omega", ModelParams(1.0, 0.0, 1.0), -1.0)):
         try:
-            state, _ = ground_state(params, tol=tol)
+            state, _ = ground_state(params)
             check(name, abs(state.energy - exact) < 1e-12)
         except NonconvergenceError:
             check(name, False)
 
     params = ModelParams(0.1, 1.0, 0.2)
     try:
-        sample = qfi.qfi_ed(params, tol=tol)
-        state, report = ground_state(params, tol=tol)
+        sample = qfi.qfi_ed(params)
+        state, report = ground_state(params)
     except QrabiError as exc:
         check(f"ED QFI ({exc})", False)
     else:
         check(f"cutoff energy bound {sample.energy_delta:.1e} <= tol |E0| = "
-              f"{tol * abs(state.energy):.1e} (cutoff {report.final_cutoff} against "
+              f"{ENERGY_TOL * abs(state.energy):.1e} (cutoff {report.final_cutoff} against "
               f"truncation {report.truncation_cutoff}, eigensolves {report.eigensolves})",
-              sample.energy_delta <= tol * abs(state.energy))
+              sample.energy_delta <= ENERGY_TOL * abs(state.energy))
         check("F_Q >= 0", sample.f_q_g >= 0)
         rel = 4.0 * sample.first_derivative_term ** 2 / sample.f_q_g
         check("<psi'|psi> negligible", rel < 1e-10)
@@ -347,9 +341,9 @@ def cmd_verify(tol):
     params = base.with_g(1.2 * base.gc0)
     step = 1e-5 * params.g
     try:
-        exact = ground_state_response(params, tol=tol).dfisher_dg()
-        central = (qfi.qfi_ed(params.with_g(params.g + step), tol=tol).f_q_g
-                   - qfi.qfi_ed(params.with_g(params.g - step), tol=tol).f_q_g) / (2.0 * step)
+        exact = ground_state_response(params).dfisher_dg()
+        central = (qfi.qfi_ed(params.with_g(params.g + step)).f_q_g
+                   - qfi.qfi_ed(params.with_g(params.g - step)).f_q_g) / (2.0 * step)
     except QrabiError as exc:
         check(f"dF_Q/dg ({exc})", False)
     else:
@@ -361,7 +355,7 @@ def cmd_verify(tol):
 
     params = base.with_g(1.2 * base.gc0)
     ans = polaron.optimize(params)
-    state, _ = ground_state(params, tol=tol)
+    state, _ = ground_state(params)
     check("variational bound", ans.energy >= state.energy - 1e-12)
 
     # the closed-form energy Hessian and d_gbar grad E at the optimum against

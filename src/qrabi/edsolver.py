@@ -1,4 +1,4 @@
-"""Converged ground states of the truncated Hamiltonian and their coupling
+"""Certified ground states of the truncated Hamiltonian and their coupling
 derivative.
 
 The ground state lives in the parity sector P = sigma_x (-1)^n = -1, where the
@@ -8,16 +8,18 @@ Solves use that reduction at every cutoff, and only this sector is solved;
 the dense full-space Hamiltonian and the parity +1 sector are cross-check
 oracles in ``tests/conftest.py``.
 
-The cutoff search solves once at a start cutoff sized to the photon number
-of the displaced oscillator, and certifies it against its truncation three
-photon-number widths lower: interlacing bounds that truncation's energy from
-both sides, so it is never solved, and the removed rows must carry a weight
-below 1e-12. Only a start that fails the certificate grows geometrically.
-The one eigensolve bisects only as far as inverse iteration needs, far below
-the sector gap, and takes the energy as the Rayleigh quotient of the vector.
+Each ground state is one eigensolve at a cutoff sized to the photon number
+of the displaced oscillator, certified against its truncation three
+photon-number widths lower: interlacing bounds that truncation's energy
+change from above without solving it, and the bound must be at most
+``ENERGY_TOL`` relative while the removed rows carry a weight below 1e-12.
+A point that fails the certificate raises ``NonconvergenceError``; nothing
+is grown or retried. The eigensolve bisects only as far as inverse
+iteration needs, far below the sector gap, and takes the energy as the
+Rayleigh quotient of the vector.
 Because dH/dg = sigma_z (a + a^dag) conserves parity, the derivative of the
 ground state with respect to g stays in the sector and follows from one
-banded linear solve at the converged cutoff (first-order perturbation theory
+banded linear solve at the certified cutoff (first-order perturbation theory
 without the spectrum); ``ground_state_response`` returns both. dF_Q/dg,
 asked for only by the QFI-peak search, factors the same pinned matrix again
 and costs one more solve.
@@ -37,8 +39,10 @@ from .errors import NonconvergenceError, ParameterDomainError, QrabiError
 from .model import ModelParams
 
 HARD_CUTOFF_LIMIT = 16384
+# the certificate: energy change to the truncation at most ENERGY_TOL relative,
+# weight of the removed rows below TAIL_WEIGHT_TOL
+ENERGY_TOL = 1e-10
 TAIL_WEIGHT_TOL = 1e-12
-CUTOFF_GROWTH = 1.5
 START_WIDTHS = 12.0
 START_MARGIN = 32
 TRUNCATION_WIDTHS = 9.0
@@ -52,22 +56,20 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Certificate of ``ground_state``'s cutoff search.
+    """Certificate of ``ground_state``'s one eigensolve.
 
-    ``final_cutoff`` is certified against its truncation to
-    ``truncation_cutoff`` (``truncation_cutoff(params)`` when the start
-    cutoff converged, the previous cutoff after growth steps): the energy
-    change ``energy_delta`` (an interlacing bound, or the difference of
-    solved energies) is at most ``tol`` relative, and the rows beyond the
-    truncation carry a weight below 1e-12. ``eigensolves`` counts the sector
-    eigensolves of the search.
+    ``final_cutoff`` is the cutoff solved, certified against its truncation
+    to ``truncation_cutoff``: ``energy_delta``, the interlacing bound on the
+    energy change, is at most ``ENERGY_TOL`` relative, and the rows beyond
+    the truncation carry a weight below 1e-12. ``eigensolves`` is 1, or 0 when
+    a failed point's capped cutoff leaves nothing to certify against
+    (``energy_delta`` is then inf).
     """
 
     final_cutoff: int
     energy_delta: float
     truncation_cutoff: int
     eigensolves: int
-    tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -179,8 +181,7 @@ def initial_cutoff(params: ModelParams) -> int:
     superradiant limit of the ground state, whose Poisson photon distribution
     has width sqrt(nbar); below the transition nbar overestimates the photon
     number. Even its truncation three widths lower (``truncation_cutoff``)
-    meets the default energy tolerance with orders of magnitude to spare, so
-    the start cutoff is normally certified by that truncation and not grown.
+    meets ``ENERGY_TOL`` with orders of magnitude to spare.
     """
     return _photon_cutoff(params, START_WIDTHS, START_MARGIN)
 
@@ -198,7 +199,7 @@ def interlacing_bound(params: ModelParams, cutoff: int, energy: float, vec: np.n
     most the Rayleigh quotient RQ of any vector on n <= N0. With vec cut to
     n <= N0, RQ - E(N) >= E(N0) - E(N) >= 0. RQ - E(N) carries the rounding
     of E, so the bound is floored at eps |E|: a certificate at rounding reads
-    eps |E|, never 0, and a ``tol`` below eps cannot be certified by it.
+    eps |E|, never 0, five orders of magnitude below ``ENERGY_TOL``.
     """
     diag, off = sector_tridiagonal(params, vec.size - 1)
     head = vec[:cutoff + 1]
@@ -206,53 +207,42 @@ def interlacing_bound(params: ModelParams, cutoff: int, energy: float, vec: np.n
     return max(rayleigh / float(head @ head) - energy, _EPS * abs(energy))
 
 
-def ground_state(params: ModelParams, tol: float = 1e-10,
-                 max_cutoff: int = HARD_CUTOFF_LIMIT):
-    """Adaptively converged ground state, the lowest state of the parity -1 sector.
+def ground_state(params: ModelParams):
+    """Certified ground state, the lowest state of the parity -1 sector.
 
-    Solves at ``initial_cutoff`` N and certifies it against its truncation
-    to ``truncation_cutoff`` N_s: the energy change E(N_s) - E(N), bounded by
-    ``interlacing_bound`` without solving N_s, must be at most ``tol``
-    relative, and the weight of the removed rows n > N_s below 1e-12. If
-    either test fails, the cutoff grows by 1.5x, and each later step compares
-    with the energy solved at the previous cutoff and takes the tail beyond
-    it. The report carries the bound or difference, the truncation and the
-    number of eigensolves.
+    Solves once at N = ``initial_cutoff``, capped at ``HARD_CUTOFF_LIMIT``,
+    and certifies N against its truncation to N_s = ``truncation_cutoff``:
+    the energy change E(N_s) - E(N), bounded by ``interlacing_bound``
+    without solving N_s, must be at most ``ENERGY_TOL`` relative, and the
+    weight of the removed rows n > N_s below 1e-12. The report carries the
+    bound, N_s and the number of eigensolves. A point that fails raises
+    ``NonconvergenceError`` with that report: without a solve when the capped
+    cutoff lies at or below N_s, after the one solve when it fails the
+    certificate.
     """
-    if tol <= 0:
-        raise ParameterDomainError(f"tol must be > 0, got {tol}")
-    cutoff = min(initial_cutoff(params), max_cutoff)
+    cutoff = min(initial_cutoff(params), HARD_CUTOFF_LIMIT)
     truncation = truncation_cutoff(params)
-    energy = None
-    delta = math.inf
-    eigensolves = 0
-    # a start capped at or below its own truncation has nothing to certify
-    # against and no room to grow; every grown cutoff exceeds the previous one
-    while truncation < cutoff or cutoff < max_cutoff:
-        vals, vecs = sector_eigenpairs(params, cutoff)
-        eigensolves += 1
-        new_energy, new_vec = float(vals[0]), vecs[:, 0]
-        if energy is not None:
-            delta = abs(new_energy - energy)
-        elif truncation < cutoff:
-            delta = interlacing_bound(params, truncation, new_energy, new_vec)
-        tail = float(np.sum(new_vec[truncation + 1:] ** 2))
-        if delta <= tol * max(abs(new_energy), 1e-30) and tail < TAIL_WEIGHT_TOL:
-            report = ConvergenceReport(final_cutoff=cutoff, energy_delta=delta,
-                                       truncation_cutoff=truncation,
-                                       eigensolves=eigensolves, tol=tol)
-            return state_from_sector_vector(params, cutoff, new_energy, new_vec), report
-        if cutoff >= max_cutoff:
-            break
-        energy, truncation = new_energy, cutoff
-        cutoff = min(math.ceil(CUTOFF_GROWTH * cutoff), max_cutoff)
+    if cutoff <= truncation:
+        raise NonconvergenceError(
+            f"cutoff {cutoff} does not exceed its truncation {truncation} (cutoff "
+            f"limit {HARD_CUTOFF_LIMIT}); the polaron ansatz is the documented fallback",
+            payload=ConvergenceReport(final_cutoff=cutoff, energy_delta=math.inf,
+                                      truncation_cutoff=truncation, eigensolves=0),
+        )
+    vals, vecs = sector_eigenpairs(params, cutoff)
+    energy, vec = float(vals[0]), vecs[:, 0]
+    delta = interlacing_bound(params, truncation, energy, vec)
+    tail = float(np.sum(vec[truncation + 1:] ** 2))
     report = ConvergenceReport(final_cutoff=cutoff, energy_delta=delta,
-                               truncation_cutoff=truncation, eigensolves=eigensolves, tol=tol)
-    raise NonconvergenceError(
-        f"cutoff limit {max_cutoff} reached without convergence "
-        f"(energy delta {delta:.3e}); the polaron ansatz is the documented fallback",
-        payload=report,
-    )
+                               truncation_cutoff=truncation, eigensolves=1)
+    if not (delta <= ENERGY_TOL * max(abs(energy), 1e-30) and tail < TAIL_WEIGHT_TOL):
+        raise NonconvergenceError(
+            f"cutoff {cutoff} fails its certificate against truncation {truncation} "
+            f"(energy bound {delta:.3e}, tail weight {tail:.1e}); the polaron ansatz "
+            f"is the documented fallback",
+            payload=report,
+        )
+    return state_from_sector_vector(params, cutoff, energy, vec), report
 
 
 @dataclass(frozen=True)
@@ -301,13 +291,13 @@ def _pinned_system(state: QuantumState) -> _PinnedSystem:
 
 @dataclass(frozen=True)
 class GroundStateResponse:
-    """Converged sector ground state and its derivative with respect to g.
+    """Certified sector ground state and its derivative with respect to g.
 
     ``dvec`` is d(sector vector)/dg for the gauge-fixed ``state.coeffs_plus``,
     orthogonal to it; ``residual`` is the relative residual of the linear
     solve that produced it. The lift to the full space is an isometry, so
     sector inner products are full-space inner products. ``report`` is the
-    convergence certificate of the cutoff search behind ``state``.
+    certificate of the eigensolve behind ``state``.
     """
 
     state: QuantumState
@@ -336,8 +326,7 @@ class GroundStateResponse:
         Differentiating (T - E0) x = -(V - <V>) psi once more gives
         (T - E0) dx/dg = -2 (V - <V>) x along psi-perp, and dF_Q/dg = 8 x.dx/dg.
         y comes from the pinned system behind ``dvec``, factored again here
-        (O(N), against the cutoff search's eigensolves) so that responses
-        carry no factors.
+        (O(N), against the eigensolve) so that responses carry no factors.
         """
         psi, x = self.state.coeffs_plus, self.dvec
         y = _pinned_system(self.state).solve(x, psi)
@@ -357,8 +346,8 @@ def _coupling_apply(vec: np.ndarray) -> np.ndarray:
     return _tridiagonal_apply(0.0, np.sqrt(np.arange(1, vec.size)), vec)
 
 
-def ground_state_response(params: ModelParams, tol: float = 1e-10) -> GroundStateResponse:
-    """Converged ground state psi (parity -1 sector) and its coupling derivative x.
+def ground_state_response(params: ModelParams) -> GroundStateResponse:
+    """Certified ground state psi (parity -1 sector) and its coupling derivative x.
 
     x solves (T - E0) x = -(V psi - <V> psi) with x orthogonal to psi. T - E0
     is singular along psi (exactly so at g = 0). Pinning x to zero at the
@@ -368,7 +357,7 @@ def ground_state_response(params: ModelParams, tol: float = 1e-10) -> GroundStat
     step (dgttrs), then psi is projected out of x. Raises QrabiError when the
     relative residual of the unpinned system exceeds 1e-8.
     """
-    state, report = ground_state(params, tol=tol)
+    state, report = ground_state(params)
     psi = state.coeffs_plus
     diag, off = sector_tridiagonal(params, state.cutoff)
     diag = diag - state.energy

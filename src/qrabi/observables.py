@@ -52,8 +52,8 @@ def _x_and_slope(response: GroundStateResponse) -> tuple[float, float, float]:
     return xp, xm, float(np.sign(xp)) * response.dx_plus_dg
 
 
-def susceptibility_sweep(omega: float, Omega: float, gbar_grid, method: str = "ED",
-                         tol: float = 1e-10) -> list[ObservableSample]:
+def susceptibility_sweep(omega: float, Omega: float, gbar_grid,
+                         method: str = "ED") -> list[ObservableSample]:
     """|<x>_+-| per grid point and its coupling derivative.
 
     ED derivatives are exact (linear response at each point); PP derivatives
@@ -73,7 +73,7 @@ def susceptibility_sweep(omega: float, Omega: float, gbar_grid, method: str = "E
         xm = np.empty(gbar.size)
         d_abs = np.empty(gbar.size)
         for k in range(gbar.size):
-            response = ground_state_response(base.with_g(float(g[k])), tol=tol)
+            response = ground_state_response(base.with_g(float(g[k])))
             xp[k], xm[k], d_abs[k] = _x_and_slope(response)
     elif method == "PP":
         # a repeated point is a zero step of the differences
@@ -124,8 +124,7 @@ class CoincidenceMap:
     failed_rows: tuple[int, ...] = ()
 
 
-def coincidence_map(omega_grid, gbar_grid, Omega: float = 1.0,
-                    tol: float = 1e-10) -> CoincidenceMap:
+def coincidence_map(omega_grid, gbar_grid, Omega: float = 1.0) -> CoincidenceMap:
     """Dense (omega, g_bar) maps of F_Q and d|<x>|/dg, row-normalized.
 
     Both come from one ground-state response per cell. A row whose solve
@@ -144,7 +143,7 @@ def coincidence_map(omega_grid, gbar_grid, Omega: float = 1.0,
     for i, omega in enumerate(omega_grid):
         base = ModelParams(float(omega), Omega, 0.0)
         try:
-            responses = [ground_state_response(base.with_g(gb * base.gc0), tol=tol)
+            responses = [ground_state_response(base.with_g(gb * base.gc0))
                          for gb in gbar_grid]
         except QrabiError:
             failed.append(i)

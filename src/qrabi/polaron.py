@@ -58,7 +58,8 @@ class Polaron(NamedTuple):
 
 @dataclass(frozen=True)
 class PolaronAnsatz:
-    """Variational parameters; label convention zeta_alpha >= 0 >= zeta_beta."""
+    """Variational parameters; label convention zeta_alpha >= 0 >= zeta_beta
+    and alpha, beta >= 0, which every p inside the optimizer's bounds obeys."""
 
     alpha: float
     beta: float
@@ -343,7 +344,8 @@ def _seed_vectors(params: ModelParams, warm_start: PolaronAnsatz | None) -> list
     return seeds
 
 
-# opposite-well convention: polaron a sits at zeta >= 0, polaron b at zeta <= 0
+# the label convention: polaron a sits at zeta >= 0, polaron b at zeta <= 0,
+# and the mixing angle in [0, pi/2] keeps both weights >= 0
 _BOUNDS = [
     (0.0, math.pi / 2.0),
     (0.0, ZETA_BOUND),
@@ -367,21 +369,6 @@ def _minimize_from(p0: np.ndarray, params: ModelParams):
     )
 
 
-def canonicalize(ansatz: PolaronAnsatz) -> PolaronAnsatz:
-    """Apply the label convention: zeta_alpha >= zeta_beta, both weights >= 0."""
-    a = ansatz
-    if a.zeta_alpha < a.zeta_beta:
-        a = replace(
-            a,
-            alpha=a.beta, beta=a.alpha,
-            zeta_alpha=a.zeta_beta, zeta_beta=a.zeta_alpha,
-            xi_alpha=a.xi_beta, xi_beta=a.xi_alpha,
-        )
-    if a.alpha < 0 and a.beta <= 0:
-        a = replace(a, alpha=-a.alpha, beta=-a.beta)
-    return a
-
-
 def optimize(params: ModelParams, warm_start: PolaronAnsatz | None = None,
              multi_start: bool = True) -> PolaronAnsatz:
     """Minimize the variational energy; returns the best local minimum found."""
@@ -393,8 +380,7 @@ def optimize(params: ModelParams, warm_start: PolaronAnsatz | None = None,
         res = _minimize_from(p0, params)
         if best is None or res.fun < best.fun:
             best = res
-    ansatz = canonicalize(_vector_to_ansatz(best.x, params))
-    return replace(ansatz, energy=float(best.fun))
+    return replace(_vector_to_ansatz(best.x, params), energy=float(best.fun))
 
 
 def _energy_at(p: np.ndarray, params: ModelParams) -> float:
@@ -545,7 +531,7 @@ def _corrected(start: _Point, params: ModelParams, warm: PolaronAnsatz) -> _Poin
 
 
 def _ansatz_at(point: _Point, params: ModelParams) -> PolaronAnsatz:
-    return replace(canonicalize(_vector_to_ansatz(point.p, params)), energy=point.energy)
+    return replace(_vector_to_ansatz(point.p, params), energy=point.energy)
 
 
 def _spectra(p: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -1,6 +1,6 @@
 """Quantum Fisher information engines.
 
-ED route: exact linear response of the converged parity -1 sector ground state,
+ED route: exact linear response of the certified parity -1 sector ground state,
 F_Q = 4 <d psi|d psi> with |d psi> from one banded solve
 (``edsolver.ground_state_response``); the sum-over-states fidelity
 susceptibility evaluated without the spectrum.
@@ -44,9 +44,10 @@ PP_REFINE_TOL = 1e-4
 class QfiSample:
     """One QFI evaluation; f_q_g and f_q_gbar differ by the exact factor gc0^2.
 
-    ED samples carry the converged ``cutoff``, the relative ``residual`` of
-    the linear solve behind them and the cutoff search's ``energy_delta``
-    (its certified energy change, at most tol * |E0|).
+    ED samples carry the certified ``cutoff``, the relative ``residual`` of
+    the linear solve behind them and the certificate's ``energy_delta``
+    (its bound on the truncation's energy change, at most
+    ``edsolver.ENERGY_TOL`` |E0|).
     """
 
     g: float
@@ -79,13 +80,13 @@ class PeakEstimate:
     evaluations: int = 0
 
 
-def qfi_ed(params: ModelParams, *, tol: float = 1e-10, check_step: bool = False) -> QfiSample:
-    """QFI with respect to g by exact linear response at the converged cutoff.
+def qfi_ed(params: ModelParams, *, check_step: bool = False) -> QfiSample:
+    """QFI with respect to g by exact linear response at the certified cutoff.
 
     ``check_step`` is accepted for compatibility and has no effect: there is
     no differentiation step to check.
     """
-    response = ground_state_response(params, tol=tol)
+    response = ground_state_response(params)
     f_q = response.fisher_information
     return QfiSample(
         g=params.g, g_bar=params.g_bar if params.Omega > 0 else math.nan,
@@ -180,8 +181,7 @@ def _golden_max(f, lo, hi, tol):
 
 
 def find_peak(omega: float, Omega: float, method: str = "ED",
-              gbar_range: tuple[float, float] = PEAK_RANGE,
-              tol: float = 1e-10) -> PeakEstimate:
+              gbar_range: tuple[float, float] = PEAK_RANGE) -> PeakEstimate:
     """Locate the QFI maximum g_cF within ``gbar_range``.
 
     ED: the root of the exact dF/dg_bar, bracketed from the gc2 estimate and
@@ -195,7 +195,7 @@ def find_peak(omega: float, Omega: float, method: str = "ED",
     if method not in ("ED", "PP-full"):
         raise ParameterDomainError(f"unknown peak method {method!r}")
     if method == "ED":
-        return _find_peak_ed(omega, Omega, gbar_range, tol)
+        return _find_peak_ed(omega, Omega, gbar_range)
 
     base = ModelParams(omega, Omega, 0.0)
     grid = np.linspace(gbar_range[0], gbar_range[1], PP_SCAN_POINTS)
@@ -225,7 +225,7 @@ def find_peak(omega: float, Omega: float, method: str = "ED",
     )
 
 
-def _find_peak_ed(omega, Omega, gbar_range, tol) -> PeakEstimate:
+def _find_peak_ed(omega, Omega, gbar_range) -> PeakEstimate:
     """Root of dF/dg_bar = gc0^3 dF_Q/dg, every evaluation exact.
 
     Starts at the gc2 estimate clamped into the range and walks uphill in
@@ -241,7 +241,7 @@ def _find_peak_ed(omega, Omega, gbar_range, tol) -> PeakEstimate:
 
     def evaluate(gbar):
         if gbar not in evaluated:
-            response = ground_state_response(base.with_g(gbar * base.gc0), tol=tol)
+            response = ground_state_response(base.with_g(gbar * base.gc0))
             evaluated[gbar] = (response.fisher_information * base.gc0 ** 2,
                                response.dfisher_dg() * base.gc0 ** 3)
         return evaluated[gbar]

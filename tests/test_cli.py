@@ -244,6 +244,46 @@ def test_jobs_option_is_gone(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["qfi-sweep", "gc", "fit", "map", "verify"])
+def test_tol_option_is_gone(runner, command):
+    # the ED certificate's energy tolerance is a constant, not an option
+    result = runner.invoke(main, [command, "--tol", "1e-10"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--tol" in result.output
+
+
+def test_qfi_sweep_cache_name_is_unchanged(runner, tmp_path):
+    # the record meta still names the certificate's tolerance, so caches
+    # written while it was an option keep hitting
+    cache = tmp_path / "cache"
+    result = _invoke(runner, ["qfi-sweep", "-w", "0.1", "--gbar-min", "1.0",
+                              "--gbar-max", "1.4", "--gbar-steps", "5",
+                              "--out", str(tmp_path / "q"), "--cache", str(cache)])
+    assert result.exit_code == 0
+    meta = {"kind": "qfi-sweep", "omega": 0.1, "Omega": 1.0, "grid": [1.0, 1.4, 5],
+            "tolerances": {"tol": 1e-10, "method": "ed"},
+            "code_version": store.code_version("ed"), "omega_ratio": 0.1,
+            "gc2_variant": "alphaFS"}
+    assert [path.name for path in cache.glob("*.sweep")] == [
+        f"{store.compute_hash(meta)}.sweep"]
+
+
+def test_gc_header_names_only_the_ed_family(runner, tmp_path):
+    out = tmp_path / "gc.csv"
+    result = _invoke(runner, ["gc", "--with-peaks", "-w", "0.1", "--out", str(out),
+                              "--cache", str(tmp_path / "c")])
+    assert result.exit_code == 0
+    assert store.load(out).meta["code_version"] == {"ed": store.CODE_VERSIONS["ed"]}
+
+
+def test_pp_sweep_header_names_only_the_pp_family(runner, tmp_path):
+    out = tmp_path / "pp.csv"
+    result = _invoke(runner, ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2",
+                              "--gbar-max", "1.4", "--gbar-steps", "3", "--out", str(out)])
+    assert result.exit_code == 0
+    assert store.load(out).meta["code_version"] == {"pp": store.CODE_VERSIONS["pp"]}
+
+
 def test_pp_sweep(runner, tmp_path):
     out = tmp_path / "pp.csv"
     result = _invoke(runner, ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2",

@@ -18,7 +18,7 @@ from qrabi.edsolver import (
     sector_eigenpairs,
     truncation_cutoff,
 )
-from qrabi.errors import NonconvergenceError, ParameterDomainError, QrabiError
+from qrabi.errors import NonconvergenceError, QrabiError
 from qrabi.model import ModelParams
 
 
@@ -29,7 +29,7 @@ def test_decoupled_limit():
     assert abs(state.coeffs_plus[0]) == pytest.approx(1.0, abs=1e-12)
     assert photon_number(state) == pytest.approx(0.0, abs=1e-12)
     assert expectation_x(state) == pytest.approx((0.0, 0.0), abs=1e-12)
-    assert report.energy_delta <= report.tol * 0.5 + 1e-30
+    assert report.energy_delta <= edsolver.ENERGY_TOL * 0.5 + 1e-30
 
 
 def test_displaced_oscillator_limit():
@@ -81,15 +81,16 @@ def test_state_invariants():
 
 def test_adaptive_cutoff_stability():
     params = ModelParams(0.1, 1.0, 0.25)
-    state, report = ground_state(params, tol=1e-10)
+    state, report = ground_state(params)
     bigger, _ = sector_ground_pair(params, 2 * report.final_cutoff)
     assert abs(bigger - state.energy) < 1e-10 * abs(state.energy)
 
 
-def test_nonconvergence_carries_report():
+def test_nonconvergence_carries_report(monkeypatch):
     params = ModelParams(0.005, 1.0, 0.3)  # needs a huge basis
+    monkeypatch.setattr(edsolver, "HARD_CUTOFF_LIMIT", 64)
     with pytest.raises(NonconvergenceError) as exc:
-        ground_state(params, tol=1e-14, max_cutoff=64)
+        ground_state(params)
     assert exc.value.payload.final_cutoff == 64
     # the start cutoff and its truncation both lie above the limit: no solve
     # could be certified, so none is made
@@ -145,11 +146,6 @@ def test_response_residual_above_bound_raises(monkeypatch):
         ground_state_response(ModelParams(0.1, 1.0, 0.2))
 
 
-def test_invalid_tol():
-    with pytest.raises(ParameterDomainError):
-        ground_state(ModelParams(0.1, 1.0, 0.1), tol=0.0)
-
-
 @pytest.mark.parametrize("ratio", [0.001, 0.005, 0.1, 0.5])
 def test_one_eigensolve_search_matches_two_solve_oracle(ratio):
     # the start cutoff is solved once and certified; the oracle solves it and
@@ -194,22 +190,34 @@ def test_sector_energy_matches_full_bisection(ratio):
         assert energy == pytest.approx(sector_ground_pair(params, cutoff)[0], rel=1e-14)
 
 
-@pytest.mark.parametrize("ratio, gbar, start", [(0.5, 2.5, 19), (0.1, 2.0, 31),
-                                                 (0.02, 2.0, 79), (0.02, 2.5, 109)])
-def test_tight_start_cutoff_grows_on_the_energy_test(monkeypatch, ratio, gbar, start):
-    # these starts lie below their truncation cutoff, so nothing certifies
-    # them; the search then grows and compares solved energies like the
-    # two-solve search, with the tail taken beyond the whole previous cutoff,
-    # so it stops no earlier
+def test_start_at_or_below_its_truncation_fails_without_a_solve(monkeypatch):
+    # a start at its own truncation has nothing to certify against
+    base = ModelParams(0.1, 1.0, 0.0)
+    params = base.with_g(2.0 * base.gc0)
+    start = truncation_cutoff(params)
+    monkeypatch.setattr(edsolver, "initial_cutoff", lambda p: start)
+    with pytest.raises(NonconvergenceError) as exc:
+        ground_state(params)
+    report = exc.value.payload
+    assert (report.final_cutoff, report.truncation_cutoff) == (start, start)
+    assert report.eigensolves == 0
+    assert report.energy_delta == math.inf
+
+
+@pytest.mark.parametrize("ratio, gbar", [(0.5, 2.5), (0.1, 2.0), (0.02, 2.0), (0.02, 2.5)])
+def test_failed_certificate_raises_after_one_solve(monkeypatch, ratio, gbar):
+    # a truncation far inside the photon distribution leaves a tail weight
+    # far above 1e-12: the point fails after its one solve
     base = ModelParams(ratio, 1.0, 0.0)
     params = base.with_g(gbar * base.gc0)
-    monkeypatch.setattr(edsolver, "initial_cutoff", lambda p: start)
-    state, report = ground_state(params)
-    cutoff, energy, _ = two_solve_qfi(params, start=start)
-    assert report.final_cutoff >= cutoff > math.ceil(1.5 * start)
-    assert state.energy == pytest.approx(energy, rel=1e-10)
-    assert state.energy == pytest.approx(sector_ground_pair(params, 2 * cutoff)[0],
-                                         rel=1e-10)
+    start = initial_cutoff(params)
+    monkeypatch.setattr(edsolver, "truncation_cutoff", lambda p: 4)
+    with pytest.raises(NonconvergenceError, match="certificate") as exc:
+        ground_state(params)
+    report = exc.value.payload
+    assert (report.final_cutoff, report.truncation_cutoff) == (start, 4)
+    assert report.eigensolves == 1
+    assert 0.0 < report.energy_delta < math.inf
 
 
 @settings(max_examples=60, deadline=None)

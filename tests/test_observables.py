@@ -101,10 +101,10 @@ def test_coincidence_map_small():
 def test_coincidence_map_failed_row(monkeypatch):
     real = observables.ground_state_response
 
-    def flaky(params, tol=1e-10):
+    def flaky(params):
         if params.omega == 0.3:
             raise NonconvergenceError("cutoff limit reached")
-        return real(params, tol=tol)
+        return real(params)
 
     monkeypatch.setattr(observables, "ground_state_response", flaky)
     cmap = observables.coincidence_map([0.1, 0.3], np.linspace(1.0, 1.8, 9))
@@ -114,7 +114,7 @@ def test_coincidence_map_failed_row(monkeypatch):
 
 
 def test_coincidence_map_propagates_programming_errors(monkeypatch):
-    def broken(params, tol=1e-10):
+    def broken(params):
         raise TypeError("not a numerical failure")
 
     monkeypatch.setattr(observables, "ground_state_response", broken)

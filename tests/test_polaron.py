@@ -308,6 +308,25 @@ def _polaron_vectors(draw):
                      -draw(st.floats(0.0, reach)), draw(_log_xi), draw(_log_xi)])
 
 
+def _in_bounds(lo, hi):
+    """A component inside [lo, hi], often exactly at one of its bounds."""
+    return st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratio=_ratio, gbar=st.floats(0.0, 3.0),
+       p=st.tuples(*(_in_bounds(lo, hi) for lo, hi in polaron._BOUNDS)))
+def test_in_bounds_vector_obeys_the_label_convention(ratio, gbar, p):
+    # the optimizer's bounds alone give zeta_alpha >= 0 >= zeta_beta and
+    # nonnegative weights, so no relabelling step is needed after a solve
+    base = ModelParams(ratio, 1.0, 0.0)
+    params = base.with_g(gbar * base.gc0)
+    ans = polaron._vector_to_ansatz(np.array(p), params)
+    assert ans.zeta_alpha >= 0.0 >= ans.zeta_beta
+    assert ans.alpha >= 0.0 and ans.beta >= 0.0
+    assert ans.normalization_defect(params) < 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(ratio=_ratio, gbar=_gbar, p=_polaron_vectors())
 def test_closed_form_gradient_matches_central_differences(ratio, gbar, p):

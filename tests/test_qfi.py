@@ -91,7 +91,8 @@ def test_invalid_steps_rejected():
     params = ModelParams(0.1, 1.0, 0.2)
     with pytest.raises(TypeError):
         qfi.qfi_ed(params, h=1e-6)
-    with pytest.raises(ParameterDomainError):
+    # nor is there an energy tolerance: the certificate's is fixed
+    with pytest.raises(TypeError):
         qfi.qfi_ed(params, tol=0.0)
 
 
