@@ -32,10 +32,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dstebz, dstein
 
-from . import kernels
 from .errors import NonconvergenceError, ParameterDomainError, QrabiError
+from .lapack import dgttrf, dgttrs, dstebz, dstein
 from .model import ModelParams
 
 HARD_CUTOFF_LIMIT = 16384
@@ -87,10 +86,6 @@ class QuantumState:
     energy: float
     coeffs_plus: np.ndarray
     coeffs_minus: np.ndarray
-
-    def full_vector(self) -> np.ndarray:
-        """Spin-major full-space vector with total norm 1."""
-        return np.concatenate([self.coeffs_plus, self.coeffs_minus]) / math.sqrt(2.0)
 
 
 def sector_tridiagonal(params: ModelParams, cutoff: int):
@@ -375,22 +370,6 @@ def ground_state_response(params: ModelParams) -> GroundStateResponse:
     return GroundStateResponse(state=state, dvec=x, residual=residual, report=report)
 
 
-def position_wavefunction(state: QuantumState, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Spin-component wavefunctions psi_sigma(x) = sum_n c_{sigma,n} h_n(x).
-
-    Uses the normalized oscillator recurrence (unit frequency in the
-    dimensionless position of the spin-dependent potential). Far outside the
-    classically allowed region h_n underflows and the result is 0.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(grid)):
-        raise ParameterDomainError("grid must be finite")
-    table = kernels.oscillator_table(state.cutoff, grid)
-    psi_plus = state.coeffs_plus @ table
-    psi_minus = state.coeffs_minus @ table
-    return psi_plus, psi_minus
-
-
 def expectation_x(state: QuantumState) -> tuple[float, float]:
     """Per-spin displacement <x>_sigma = sqrt(2) <psi_sigma| a |psi_sigma>."""
     n = np.arange(1, state.cutoff + 1)
@@ -401,8 +380,3 @@ def expectation_x(state: QuantumState) -> tuple[float, float]:
 
     return _one(state.coeffs_plus), _one(state.coeffs_minus)
 
-
-def photon_number(state: QuantumState) -> float:
-    """Mean photon number averaged over the two (normalized) spin components."""
-    n = np.arange(state.cutoff + 1)
-    return float(0.5 * np.sum(n * (state.coeffs_plus ** 2 + state.coeffs_minus ** 2)))

@@ -1,5 +1,5 @@
-"""Numeric kernels: the oscillator eigenfunction table and the two-polaron
-energy with its closed-form derivatives.
+"""Numeric kernels: the Gaussian overlap and the two-polaron energy with
+their closed-form derivatives.
 
 All kernels are plain Python and numpy. The polaron optimizer evaluates
 ``pp_energy`` together with its closed-form gradient, and the Newton
@@ -16,24 +16,6 @@ import numpy as np
 def using_numba() -> bool:
     """False: no kernel is compiled. Kept for callers that report the backend."""
     return False
-
-
-def oscillator_table(n_max, x):
-    """Normalized oscillator eigenfunctions h_0..h_n_max on the points x,
-    one row per n."""
-    # Normalized recurrence: overflow-free up to n ~ 1e4. h_0 underflows for
-    # |x| beyond ~38, in which case the column is exactly zero.
-    out = np.zeros((n_max + 1, x.size))
-    h0 = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    out[0] = h0
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * x * h0
-    for n in range(1, n_max):
-        out[n + 1] = (
-            math.sqrt(2.0 / (n + 1.0)) * x * out[n]
-            - math.sqrt(n / (n + 1.0)) * out[n - 1]
-        )
-    return out
 
 
 _SQRT2 = math.sqrt(2.0)

@@ -28,10 +28,10 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dsyev
 
 from . import kernels
 from .errors import ParameterDomainError
+from .lapack import dsyev
 from .model import ModelParams
 
 NORMALIZATION_TOL = 1e-8

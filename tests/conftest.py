@@ -3,9 +3,11 @@
 Everything here is deliberately independent of the package internals: direct
 quadrature, dense grid diagonalization, the dense full-space Fock Hamiltonian,
 explicit Gaussian algebra and high-precision series extraction, used to
-validate the closed forms and solvers against first principles. The polaron optimizer oracles (derivative-free
-minimization, re-optimized finite differences) evaluate the package's energy,
-which the quadrature oracles check.
+validate the closed forms and solvers against first principles. The
+position-space wavefunction, photon number and full-space vector of a ground
+state live here too, since only tests read them. The polaron optimizer
+oracles (derivative-free minimization, re-optimized finite differences)
+evaluate the package's energy, which the quadrature oracles check.
 """
 
 from __future__ import annotations
@@ -116,6 +118,48 @@ def grid_ground_energy(params: ModelParams, n: int = 2400, lim: float = 14.0) ->
     coupling = (Omega / 2.0) * np.eye(n)
     ham = np.block([[kin + v_plus, coupling], [coupling, kin + v_minus]])
     return float(np.linalg.eigvalsh(ham)[0])
+
+
+def oscillator_table(n_max, x):
+    """Normalized oscillator eigenfunctions h_0..h_n_max on the points x,
+    one row per n."""
+    # Normalized recurrence: overflow-free up to n ~ 1e4. h_0 underflows for
+    # |x| beyond ~38, in which case the column is exactly zero.
+    out = np.zeros((n_max + 1, x.size))
+    h0 = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    out[0] = h0
+    if n_max >= 1:
+        out[1] = math.sqrt(2.0) * x * h0
+    for n in range(1, n_max):
+        out[n + 1] = (
+            math.sqrt(2.0 / (n + 1.0)) * x * out[n]
+            - math.sqrt(n / (n + 1.0)) * out[n - 1]
+        )
+    return out
+
+
+def position_wavefunction(state, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Spin-component wavefunctions psi_sigma(x) = sum_n c_{sigma,n} h_n(x) of a
+    ``QuantumState``.
+
+    Uses the normalized oscillator recurrence (unit frequency in the
+    dimensionless position of the spin-dependent potential). Far outside the
+    classically allowed region h_n underflows and the result is 0.
+    """
+    table = oscillator_table(state.cutoff, np.asarray(grid, dtype=float))
+    return state.coeffs_plus @ table, state.coeffs_minus @ table
+
+
+def photon_number(state) -> float:
+    """Mean photon number of a ``QuantumState``, averaged over the two
+    (normalized) spin components."""
+    n = np.arange(state.cutoff + 1)
+    return float(0.5 * np.sum(n * (state.coeffs_plus ** 2 + state.coeffs_minus ** 2)))
+
+
+def full_vector(state) -> np.ndarray:
+    """Spin-major full-space vector of a ``QuantumState``, total norm 1."""
+    return np.concatenate([state.coeffs_plus, state.coeffs_minus]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)

@@ -362,7 +362,7 @@ IMPORT_BUDGET_SCRIPT = """
 import json, sys
 from qrabi.cli import main
 
-SLOW = ("scipy.optimize", "mpmath")
+SLOW = tuple(sys.argv[1:])
 loaded = {}
 ratios = ["-w", "0.05", "-w", "0.1", "-w", "0.2"]
 for name, args in (
@@ -375,22 +375,84 @@ for name, args in (
     if args is not None:
         main(args, standalone_mode=False)
     loaded[name] = [m for m in SLOW if m in sys.modules]
+# scipy.linalg is loaded by now (scipy.optimize imports it): it found the
+# _flapack module qrabi.lapack registered, so the extension was loaded once
+import qrabi.lapack
+import scipy.linalg.lapack
+loaded["shared _flapack"] = scipy.linalg.lapack._flapack is qrabi.lapack._flapack
+loaded["shared dstebz"] = scipy.linalg.lapack.dstebz is qrabi.lapack.dstebz
 print(json.dumps(loaded))
 """
 
 
-def test_ed_commands_load_neither_scipy_optimize_nor_mpmath(tmp_path):
+def _run_fresh(script, cwd, *argv):
+    """The last line of ``script``'s output, parsed as JSON, from a fresh
+    interpreter in ``cwd`` with its cache under ``cwd``."""
     import qrabi
 
     src = str(Path(qrabi.__file__).resolve().parents[1])
-    env = dict(os.environ, QRM_CACHE_DIR=str(tmp_path / "cache"),
+    env = dict(os.environ, QRM_CACHE_DIR=str(cwd / "cache"),
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-c", IMPORT_BUDGET_SCRIPT], cwd=tmp_path, env=env,
+    result = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    loaded = json.loads(result.stdout.strip().splitlines()[-1])
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_ed_commands_load_neither_scipy_optimize_nor_mpmath(tmp_path):
+    loaded = _run_fresh(IMPORT_BUDGET_SCRIPT, tmp_path, "scipy.optimize", "mpmath")
     for stage in ("import", "qfi-sweep", "map", "gc", "fit"):
         assert loaded[stage] == [], stage
     # the check is not vacuous: the PP optimizer does load scipy.optimize
     assert "scipy.optimize" in loaded["pp-sweep"]
     assert (tmp_path / "fit_result.json").exists()
+
+
+def test_ed_commands_leave_scipy_linalg_unloaded(tmp_path):
+    loaded = _run_fresh(IMPORT_BUDGET_SCRIPT, tmp_path, "scipy.linalg")
+    for stage in ("import", "qfi-sweep", "map", "gc", "fit"):
+        assert loaded[stage] == [], stage
+    # the check is not vacuous: the PP optimizer's scipy.optimize loads
+    # scipy.linalg, which then reuses the extension qrabi.lapack loaded
+    assert loaded["pp-sweep"] == ["scipy.linalg"]
+    assert loaded["shared _flapack"] is True
+    assert loaded["shared dstebz"] is True
+
+
+LAPACK_FALLBACK_SCRIPT = """
+import importlib.machinery, json, sys
+if sys.argv[1] == "fallback":
+    # no extension suffix: the lookup of scipy's _flapack file misses
+    importlib.machinery.EXTENSION_SUFFIXES = []
+import qrabi.lapack
+report = {"direct": qrabi.lapack._flapack is not None,
+          "scipy.linalg at import": "scipy.linalg" in sys.modules}
+from qrabi.cli import main
+main(["qfi-sweep", "--method", "ed", "-w", "0.1", "--gbar-steps", "5"], standalone_mode=False)
+main(["pp-sweep", "-w", "0.1", "--gbar-steps", "5"], standalone_mode=False)
+import scipy.linalg.lapack
+report["routines of scipy.linalg.lapack"] = all(
+    getattr(qrabi.lapack, name) is getattr(scipy.linalg.lapack, name)
+    for name in qrabi.lapack.__all__)
+print(json.dumps(report))
+"""
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_lapack_fallback_gives_identical_files(tmp_path):
+    direct, fallback = tmp_path / "direct", tmp_path / "fallback"
+    direct.mkdir()
+    fallback.mkdir()
+    assert _run_fresh(LAPACK_FALLBACK_SCRIPT, direct, "direct") == {
+        "direct": True, "scipy.linalg at import": False,
+        "routines of scipy.linalg.lapack": True}
+    assert _run_fresh(LAPACK_FALLBACK_SCRIPT, fallback, "fallback") == {
+        "direct": False, "scipy.linalg at import": True,
+        "routines of scipy.linalg.lapack": True}
+    files = _tree(direct)
+    assert "pp_sweep.csv" in files and any(name.startswith("cache") for name in files)
+    assert files == _tree(fallback)

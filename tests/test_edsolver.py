@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_hamiltonian, grid_ground_energy, sector_ground_pair, two_solve_qfi
+from conftest import (
+    build_hamiltonian,
+    full_vector,
+    grid_ground_energy,
+    photon_number,
+    position_wavefunction,
+    sector_ground_pair,
+    two_solve_qfi,
+)
 from qrabi import edsolver, qfi
 from qrabi.edsolver import (
     expectation_x,
@@ -13,8 +21,6 @@ from qrabi.edsolver import (
     ground_state_response,
     initial_cutoff,
     interlacing_bound,
-    photon_number,
-    position_wavefunction,
     sector_eigenpairs,
     truncation_cutoff,
 )
@@ -71,7 +77,7 @@ def test_state_invariants():
     state, _ = ground_state(params)
     # per-component normalization and global 1/sqrt(2)
     assert np.sum(state.coeffs_plus ** 2) == pytest.approx(1.0, abs=1e-12)
-    assert np.sum(state.full_vector() ** 2) == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(full_vector(state) ** 2) == pytest.approx(1.0, abs=1e-12)
     # parity relation between spin components
     signs = -((-1.0) ** np.arange(state.cutoff + 1))
     assert np.allclose(state.coeffs_minus, signs * state.coeffs_plus, atol=1e-10)

