@@ -5,6 +5,7 @@ bridges the QFI ridge to the observable ridge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ class ObservableSample:
     abs_x: float
     d_abs_x_dg: float | None = None
     velocity: float | None = None
-    acceleration: float | None = None
 
 
 def x_expectation_pp(ansatz: pp.PolaronAnsatz, params: ModelParams) -> float:
@@ -52,14 +52,36 @@ def _x_and_slope(response: GroundStateResponse) -> tuple[float, float, float]:
     return xp, xm, float(np.sign(xp)) * response.dx_plus_dg
 
 
+def _x_slope_pp(sweep: pp.PolaronSweep, flows: dict) -> np.ndarray:
+    """d<x>_+/dg_bar at every point of a sweep from the parameter flows.
+
+    <x>_+ = sum_ij w_i w_j S_ij xbar_ij with xbar_ij = -(xi_i x_i + xi_j x_j)/s
+    and s = xi_i + xi_j (``x_expectation_pp``). Through phi_i's parameters,
+    dxbar_ij/dx_i = -xi_i/s, dxbar_ij/dxi_i = -xi_j (x_i - x_j)/s^2 and dS_ij
+    comes from the overlap table; phi_j's part is the transpose.
+    """
+    t, w = flows["overlap_table"], flows["weights"]
+    g_tilde = math.sqrt(2.0) * ModelParams(sweep.omega, sweep.Omega, 0.0).gc0 / sweep.omega
+    xi = np.exp(sweep.p[:, 3:5, None])
+    x = sweep.p[:, 1:3, None] * (g_tilde * sweep.gbar)[:, None, None]
+    dx, dxi = flows["dx"][:, :, None], flows["dxi"][:, :, None]
+    xi_j, x_j = np.swapaxes(xi, 1, 2), np.swapaxes(x, 1, 2)
+    s = xi + xi_j
+    xbar = -(xi * x + xi_j * x_j) / s
+    d_i = ((t.dx_phi * dx + t.dxi_phi * dxi) * xbar
+           - t.s * (xi * dx + xi_j * (x - x_j) * dxi / s) / s)
+    return 2.0 * (np.einsum("ki,kij,kj->k", flows["dweights"], t.s * xbar, w)
+                  + np.einsum("ki,kij,kj->k", w, d_i, w))
+
+
 def susceptibility_sweep(omega: float, Omega: float, gbar_grid,
                          method: str = "ED") -> list[ObservableSample]:
-    """|<x>_+-| per grid point and its coupling derivative.
+    """|<x>_+-| per point of an ascending grid and its exact coupling derivative.
 
-    ED derivatives are exact (linear response at each point); PP derivatives
-    are central differences on the grid, and with method="PP" the
-    main-polaron velocity and acceleration are attached; a PP grid needs at
-    least two points, all distinct.
+    ED derivatives come from the linear response at each point. PP ones come
+    from the parameter flows of the continuation sweep over the grid
+    (``_x_slope_pp``), which also give the main-polaron velocity
+    v_p = d(zeta g_bar)/d g_bar attached with method="PP".
     """
     gbar = np.asarray(gbar_grid, dtype=float)
     if np.any(np.diff(gbar) < 0):
@@ -67,7 +89,7 @@ def susceptibility_sweep(omega: float, Omega: float, gbar_grid,
     base = ModelParams(omega, Omega, 0.0)
     g = gbar * base.gc0
 
-    velocity = acceleration = None
+    velocity = None
     if method == "ED":
         xp = np.empty(gbar.size)
         xm = np.empty(gbar.size)
@@ -76,21 +98,14 @@ def susceptibility_sweep(omega: float, Omega: float, gbar_grid,
             response = ground_state_response(base.with_g(float(g[k])))
             xp[k], xm[k], d_abs[k] = _x_and_slope(response)
     elif method == "PP":
-        # a repeated point is a zero step of the differences
-        if gbar.size < 2 or np.any(np.diff(gbar) == 0):
-            raise ParameterDomainError(
-                "PP derivatives need a g_bar grid of at least two distinct points")
         sweep = pp.continuation_sweep(omega, Omega, gbar)
         xp = np.array([
             x_expectation_pp(a, sweep.params_at(k)) for k, a in enumerate(sweep.ansatz)
         ])
         xm = -xp
-        zeta = np.array([a.zeta_alpha for a in sweep.ansatz])
-        x_pol = zeta * np.array([sweep.params_at(k).g_tilde for k in range(gbar.size)])
-        velocity = np.gradient(x_pol, g)
-        acceleration = np.gradient(velocity, g)
-        # central differences, one-sided at the ends
-        d_abs = np.gradient(np.abs(xp), g)
+        flows = pp.parameter_derivatives(sweep)
+        velocity = flows["velocity"]
+        d_abs = np.sign(xp) * _x_slope_pp(sweep, flows) / base.gc0
     else:
         raise ParameterDomainError(f"unknown method {method!r}")
 
@@ -104,7 +119,6 @@ def susceptibility_sweep(omega: float, Omega: float, gbar_grid,
             x_expect_plus=float(xp[k]), x_expect_minus=float(xm[k]),
             abs_x=float(abs_x[k]), d_abs_x_dg=float(d_abs[k]),
             velocity=None if velocity is None else float(velocity[k]),
-            acceleration=None if acceleration is None else float(acceleration[k]),
         ))
     return samples
 

@@ -521,9 +521,10 @@ def _newton(point: _Point, params: ModelParams) -> tuple[_Point, int, bool]:
 
 def _corrected(start: _Point, params: ModelParams, warm: PolaronAnsatz) -> _Point:
     """The Newton corrector from ``start``; single-start L-BFGS-B from
-    ``warm`` if the corrector cannot lower the energy at all."""
-    point, steps, stuck = _newton(start, params)
-    if stuck and steps == 0:
+    ``warm`` if the corrector stops because it cannot descend, kept if it
+    lowers the energy."""
+    point, _, stuck = _newton(start, params)
+    if stuck:
         ans = optimize(params, warm_start=warm, multi_start=False)
         if ans.energy < point.energy:
             point = _Point.at(_ansatz_to_vector(ans, params), params)
@@ -625,8 +626,8 @@ def parameter_derivatives(sweep: PolaronSweep) -> dict:
 
     Returns arrays over the points: the ``free`` component masks, the number
     of ``dropped`` flat directions, ``dpsi``, ``dzeta``, ``dxi``, ``dx``,
-    ``ds``, the ``weights`` and ``dweights``, and the ``overlap_table`` of
-    the point.
+    ``ds``, the main polaron's ``velocity`` v_p = d(zeta_alpha g_bar)/dg_bar,
+    the ``weights`` and ``dweights``, and the ``overlap_table`` of the point.
     """
     p = sweep.p
     free, lam, vec, stiff, refused = _spectra(p, sweep.hess)
@@ -646,7 +647,8 @@ def parameter_derivatives(sweep: PolaronSweep) -> dict:
     gc0 = ModelParams(sweep.omega, sweep.Omega, 0.0).gc0
     g_tilde = math.sqrt(2.0) * (gbar * gc0) / sweep.omega
     zeta = p[:, 1:3]
-    dx = (dzeta * gbar[:, None] + zeta) * math.sqrt(sweep.Omega / (2.0 * sweep.omega))
+    velocity = dzeta * gbar[:, None] + zeta     # d(zeta_i g_bar)/dg_bar
+    dx = velocity * math.sqrt(sweep.Omega / (2.0 * sweep.omega))
 
     # dS/dg_bar assembled from the same closed forms used in the QFI
     table = _overlap_table(xi, zeta * g_tilde[:, None])
@@ -664,6 +666,7 @@ def parameter_derivatives(sweep: PolaronSweep) -> dict:
         "dxi": dxi,
         "dx": dx,
         "ds": ds,
+        "velocity": velocity[:, 0],
         "weights": manifold[:, :2],
         "dweights": dweights,
         "overlap_table": table,

@@ -34,9 +34,11 @@ PEAK_XTOL = 1e-10
 # scipy.optimize.brentq's default and smallest relative tolerance
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
 BRENT_MAXITER = 100
-# the PP-full peak search: scan points over the range, then the golden-section
-# tolerance in g_bar around the largest
+# the PP maximum search: scan points over the range, then re-sweeps of the
+# bracket around the largest, each of PP_REFINE_POINTS points, until the
+# bracket is at most PP_REFINE_TOL in g_bar
 PP_SCAN_POINTS = 41
+PP_REFINE_POINTS = 9
 PP_REFINE_TOL = 1e-4
 
 
@@ -67,8 +69,9 @@ class PeakEstimate:
 
     ``bracket_width`` is the width in g_bar of the final interval known to
     hold the maximum; ``evaluations`` counts the ED ground-state responses
-    the search spent (0 on the PP route). A ``flat_peak`` has no interior
-    maximum in the search range and sits at the range end.
+    the search spent, or on the PP route the polaron sweep points it solved.
+    A ``flat_peak`` has no interior maximum in the search range and sits at
+    the range end.
     """
 
     g_cf: float
@@ -134,94 +137,68 @@ def qfi_pp_simplified(sweep: pp.PolaronSweep) -> np.ndarray:
     flows are refused. It equals the kinetic energy (1/2) m_F v_p^2 with
     m_F = 2 (Omega/omega) xi and polaron velocity v_p = d(zeta g_bar)/d g_bar.
     """
-    dzeta = pp.parameter_derivatives(sweep)["dzeta"][:, 0]
-    v_p = dzeta * sweep.gbar + sweep.p[:, 1]
+    v_p = pp.parameter_derivatives(sweep)["velocity"]
     return sweep.Omega / sweep.omega * v_p ** 2 * np.exp(sweep.p[:, 3])
 
 
-def qfi_pp_at(omega: float, Omega: float, gbar: float,
-              warm: pp.PolaronAnsatz | None = None) -> QfiSample:
-    """Polaron QFI at an arbitrary coupling: the one-point continuation sweep,
-    an optimization (single-start from ``warm`` when given) polished by the
-    sweep's Newton corrector, with the flows at the point. Without ``warm`` it
-    is the value a sweep through ``gbar`` has there.
+def _sweep_max(sweep: pp.PolaronSweep, quantity):
+    """Maximum of a per-point ``quantity`` of polaron sweeps: (g_bar, value,
+    bracket width, whether it sits at an end of ``sweep``, sweep points solved).
 
-    Raises ``DerivativeInvalidError`` where the flows are refused.
+    Takes the argmax over ``sweep``, skipping NaN points; an argmax at an end
+    is returned as it stands, with the spacing there as its width. Otherwise
+    the bracket of its two neighbours is swept again with PP_REFINE_POINTS
+    points, warm-started from the bracket's lower end, and the search repeats
+    on the new sweep, keeping its argmax off the ends, until the bracket is at
+    most PP_REFINE_TOL in g_bar.
     """
-    base = ModelParams(omega, Omega, 0.0)
-    params = base.with_g(gbar * base.gc0)
-    sweep = pp.continuation_sweep(omega, Omega, [gbar], warm_start=warm)
-    first, second = _pp_overlap_terms(sweep)
-    f_gbar = float(4.0 * (second - first ** 2)[0])
-    if not math.isfinite(f_gbar):
-        raise DerivativeInvalidError(f"energy Hessian not positive definite at g_bar = {gbar}")
-    return QfiSample(
-        g=params.g, g_bar=gbar, f_q_g=f_gbar / base.gc0 ** 2, f_q_gbar=f_gbar,
-        method="PP-full", first_derivative_term=float(first[0]),
-    )
-
-
-def _golden_max(f, lo, hi, tol):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, max(fc, fd), b - a
+    solved = 0
+    while True:
+        values = quantity(sweep)
+        if not np.any(np.isfinite(values)):
+            raise DerivativeInvalidError("the flows are refused at every sweep point")
+        n = sweep.gbar.size
+        k = int(np.nanargmax(values))
+        if solved:
+            k = min(max(k, 1), n - 2)
+        width = float(np.ptp(sweep.gbar[max(k - 1, 0):k + 2]))
+        flat = k in (0, n - 1)
+        if flat or width <= PP_REFINE_TOL:
+            return float(sweep.gbar[k]), float(values[k]), width, flat, solved
+        grid = np.linspace(sweep.gbar[k - 1], sweep.gbar[k + 1], PP_REFINE_POINTS)
+        sweep = pp.continuation_sweep(sweep.omega, sweep.Omega, grid,
+                                      warm_start=sweep.ansatz[k - 1])
+        solved += grid.size
 
 
 def find_peak(omega: float, Omega: float, method: str = "ED",
               gbar_range: tuple[float, float] = PEAK_RANGE) -> PeakEstimate:
-    """Locate the QFI maximum g_cF within ``gbar_range``.
+    """Locate the QFI maximum g_cF within ``gbar_range``, an interval lo < hi.
 
     ED: the root of the exact dF/dg_bar, bracketed from the gc2 estimate and
     refined by Brent's method to 1e-10 in g_bar (``_find_peak_ed``).
-    PP-full, which has no exact derivative: a scan of ``PP_SCAN_POINTS``
-    points, then golden-section refinement to ``PP_REFINE_TOL`` around the
-    largest; scan points with refused flows are skipped.
+    PP-full: the largest ``qfi_pp_full`` of a ``PP_SCAN_POINTS``-point sweep
+    over the range, refined by re-sweeps of its bracket to ``PP_REFINE_TOL``
+    (``_sweep_max``); points with refused flows are skipped.
     Without an interior maximum the search warns and returns the range end
     (ED) or the scan argmax (PP-full) with ``flat_peak=True``.
     """
     if method not in ("ED", "PP-full"):
         raise ParameterDomainError(f"unknown peak method {method!r}")
+    lo, hi = gbar_range
+    if not lo < hi:
+        raise ParameterDomainError(f"gbar_range must satisfy lo < hi, got {gbar_range}")
     if method == "ED":
         return _find_peak_ed(omega, Omega, gbar_range)
 
     base = ModelParams(omega, Omega, 0.0)
-    grid = np.linspace(gbar_range[0], gbar_range[1], PP_SCAN_POINTS)
-    sweep = pp.continuation_sweep(omega, Omega, grid)
-    values = qfi_pp_full(sweep)
-    if not np.any(np.isfinite(values)):
-        raise DerivativeInvalidError("the flows are refused at every scan point")
-    warm_by_gbar = dict(zip(np.round(grid, 12), sweep.ansatz))
-
-    def f(gbar):
-        key = min(warm_by_gbar, key=lambda gk: abs(gk - gbar))
-        return qfi_pp_at(omega, Omega, gbar, warm=warm_by_gbar[key]).f_q_gbar
-
-    k = int(np.nanargmax(values))
-    if k == 0 or k == len(grid) - 1:
+    scan = pp.continuation_sweep(omega, Omega, np.linspace(lo, hi, PP_SCAN_POINTS))
+    gbar_cf, f_max, width, flat, solved = _sweep_max(scan, qfi_pp_full)
+    if flat:
         warnings.warn("no interior QFI maximum in scan range; returning scan argmax")
-        gbar_cf = float(grid[k])
-        return PeakEstimate(
-            g_cf=gbar_cf * base.gc0, gbar_cf=gbar_cf, f_q_max=float(values[k]),
-            bracket_width=float(grid[1] - grid[0]), method=method, flat_peak=True,
-        )
-    gbar_cf, f_max, width = _golden_max(f, float(grid[k - 1]), float(grid[k + 1]),
-                                        PP_REFINE_TOL)
     return PeakEstimate(
-        g_cf=gbar_cf * base.gc0, gbar_cf=gbar_cf, f_q_max=float(f_max),
-        bracket_width=float(width), method=method,
+        g_cf=gbar_cf * base.gc0, gbar_cf=gbar_cf, f_q_max=f_max, bracket_width=width,
+        method=method, flat_peak=flat, evaluations=PP_SCAN_POINTS + solved,
     )
 
 
@@ -351,33 +328,17 @@ def _final_bracket(evaluated, root) -> float:
 
 
 def acceleration_condition(sweep: pp.PolaronSweep) -> CriticalEstimate:
-    """Transition coupling from the vanishing polaron acceleration: the sign
-    change of a = d^2(zeta g_bar)/d g_bar^2 of the main polaron."""
-    gbar = np.asarray(sweep.gbar, dtype=float)
-    zeta = np.array([a.zeta_alpha for a in sweep.ansatz])
-    xp = zeta * gbar
-    n = gbar.size
-    if n < 5:
-        raise QrabiError("sweep too short for second derivatives")
-
-    accel = np.gradient(np.gradient(xp, gbar), gbar)
-
-    interior = slice(2, n - 2)
-    idxs = np.arange(n)[interior]
-    vals = accel[interior]
-    root = None
-    for i in range(len(vals) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if not (np.isfinite(v0) and np.isfinite(v1)):
-            continue
-        if v0 > 0 and v1 <= 0:
-            g0, g1 = gbar[idxs[i]], gbar[idxs[i + 1]]
-            root = g0 + (g1 - g0) * v0 / (v0 - v1)
-            break
-    if root is None:
-        raise QrabiError("no sign change of the acceleration in the sweep range")
+    """Transition coupling from the vanishing polaron acceleration
+    a = dv_p/dg_bar: the maximum of the main polaron's velocity
+    v_p = d(zeta g_bar)/d g_bar from the exact flows, refined around the
+    sweep's largest v_p (``_sweep_max``). Raises ``QrabiError`` when v_p has
+    no interior maximum in the sweep, so that a does not vanish there.
+    """
+    gbar, _, _, flat, _ = _sweep_max(
+        sweep, lambda s: pp.parameter_derivatives(s)["velocity"])
+    if flat:
+        raise QrabiError("the polaron velocity has no interior maximum in the sweep")
     base = ModelParams(sweep.omega, sweep.Omega, 0.0)
     return CriticalEstimate(
-        value=float(root) * base.gc0, ratio=float(root),
-        method="a=0 crossing", freq_ratio=sweep.omega / sweep.Omega,
+        value=gbar * base.gc0, ratio=gbar, method="a=0", freq_ratio=sweep.omega / sweep.Omega,
     )

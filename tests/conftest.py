@@ -405,21 +405,15 @@ def fd_dfisher(params: ModelParams, h: float, step: float, cutoff: int) -> float
     return (8.0 * (f(1) - f(-1)) - (f(2) - f(-2))) / (12.0 * step)
 
 
-def golden_section_peak(omega: float, Omega: float, gbar_range=(0.5, 3.0),
-                        coarse_points: int = 41, refine_tol: float = 1e-4):
-    """(gbar_cF, F_Q per g_bar there) from a scan of ``qfi_ed`` and golden-section
+def golden_section_peak(f, gbar_range=(0.5, 3.0), coarse_points: int = 41,
+                        refine_tol: float = 1e-4):
+    """(gbar_cF, f there) of a function of g_bar from a scan and golden-section
     refinement around the scan's largest point.
 
-    The scan-and-refine peak search the root search on the exact dF/dg_bar
-    replaced, kept as its oracle; a maximum at a scan end raises.
+    The scan-and-refine peak search that the ED root search on the exact
+    dF/dg_bar and the PP re-sweep search replaced, kept as their oracle
+    (``ed_qfi``, ``pp_qfi``); a maximum at a scan end raises.
     """
-    from qrabi.qfi import qfi_ed
-
-    base = ModelParams(omega, Omega, 0.0)
-
-    def f(gbar):
-        return qfi_ed(base.with_g(gbar * base.gc0)).f_q_gbar
-
     grid = np.linspace(gbar_range[0], gbar_range[1], coarse_points)
     k = int(np.argmax([f(gb) for gb in grid]))
     if k in (0, coarse_points - 1):
@@ -438,6 +432,38 @@ def golden_section_peak(omega: float, Omega: float, gbar_range=(0.5, 3.0),
             d = a + invphi * (b - a)
             fd = f(d)
     return 0.5 * (a + b), max(fc, fd)
+
+
+def ed_qfi(omega: float, Omega: float):
+    """F_Q per g_bar of ``qfi_ed`` as a function of g_bar."""
+    from qrabi.qfi import qfi_ed
+
+    base = ModelParams(omega, Omega, 0.0)
+    return lambda gbar: qfi_ed(base.with_g(gbar * base.gc0)).f_q_gbar
+
+
+def pp_qfi(omega: float, Omega: float):
+    """F per g_bar of ``qfi_pp_full`` as a function of g_bar, each value from
+    a one-point continuation sweep (multi-start L-BFGS-B and the corrector)."""
+    from qrabi.qfi import qfi_pp_full
+
+    return lambda gbar: float(qfi_pp_full(polaron.continuation_sweep(omega, Omega, [gbar]))[0])
+
+
+def fd_acceleration_crossing(sweep) -> float:
+    """g_bar where a = d^2(zeta_alpha g_bar)/dg_bar^2 of a sweep's main polaron
+    first falls through zero, with a from two ``np.gradient`` passes on the
+    grid and the crossing interpolated linearly between interior points (two
+    from each end excluded): the rule ``qfi.acceleration_condition`` had
+    before it maximized the exact v_p, kept as its oracle."""
+    gbar = np.asarray(sweep.gbar, dtype=float)
+    zeta = np.array([a.zeta_alpha for a in sweep.ansatz])
+    accel = np.gradient(np.gradient(zeta * gbar, gbar), gbar)
+    for i in range(2, gbar.size - 3):
+        a0, a1 = accel[i], accel[i + 1]
+        if a0 > 0 and a1 <= 0:
+            return float(gbar[i] + (gbar[i + 1] - gbar[i]) * a0 / (a0 - a1))
+    raise AssertionError("the acceleration has no sign change in the sweep")
 
 
 def per_point_derivative_overlaps(ansatz: PolaronAnsatz, params: ModelParams):

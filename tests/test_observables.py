@@ -58,8 +58,24 @@ def test_susceptibility_sweep_pp_matches_ed_past_transition():
     pp = observables.susceptibility_sweep(0.1, 1.0, grid, method="PP")
     for a, b in zip(ed, pp):
         assert b.abs_x == pytest.approx(a.abs_x, rel=0.02)
-    assert pp[0].velocity is not None and pp[0].acceleration is not None
+    assert pp[0].velocity is not None
     assert ed[0].velocity is None
+
+
+def test_susceptibility_sweep_pp_slope_matches_central_differences():
+    # the exact d|<x>|/dg from the flows against central differences of |<x>|
+    # on a fine sweep past the transition
+    samples = observables.susceptibility_sweep(0.1, 1.0, np.linspace(1.35, 1.8, 901),
+                                               method="PP")
+    g = np.array([s.g for s in samples])
+    abs_x = np.array([s.abs_x for s in samples])
+    exact = np.array([s.d_abs_x_dg for s in samples])
+    central = (abs_x[2:] - abs_x[:-2]) / (g[2:] - g[:-2])
+    np.testing.assert_allclose(exact[1:-1], central, rtol=1e-5, atol=0.0)
+    # a one-point grid at either end gives the in-sweep value there
+    for k in (0, -1):
+        one = observables.susceptibility_sweep(0.1, 1.0, [samples[k].g_bar], method="PP")[0]
+        assert one.d_abs_x_dg == pytest.approx(exact[k], rel=1e-8)
 
 
 def test_susceptibility_sweep_zero_coupling():
@@ -77,9 +93,16 @@ def test_susceptibility_sweep_rejects_descending_grid():
 
 
 @pytest.mark.parametrize("grid", [[1.2], [1.2, 1.2], [1.0, 1.0, 1.2]])
-def test_susceptibility_sweep_pp_needs_two_distinct_points(grid):
-    with pytest.raises(ParameterDomainError, match="two distinct"):
-        observables.susceptibility_sweep(0.1, 1.0, grid, method="PP")
+def test_susceptibility_sweep_pp_accepts_any_ascending_grid(grid):
+    # the PP slope and velocity are per point: a single or repeated point
+    # gives the values a fine sweep has there, up to where the corrector stops
+    # (a jump of 0.2 in g_bar moves the point by up to 3e-6 relative in v_p)
+    fine = observables.susceptibility_sweep(0.1, 1.0, np.linspace(1.0, 1.2, 21), method="PP")
+    at = {round(s.g_bar, 12): s for s in fine}
+    for s in observables.susceptibility_sweep(0.1, 1.0, grid, method="PP"):
+        ref = at[round(s.g_bar, 12)]
+        assert s.d_abs_x_dg == pytest.approx(ref.d_abs_x_dg, rel=2e-7)
+        assert s.velocity == pytest.approx(ref.velocity, rel=1e-5)
 
 
 def test_coincidence_map_small():

@@ -513,16 +513,48 @@ def test_sweep_through_transition_reaches_cold_energy():
 
 
 def test_corrector_falls_back_to_lbfgsb_when_it_cannot_descend(monkeypatch):
-    # a corrector that stops at once without descending hands the point to
-    # single-start L-BFGS-B from the previous point's ansatz
-    monkeypatch.setattr(polaron, "_newton", lambda point, params: (point, 0, True))
+    # a corrector that stops without descending, at once or after some steps,
+    # hands the point to single-start L-BFGS-B from the previous point's ansatz
     calls = []
     optimize_fn = polaron.optimize
     monkeypatch.setattr(polaron, "optimize",
                         lambda *a, **k: calls.append(k) or optimize_fn(*a, **k))
-    sweep = continuation_sweep(0.1, 1.0, [1.2, 1.25])
-    assert calls[1:] == [{"warm_start": sweep.ansatz[0], "multi_start": False}]
-    assert sweep.ansatz[1].energy <= optimize_fn(sweep.params_at(1)).energy + 1e-12
+    for steps in (0, 2):
+        monkeypatch.setattr(polaron, "_newton", lambda point, params: (point, steps, True))
+        calls.clear()
+        sweep = continuation_sweep(0.1, 1.0, [1.2, 1.25])
+        assert calls[1:] == [{"warm_start": sweep.ansatz[0], "multi_start": False}]
+        assert sweep.ansatz[1].energy <= optimize_fn(sweep.params_at(1)).energy + 1e-12
+
+
+@pytest.mark.parametrize("ratio, gbar", [(0.02, 0.14875), (1.0, 0.375875)])
+def test_corrector_stuck_after_steps_gets_the_fallback(ratio, gbar, monkeypatch):
+    # on these grids the corrector stops stuck after one or two steps at one
+    # point each; L-BFGS-B runs there, and the point keeps an energy no higher
+    stuck = {}
+    newton_fn = polaron._newton
+
+    def newton(point, params):
+        result = newton_fn(point, params)
+        if result[2]:
+            stuck[params.g_bar] = result
+        return result
+
+    monkeypatch.setattr(polaron, "_newton", newton)
+    fallbacks = []
+    optimize_fn = polaron.optimize
+
+    def optimize(params, **kwargs):
+        if kwargs.get("multi_start") is False:
+            fallbacks.append(params.g_bar)
+        return optimize_fn(params, **kwargs)
+
+    monkeypatch.setattr(polaron, "optimize", optimize)
+    sweep = continuation_sweep(ratio, 1.0, np.linspace(0.05, 4.0, 401))
+    assert any(abs(g - gbar) < 1e-12 and steps > 0 for g, (_, steps, _) in stuck.items())
+    assert fallbacks == list(stuck)
+    for g, (point, _, _) in stuck.items():
+        assert sweep.ansatz[int(np.argmin(np.abs(sweep.gbar - g)))].energy <= point.energy
 
 
 def test_qfi_pass_of_a_sweep_makes_no_hessian_evaluation(monkeypatch):

@@ -5,11 +5,14 @@ import pytest
 
 from conftest import (
     aligned,
+    ed_qfi,
+    fd_acceleration_crossing,
     fd_dfisher,
     fd_qfi,
     golden_section_peak,
     overlap_fidelity,
     per_point_qfi_pp,
+    pp_qfi,
 )
 from qrabi import edsolver, polaron, qfi
 from qrabi.critical import DEFAULT_FIT_GRID, gc2
@@ -170,19 +173,6 @@ def test_pp_simplified_is_leading_order_of_full():
     assert simp == pytest.approx(full, rel=0.35)
 
 
-def test_pp_at_is_the_sweep_value_at_its_point():
-    # the optimizer point polished by the sweep's Newton corrector: at w/W 0.005,
-    # gbar 0.8, in the flat valley below the transition, the bare L-BFGS-B point
-    # gave an F_Q 2.5e-6 away from the sweep's
-    for omega, gbar in ((0.1, 1.3), (0.005, 0.8)):
-        sweep = _sweep(omega, gbar, gbar, 1)
-        sample = qfi.qfi_pp_at(omega, 1.0, gbar)
-        assert sample.f_q_gbar == pytest.approx(qfi.qfi_pp_full(sweep)[0], rel=1e-12)
-        assert sample.f_q_g == pytest.approx(
-            sample.f_q_gbar / ModelParams(omega, 1.0, 0.0).gc0 ** 2, rel=1e-14)
-        assert abs(sample.first_derivative_term) < 1e-10
-
-
 def test_find_peak_matches_gc2():
     from qrabi.critical import gc2
 
@@ -196,6 +186,19 @@ def test_find_peak_methods_agree():
     ed = qfi.find_peak(0.2, 1.0, method="ED")
     pp = qfi.find_peak(0.2, 1.0, method="PP-full")
     assert pp.gbar_cf == pytest.approx(ed.gbar_cf, rel=0.03)
+
+
+@pytest.mark.parametrize("method", ["ED", "PP-full"])
+@pytest.mark.parametrize("gbar_range", [(3.0, 0.5), (1.2, 1.2)])
+def test_find_peak_rejects_an_empty_range(method, gbar_range, monkeypatch):
+    # both routes refuse lo >= hi before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the range was checked")
+
+    monkeypatch.setattr(qfi, "ground_state_response", no_solve)
+    monkeypatch.setattr(polaron, "continuation_sweep", no_solve)
+    with pytest.raises(ParameterDomainError, match="lo < hi"):
+        qfi.find_peak(0.1, 1.0, method=method, gbar_range=gbar_range)
 
 
 def test_find_peak_flat_warns():
@@ -242,8 +245,26 @@ def test_find_peak_ed_root_search(ratio, monkeypatch):
 
 @pytest.mark.parametrize("ratio", DEFAULT_FIT_GRID)
 def test_find_peak_matches_golden_section(ratio):
-    gbar_ref, _ = golden_section_peak(ratio, 1.0)
+    gbar_ref, _ = golden_section_peak(ed_qfi(ratio, 1.0))
     assert qfi.find_peak(ratio, 1.0, method="ED").gbar_cf == pytest.approx(gbar_ref, abs=1e-4)
+
+
+@pytest.mark.parametrize("ratio", [0.1, 0.2])
+def test_find_peak_pp_matches_golden_section(ratio, monkeypatch):
+    # the oracle probes one-point sweeps; F_PP itself differs by up to 1.4e-7
+    # relative between sweeps through the same g_bar (the corrector's stop at
+    # rounding leaves projected gradients up to 5e-8), hence the bound on F
+    gbar_ref, f_ref = golden_section_peak(pp_qfi(ratio, 1.0))
+    solved = []
+    sweep = polaron.continuation_sweep
+    monkeypatch.setattr(polaron, "continuation_sweep",
+                        lambda o, O, grid, **k: solved.append(len(grid)) or sweep(o, O, grid, **k))
+    est = qfi.find_peak(ratio, 1.0, method="PP-full")
+    assert est.gbar_cf == pytest.approx(gbar_ref, abs=1e-4)
+    assert est.f_q_max == pytest.approx(f_ref, rel=1e-6)
+    assert not est.flat_peak and est.bracket_width <= qfi.PP_REFINE_TOL
+    assert est.evaluations == sum(solved)
+    assert solved[0] == qfi.PP_SCAN_POINTS and set(solved[1:]) == {qfi.PP_REFINE_POINTS}
 
 
 def _recorded(f):
@@ -307,26 +328,23 @@ def test_brent_port_edge_cases():
         qfi._brentq(lambda x: math.cos(x) - x, 0.0, 1.0, 1e-12, maxiter=2)
 
 
-def test_acceleration_condition_synthetic_zeta():
-    # sigmoid displacement x(gbar) = 1/(1+exp(-k(gbar-gc))): the acceleration
-    # x'' changes sign exactly at the inflection point gc
-    gc, k = 1.29, 8.0
-    gbar = np.linspace(1.02, 2.2, 1200)
-    xp = 1.0 / (1.0 + np.exp(-k * (gbar - gc)))
-    zeta = xp / gbar
-    ansatz = [
-        polaron.PolaronAnsatz(1.0, 0.0, z, -z, 1.0, 1.0, energy=0.0) for z in zeta
-    ]
-    sweep = polaron.PolaronSweep(0.1, 1.0, gbar, ansatz)
+def test_acceleration_condition_matches_fd_oracle():
+    # criterion 08's sweep: the maximum of the exact v_p against the crossing
+    # of the twice-differenced displacement on the grid
+    sweep = polaron.continuation_sweep(0.1, 1.0, np.linspace(0.76, 1.64, 45))
     est = qfi.acceleration_condition(sweep)
-    assert est.ratio == pytest.approx(gc, abs=1e-3)
+    assert est.ratio == pytest.approx(fd_acceleration_crossing(sweep), abs=1e-3)
+    assert est.value == pytest.approx(est.ratio * ModelParams(0.1, 1.0, 0.0).gc0, rel=1e-15)
+    # a maximum: v_p there is not below v_p at +-3e-4 on a sweep through it
+    around = polaron.continuation_sweep(0.1, 1.0, est.ratio + np.array([-3e-4, 0.0, 3e-4]))
+    v_p = polaron.parameter_derivatives(around)["velocity"]
+    assert v_p[1] >= max(v_p[0], v_p[2])
 
 
 def test_acceleration_condition_requires_sign_change():
-    # frozen ansatz: zeta identically zero, no acceleration zero crossing
-    gbar = np.linspace(0.5, 0.7, 9)
-    ansatz = [polaron.PolaronAnsatz(1.0, 0.0, 0.0, 0.0, 1.0, 1.0, energy=0.0)] * 9
-    sweep = polaron.PolaronSweep(0.1, 1.0, gbar, ansatz)
+    # past the transition v_p falls over the whole sweep: a does not vanish
+    sweep = polaron.continuation_sweep(0.1, 1.0, np.linspace(1.5, 1.8, 7))
+    assert np.all(np.diff(polaron.parameter_derivatives(sweep)["velocity"]) < 0)
     with pytest.raises(QrabiError):
         qfi.acceleration_condition(sweep)
 
