@@ -4,7 +4,8 @@ Subcommands: qfi-sweep, pp-sweep, gc, fit, map, verify. Curves are written as
 CSV (via the sweep-store format), fit and peak summaries as JSON; plotting is
 left to external tools.
 
-Exit codes: 0 success, 2 configuration error, 3 partial numerical failure.
+Exit codes: 0 success, 2 configuration error (an option outside its domain
+included), 3 partial numerical failure.
 An unexpected internal error ends with a Python traceback and exit status 1.
 """
 
@@ -29,6 +30,8 @@ EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 
 DEFAULT_FREQS = critical.DEFAULT_FIT_GRID
+# the domain of every frequency-ratio option
+POSITIVE = click.FloatRange(min=0.0, min_open=True)
 # the numerics families behind a qfi-sweep record, by --method
 SWEEP_FAMILIES = {"ed": ("ed",), "pp": ("pp",), "both": ("ed", "pp")}
 
@@ -39,8 +42,8 @@ def _cache_dir(cache):
 
 
 def _gbar_grid(gbar_min, gbar_max, gbar_steps):
-    if gbar_max <= gbar_min or gbar_steps < 2:
-        raise click.UsageError("need gbar-max > gbar-min and gbar-steps >= 2")
+    if gbar_min < 0 or gbar_max <= gbar_min or gbar_steps < 2:
+        raise click.UsageError("need 0 <= gbar-min < gbar-max and gbar-steps >= 2")
     return np.linspace(gbar_min, gbar_max, gbar_steps)
 
 
@@ -50,7 +53,7 @@ def main():
 
 
 @main.command("qfi-sweep")
-@click.option("--omega-ratio", "-w", multiple=True, type=float,
+@click.option("--omega-ratio", "-w", multiple=True, type=POSITIVE,
               default=DEFAULT_FREQS, show_default=True,
               help="Frequency ratios omega/Omega (repeatable).")
 @click.option("--gbar-min", default=0.5, show_default=True, type=float)
@@ -129,7 +132,7 @@ def _compute_qfi_sweep(omega, Omega, grid, method, gc2_variant, meta):
 
 
 @main.command("pp-sweep")
-@click.option("--omega-ratio", "-w", type=float, required=True)
+@click.option("--omega-ratio", "-w", type=POSITIVE, required=True)
 @click.option("--gbar-min", default=0.5, show_default=True, type=float)
 @click.option("--gbar-max", default=2.0, show_default=True, type=float)
 @click.option("--gbar-steps", default=151, show_default=True, type=int)
@@ -162,27 +165,34 @@ def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out):
         sys.exit(EXIT_PARTIAL)
 
 
-def _peak_cached(omega, Omega, cache_dir):
-    """ED QFI peak, from the cache when a record of the same search exists."""
+def _peak_cached(ratio, cache_dir):
+    """ED QFI peak g_bar at omega/Omega = ratio, from the cache when a record
+    of the same search exists; NaN, named on stderr and not cached, when the
+    search fails."""
+    omega, Omega = float(ratio), 1.0
     meta = {"kind": "qfi-peak", "omega": omega, "Omega": Omega,
-            "grid": list(qfi.PEAK_RANGE), "tolerances": {"tol": ENERGY_TOL, "method": "ED"},
+            "grid": [], "tolerances": {"tol": ENERGY_TOL, "method": "ED"},
             "code_version": store.code_version("ed")}
     digest = store.compute_hash(meta)
     record = store.lookup(cache_dir, digest)
     if record is not None:
-        return float(record.column("gbar_cf")[0]), record
-    est = qfi.find_peak(omega, Omega, method="ED", gbar_range=qfi.PEAK_RANGE)
+        return float(record.column("gbar_cf")[0])
+    try:
+        est = qfi.find_peak(omega, Omega, method="ED")
+    except QrabiError as exc:
+        click.echo(f"omega/Omega = {ratio:g}: QFI peak search failed: {exc}", err=True)
+        return math.nan
     record = store.SweepRecord(
         meta=meta, columns=["gbar_cf", "g_cf", "f_q_max", "bracket_width", "evaluations"],
         data=np.array([[est.gbar_cf, est.g_cf, est.f_q_max, est.bracket_width,
                         est.evaluations]]),
     )
     store.store(cache_dir, record)
-    return est.gbar_cf, record
+    return est.gbar_cf
 
 
 @main.command("gc")
-@click.option("--omega-ratio", "-w", multiple=True, type=float, default=DEFAULT_FREQS,
+@click.option("--omega-ratio", "-w", multiple=True, type=POSITIVE, default=DEFAULT_FREQS,
               show_default=True)
 @click.option("--dc1", default=critical.DEFAULT_DC1, show_default=True, type=float)
 @click.option("--with-peaks/--no-peaks", default=False, show_default=True,
@@ -190,7 +200,11 @@ def _peak_cached(omega, Omega, cache_dir):
 @click.option("--cache", default=".qrabi_cache", show_default=True)
 @click.option("--out", default="gc_table.csv", show_default=True)
 def cmd_gc(omega_ratio, dc1, with_peaks, cache, out):
-    """Critical-coupling table in the gc0, gc1 and gc2 scalings."""
+    """Critical-coupling table in the gc0, gc1 and gc2 scalings.
+
+    A ratio whose peak search fails has status 1 and g_cF = -1, and the
+    command exits 3.
+    """
     cache_dir = _cache_dir(cache)
     rows = []
     for ratio in omega_ratio:
@@ -206,16 +220,14 @@ def cmd_gc(omega_ratio, dc1, with_peaks, cache, out):
         if outside:
             click.echo(f"warning: omega/Omega = {ratio:g} is outside the gc2 series' range: "
                        f"gc2/gc0 = {', '.join(outside)} (<= 1)", err=True)
-        gcf = math.nan
-        if with_peaks:
-            gbar_cf, _ = _peak_cached(omega, Omega, cache_dir)
-            gcf = gbar_cf * g0.value
+        gcf = _peak_cached(ratio, cache_dir) * g0.value if with_peaks else math.nan
         rows.append([
             ratio, g0.value, g1.value, gx.value, g2a.value, g2b.value, g2c.value,
             gcf,
             g1.value / g0.value, gx.value / g0.value, g2a.value / g0.value,
             g2a.value / g1.value,
             gcf / g2a.value if math.isfinite(gcf) else -1.0,
+            float(with_peaks and math.isnan(gcf)),
         ])
     meta = {"kind": "gc-table", "omega": list(omega_ratio), "Omega": 1.0,
             "grid": [], "tolerances": {"dc1": dc1, "tol": ENERGY_TOL},
@@ -225,27 +237,31 @@ def cmd_gc(omega_ratio, dc1, with_peaks, cache, out):
         columns=["omega_ratio", "gc0", "gc1", "gcxi", "gc2_alphaFS",
                  "gc2_fourThirds", "gc2_fitted", "g_cF",
                  "gc1_over_gc0", "gcxi_over_gc0", "gc2_over_gc0",
-                 "gc2_over_gc1", "gcF_over_gc2"],
+                 "gc2_over_gc1", "gcF_over_gc2", "status"],
         data=np.nan_to_num(np.array(rows), nan=-1.0),
     )
     store.save(record, out)
     click.echo(f"wrote {out}")
+    if any(row[-1] for row in rows):
+        sys.exit(EXIT_PARTIAL)
 
 
 @main.command("fit")
-@click.option("--omega-ratio", "-w", multiple=True, type=float, default=DEFAULT_FREQS,
+@click.option("--omega-ratio", "-w", multiple=True, type=POSITIVE, default=DEFAULT_FREQS,
               show_default=True)
 @click.option("--max-order", default=9, show_default=True, type=int)
 @click.option("--cache", default=".qrabi_cache", show_default=True)
 @click.option("--out", default="fit_result.json", show_default=True)
 def cmd_fit(omega_ratio, max_order, cache, out):
-    """Fractional vs integer-power least-squares fits of cached g_cF data."""
+    """Fractional vs integer-power least-squares fits of cached g_cF data.
+
+    Ratios whose peak search fails are named on stderr and left out of the
+    fits, and the command exits 3.
+    """
     cache_dir = _cache_dir(cache)
-    data = []
-    for ratio in omega_ratio:
-        gbar_cf, _ = _peak_cached(float(ratio), 1.0, cache_dir)
-        data.append((ratio, gbar_cf - 1.0))
-    data = np.array(data)
+    peaks = [(ratio, _peak_cached(ratio, cache_dir) - 1.0) for ratio in omega_ratio]
+    data = np.array([row for row in peaks if math.isfinite(row[1])])
+    failed = len(data) < len(peaks)
     results = []
     for order in range(2, max_order + 1):
         if data.shape[0] < order + 1:
@@ -258,15 +274,17 @@ def cmd_fit(omega_ratio, max_order, cache, out):
             })
     if not results:
         click.echo("insufficient data points for fitting", err=True)
-        sys.exit(EXIT_CONFIG)
+        sys.exit(EXIT_PARTIAL if failed else EXIT_CONFIG)
     payload = {"data": data.tolist(), "fits": results}
     Path(out).write_text(json.dumps(payload, indent=2) + "\n")
     click.echo(f"wrote {out}")
+    if failed:
+        sys.exit(EXIT_PARTIAL)
 
 
 @main.command("map")
-@click.option("--omega-min", default=0.02, show_default=True, type=float)
-@click.option("--omega-max", default=0.5, show_default=True, type=float)
+@click.option("--omega-min", default=0.02, show_default=True, type=POSITIVE)
+@click.option("--omega-max", default=0.5, show_default=True, type=POSITIVE)
 @click.option("--omega-steps", default=25, show_default=True, type=int)
 @click.option("--gbar-min", default=0.8, show_default=True, type=float)
 @click.option("--gbar-max", default=2.0, show_default=True, type=float)

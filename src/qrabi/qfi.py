@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +28,14 @@ from .edsolver import ground_state_response
 from .errors import DerivativeInvalidError, NonconvergenceError, ParameterDomainError, QrabiError
 from .model import ModelParams
 
-PEAK_RANGE = (0.5, 3.0)
 PEAK_XTOL = 1e-10
 # scipy.optimize.brentq's default and smallest relative tolerance
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
 BRENT_MAXITER = 100
-# the PP maximum search: scan points over the range, then re-sweeps of the
-# bracket around the largest, each of PP_REFINE_POINTS points, until the
-# bracket is at most PP_REFINE_TOL in g_bar
+# the PP maximum search: PP_SCAN_POINTS points over PP_SCAN_RANGE, then
+# re-sweeps of the bracket around the largest, each of PP_REFINE_POINTS
+# points, until the bracket is at most PP_REFINE_TOL in g_bar
+PP_SCAN_RANGE = (0.5, 3.0)
 PP_SCAN_POINTS = 41
 PP_REFINE_POINTS = 9
 PP_REFINE_TOL = 1e-4
@@ -70,8 +69,6 @@ class PeakEstimate:
     ``bracket_width`` is the width in g_bar of the final interval known to
     hold the maximum; ``evaluations`` counts the ED ground-state responses
     the search spent, or on the PP route the polaron sweep points it solved.
-    A ``flat_peak`` has no interior maximum in the search range and sits at
-    the range end.
     """
 
     g_cf: float
@@ -79,7 +76,6 @@ class PeakEstimate:
     f_q_max: float
     bracket_width: float
     method: str
-    flat_peak: bool = False
     evaluations: int = 0
 
 
@@ -142,15 +138,15 @@ def qfi_pp_simplified(sweep: pp.PolaronSweep) -> np.ndarray:
 
 
 def _sweep_max(sweep: pp.PolaronSweep, quantity):
-    """Maximum of a per-point ``quantity`` of polaron sweeps: (g_bar, value,
-    bracket width, whether it sits at an end of ``sweep``, sweep points solved).
+    """Interior maximum of a per-point ``quantity`` of polaron sweeps:
+    (g_bar, value, bracket width, sweep points solved).
 
-    Takes the argmax over ``sweep``, skipping NaN points; an argmax at an end
-    is returned as it stands, with the spacing there as its width. Otherwise
-    the bracket of its two neighbours is swept again with PP_REFINE_POINTS
-    points, warm-started from the bracket's lower end, and the search repeats
-    on the new sweep, keeping its argmax off the ends, until the bracket is at
-    most PP_REFINE_TOL in g_bar.
+    Takes the argmax over ``sweep``, skipping NaN points, and raises
+    ``QrabiError`` when it sits at an end of ``sweep``. Otherwise the bracket
+    of its two neighbours is swept again with PP_REFINE_POINTS points,
+    warm-started from the bracket's lower end, and the search repeats on the
+    new sweep, keeping its argmax off the ends, until the bracket is at most
+    PP_REFINE_TOL in g_bar.
     """
     solved = 0
     while True:
@@ -161,59 +157,56 @@ def _sweep_max(sweep: pp.PolaronSweep, quantity):
         k = int(np.nanargmax(values))
         if solved:
             k = min(max(k, 1), n - 2)
-        width = float(np.ptp(sweep.gbar[max(k - 1, 0):k + 2]))
-        flat = k in (0, n - 1)
-        if flat or width <= PP_REFINE_TOL:
-            return float(sweep.gbar[k]), float(values[k]), width, flat, solved
+        elif k in (0, n - 1):
+            raise QrabiError(f"no interior maximum in the sweep over g_bar "
+                             f"[{sweep.gbar[0]:g}, {sweep.gbar[-1]:g}]")
+        width = float(np.ptp(sweep.gbar[k - 1:k + 2]))
+        if width <= PP_REFINE_TOL:
+            return float(sweep.gbar[k]), float(values[k]), width, solved
         grid = np.linspace(sweep.gbar[k - 1], sweep.gbar[k + 1], PP_REFINE_POINTS)
         sweep = pp.continuation_sweep(sweep.omega, sweep.Omega, grid,
                                       warm_start=sweep.ansatz[k - 1])
         solved += grid.size
 
 
-def find_peak(omega: float, Omega: float, method: str = "ED",
-              gbar_range: tuple[float, float] = PEAK_RANGE) -> PeakEstimate:
-    """Locate the QFI maximum g_cF within ``gbar_range``, an interval lo < hi.
+def find_peak(omega: float, Omega: float, method: str = "ED") -> PeakEstimate:
+    """Locate the QFI maximum g_cF: an interior maximum, or ``QrabiError``.
 
-    ED: the root of the exact dF/dg_bar, bracketed from the gc2 estimate and
-    refined by Brent's method to 1e-10 in g_bar (``_find_peak_ed``).
+    ED: the root of the exact dF/dg_bar, bracketed by an uphill walk from the
+    gc2 estimate and refined by Brent's method to 1e-10 in g_bar
+    (``_find_peak_ed``); the walk has no fixed range.
     PP-full: the largest ``qfi_pp_full`` of a ``PP_SCAN_POINTS``-point sweep
-    over the range, refined by re-sweeps of its bracket to ``PP_REFINE_TOL``
-    (``_sweep_max``); points with refused flows are skipped.
-    Without an interior maximum the search warns and returns the range end
-    (ED) or the scan argmax (PP-full) with ``flat_peak=True``.
+    over ``PP_SCAN_RANGE``, refined by re-sweeps of its bracket to
+    ``PP_REFINE_TOL`` (``_sweep_max``); points with refused flows are skipped,
+    and a largest value at an end of the scan raises.
     """
     if method not in ("ED", "PP-full"):
         raise ParameterDomainError(f"unknown peak method {method!r}")
-    lo, hi = gbar_range
-    if not lo < hi:
-        raise ParameterDomainError(f"gbar_range must satisfy lo < hi, got {gbar_range}")
     if method == "ED":
-        return _find_peak_ed(omega, Omega, gbar_range)
+        return _find_peak_ed(omega, Omega)
 
     base = ModelParams(omega, Omega, 0.0)
-    scan = pp.continuation_sweep(omega, Omega, np.linspace(lo, hi, PP_SCAN_POINTS))
-    gbar_cf, f_max, width, flat, solved = _sweep_max(scan, qfi_pp_full)
-    if flat:
-        warnings.warn("no interior QFI maximum in scan range; returning scan argmax")
+    scan = pp.continuation_sweep(omega, Omega, np.linspace(*PP_SCAN_RANGE, PP_SCAN_POINTS))
+    gbar_cf, f_max, width, solved = _sweep_max(scan, qfi_pp_full)
     return PeakEstimate(
         g_cf=gbar_cf * base.gc0, gbar_cf=gbar_cf, f_q_max=f_max, bracket_width=width,
-        method=method, flat_peak=flat, evaluations=PP_SCAN_POINTS + solved,
+        method=method, evaluations=PP_SCAN_POINTS + solved,
     )
 
 
-def _find_peak_ed(omega, Omega, gbar_range) -> PeakEstimate:
+def _find_peak_ed(omega, Omega) -> PeakEstimate:
     """Root of dF/dg_bar = gc0^3 dF_Q/dg, every evaluation exact.
 
-    Starts at the gc2 estimate clamped into the range and walks uphill in
-    steps that double from 0.05 |gc2 - 1| + 1e-3 until dF/dg_bar changes
-    sign, then runs Brent's method on the bracket; a walk that reaches the
-    range end without one stops there with ``flat_peak=True``. Each g_bar is
-    evaluated once: Brent reuses the walk's endpoints and its root is a point
-    it evaluated, so F there is already known.
+    Starts at max(gc2 alphaFS ratio, 1) and walks uphill with no end, in
+    steps that double from 0.05 (start - 1) + 1e-3, until dF/dg_bar changes
+    sign, then runs Brent's method on the bracket. A walk that meets no sign
+    change ends in an error: once its cutoff passes
+    ``edsolver.HARD_CUTOFF_LIMIT`` the solve raises ``NonconvergenceError``
+    (below g_bar = 0, ``ParameterDomainError``). Each g_bar is evaluated
+    once: Brent reuses the walk's endpoints and its root is a point it
+    evaluated, so F there is already known.
     """
     base = ModelParams(omega, Omega, 0.0)
-    lo, hi = gbar_range
     evaluated: dict[float, tuple[float, float]] = {}
 
     def evaluate(gbar):
@@ -226,24 +219,14 @@ def _find_peak_ed(omega, Omega, gbar_range) -> PeakEstimate:
     def slope(gbar):
         return evaluate(gbar)[1]
 
-    estimate = gc2(omega, Omega, "alphaFS").ratio
-    gbar = min(max(estimate, lo), hi)
+    # the alphaFS ratio falls below 1 once omega/Omega exceeds about 36, and
+    # far below 0 from about 1e5, where it would size a first step past the
+    # cutoff limit; the slope, not the estimate, sets the walk's direction
+    gbar = max(gc2(omega, Omega, "alphaFS").ratio, 1.0)
     uphill = math.copysign(1.0, slope(gbar))
-    # the estimate sets the size of the first step, the slope its sign: the
-    # alphaFS ratio falls below 1 once omega/Omega exceeds about 36
-    step = 0.05 * abs(estimate - 1.0) + 1e-3
+    step = 0.05 * (gbar - 1.0) + 1e-3
     while True:
-        nxt = min(max(gbar + uphill * step, lo), hi)
-        if nxt == gbar:
-            # the walk stands at the range end it was heading for
-            warnings.warn("no interior QFI maximum in gbar_range; returning the range end")
-            # the width is the last walk step, 0 when the walk starts at the end
-            width = min((abs(g - gbar) for g in evaluated if g != gbar), default=0.0)
-            return PeakEstimate(
-                g_cf=gbar * base.gc0, gbar_cf=gbar, f_q_max=evaluate(gbar)[0],
-                bracket_width=width, method="ED", flat_peak=True,
-                evaluations=len(evaluated),
-            )
+        nxt = gbar + uphill * step
         if slope(nxt) * uphill <= 0.0:
             break
         gbar, step = nxt, 2.0 * step
@@ -334,10 +317,7 @@ def acceleration_condition(sweep: pp.PolaronSweep) -> CriticalEstimate:
     sweep's largest v_p (``_sweep_max``). Raises ``QrabiError`` when v_p has
     no interior maximum in the sweep, so that a does not vanish there.
     """
-    gbar, _, _, flat, _ = _sweep_max(
-        sweep, lambda s: pp.parameter_derivatives(s)["velocity"])
-    if flat:
-        raise QrabiError("the polaron velocity has no interior maximum in the sweep")
+    gbar, _, _, _ = _sweep_max(sweep, lambda s: pp.parameter_derivatives(s)["velocity"])
     base = ModelParams(sweep.omega, sweep.Omega, 0.0)
     return CriticalEstimate(
         value=gbar * base.gc0, ratio=gbar, method="a=0", freq_ratio=sweep.omega / sweep.Omega,

@@ -334,10 +334,61 @@ def test_peak_record_carries_search_diagnostics(runner, tmp_path):
     est = qfi.find_peak(0.2, 1.0, method="ED")
     records = [store.load(path) for path in cache.glob("*.sweep")]
     (record,) = [rec for rec in records if rec.meta["kind"] == "qfi-peak"]
-    assert record.meta["grid"] == list(qfi.PEAK_RANGE)
+    assert record.meta["grid"] == []
     assert record.columns == ["gbar_cf", "g_cf", "f_q_max", "bracket_width", "evaluations"]
     assert record.data[0].tolist() == [est.gbar_cf, est.g_cf, est.f_q_max,
                                        est.bracket_width, est.evaluations]
+
+
+def test_gc_peaks_past_the_old_search_range(runner, tmp_path):
+    # the peaks lie at g_bar 4.3140 and 12.987, beyond the former search
+    # window (0.5, 3), whose end the search used to return
+    out = tmp_path / "gc.csv"
+    result = _invoke(runner, ["gc", "--with-peaks", "-w", "5", "-w", "50",
+                              "--out", str(out), "--cache", str(tmp_path / "c")])
+    assert result.exit_code == 0
+    rec = store.load(out)
+    gbar = rec.column("g_cF") / rec.column("gc0")
+    assert gbar == pytest.approx([4.3140, 12.987], abs=1e-3)
+    assert rec.column("status").tolist() == [0.0, 0.0]
+
+
+def test_failed_peak_is_explicit(runner, tmp_path):
+    # at w/W = 1e-5 the peak search needs a cutoff above the limit and fails
+    # before any solve: status 1, g_cF = -1, nothing cached, exit 3
+    cache = tmp_path / "cache"
+    out = tmp_path / "gc.csv"
+    result = _invoke(runner, ["gc", "--with-peaks", "-w", "0.1", "-w", "1e-5",
+                              "--out", str(out), "--cache", str(cache)])
+    assert result.exit_code == 3
+    assert "omega/Omega = 1e-05: QFI peak search failed" in result.stderr
+    rec = store.load(out)
+    assert rec.column("status").tolist() == [0.0, 1.0]
+    assert rec.column("g_cF")[1] == -1.0 and rec.column("gcF_over_gc2")[1] == -1.0
+    assert rec.column("g_cF")[0] > 0.0
+    assert [store.load(p).meta["omega"] for p in cache.glob("*.sweep")] == [0.1]
+
+    fit = tmp_path / "fit.json"
+    result = _invoke(runner, ["fit", "-w", "0.1", "-w", "0.2", "-w", "0.3", "-w", "1e-5",
+                              "--max-order", "2", "--out", str(fit), "--cache", str(cache)])
+    assert result.exit_code == 3
+    assert "omega/Omega = 1e-05: QFI peak search failed" in result.stderr
+    payload = json.loads(fit.read_text())
+    assert [row[0] for row in payload["data"]] == [0.1, 0.2, 0.3]
+    assert {f["order"] for f in payload["fits"]} == {2}
+
+
+@pytest.mark.parametrize("args", [
+    ["gc", "-w", "0"],
+    ["pp-sweep", "-w", "0"],
+    ["map", "--omega-min", "0"],
+    ["pp-sweep", "-w", "0.1", "--gbar-min", "-0.5"],
+    ["qfi-sweep", "-w", "0.1", "--gbar-min", "-0.5"],
+])
+def test_out_of_domain_input_is_a_usage_error(runner, tmp_path, args):
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_passes(runner):

@@ -16,7 +16,7 @@ from conftest import (
 )
 from qrabi import edsolver, polaron, qfi
 from qrabi.critical import DEFAULT_FIT_GRID, gc2
-from qrabi.errors import NonconvergenceError, ParameterDomainError, QrabiError
+from qrabi.errors import NonconvergenceError, QrabiError
 from qrabi.model import ModelParams
 
 
@@ -179,7 +179,6 @@ def test_find_peak_matches_gc2():
     est = qfi.find_peak(0.1, 1.0, method="ED")
     assert est.gbar_cf == pytest.approx(gc2(0.1, 1.0).ratio, rel=0.01)
     assert est.f_q_max > 0
-    assert not est.flat_peak
 
 
 def test_find_peak_methods_agree():
@@ -188,36 +187,31 @@ def test_find_peak_methods_agree():
     assert pp.gbar_cf == pytest.approx(ed.gbar_cf, rel=0.03)
 
 
-@pytest.mark.parametrize("method", ["ED", "PP-full"])
-@pytest.mark.parametrize("gbar_range", [(3.0, 0.5), (1.2, 1.2)])
-def test_find_peak_rejects_an_empty_range(method, gbar_range, monkeypatch):
-    # both routes refuse lo >= hi before any solve
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before the range was checked")
-
-    monkeypatch.setattr(qfi, "ground_state_response", no_solve)
-    monkeypatch.setattr(polaron, "continuation_sweep", no_solve)
-    with pytest.raises(ParameterDomainError, match="lo < hi"):
-        qfi.find_peak(0.1, 1.0, method=method, gbar_range=gbar_range)
-
-
-def test_find_peak_flat_warns():
-    with pytest.warns(UserWarning):
-        est = qfi.find_peak(0.1, 1.0, gbar_range=(0.5, 1.0))
-    assert est.flat_peak
+def test_find_peak_walk_without_a_sign_change_raises(monkeypatch):
+    # a slope that never changes sign: the walk climbs until the cutoff it
+    # needs passes the limit, and the search raises instead of returning a point
+    monkeypatch.setattr(edsolver.GroundStateResponse, "dfisher_dg", lambda self: 1.0)
+    with pytest.raises(QrabiError):
+        qfi.find_peak(0.1, 1.0, method="ED")
 
 
 @pytest.mark.parametrize("ratio", [37.0, 40.0, 50.0])
 def test_find_peak_walks_uphill_below_unit_estimate(ratio):
-    # the alphaFS estimate falls below 1 here (about 0.8 at 37): it sets the
-    # walk's start and step size, not its direction; F_Q rises over the whole
-    # range, so the walk ends at the upper end
+    # the alphaFS estimate falls below 1 here (about 0.8 at 37, negative at
+    # 40): the walk starts at 1 and climbs, with no upper end, to the peak
     assert gc2(ratio, 1.0, "alphaFS").ratio < 1.0
-    with pytest.warns(UserWarning):
-        est = qfi.find_peak(ratio, 1.0, method="ED")
-    assert est.flat_peak
-    assert est.gbar_cf == qfi.PEAK_RANGE[1]
-    assert est.evaluations <= 12
+    est = qfi.find_peak(ratio, 1.0, method="ED")
+    peak = {37.0: 11.1952, 40.0: 11.6333, 50.0: 12.9873}[ratio]
+    assert est.gbar_cf == pytest.approx(peak, abs=1e-4)
+    assert 0.0 < est.bracket_width <= 1e-10
+    assert est.evaluations <= 25
+
+
+def test_find_peak_tends_to_the_large_ratio_limit():
+    # g_cF/omega -> sqrt(5/6) as omega/Omega -> infinity, with a 0.275/r
+    # correction: 2.7e-7 at r = 1e6
+    est = qfi.find_peak(1e6, 1.0, method="ED")
+    assert abs(est.g_cf / 1e6 - math.sqrt(5.0 / 6.0)) <= 1e-6
 
 
 @pytest.mark.parametrize("ratio", DEFAULT_FIT_GRID)
@@ -235,7 +229,6 @@ def test_find_peak_ed_root_search(ratio, monkeypatch):
     monkeypatch.undo()
     assert calls <= 12
     assert est.evaluations == calls
-    assert not est.flat_peak
     assert 0.0 < est.bracket_width <= 1e-10
     # a maximum: F_Q at the root is not below its neighbours at +-1e-6
     base = ModelParams(ratio, 1.0, 0.0)
@@ -262,7 +255,7 @@ def test_find_peak_pp_matches_golden_section(ratio, monkeypatch):
     est = qfi.find_peak(ratio, 1.0, method="PP-full")
     assert est.gbar_cf == pytest.approx(gbar_ref, abs=1e-4)
     assert est.f_q_max == pytest.approx(f_ref, rel=1e-6)
-    assert not est.flat_peak and est.bracket_width <= qfi.PP_REFINE_TOL
+    assert est.bracket_width <= qfi.PP_REFINE_TOL
     assert est.evaluations == sum(solved)
     assert solved[0] == qfi.PP_SCAN_POINTS and set(solved[1:]) == {qfi.PP_REFINE_POINTS}
 
