@@ -17,8 +17,9 @@ dp/dg_bar = -H^-1 d_gbar grad E at a minimum follow from the
 implicit-function theorem, from that H at the point itself, so they do not
 depend on the grid the sweep was taken on; ``parameter_derivatives`` takes
 them at every point of a sweep at once, NaN at a saddle. One saddle test
-(``_spectra``) serves the flows and the sweep, which re-runs a point that
-fails it by multi-start L-BFGS-B.
+(``_spectra``) serves the flows and the sweep. After its last point the
+sweep re-runs by multi-start L-BFGS-B, from the point's own ansatz, every
+point that fails the test or where the corrector could not descend.
 """
 
 from __future__ import annotations
@@ -336,7 +337,9 @@ def _seed_vectors(params: ModelParams, warm_start: PolaronAnsatz | None) -> list
         np.array([0.15, 0.05, -0.05, 0.0, 0.0]),            # near-merged polarons
         np.array([quarter, z_sc, -z_sc, lx, lx]),           # split, equal weights
         np.array([0.6, z_sc, -z_sc, lx, lx]),               # split, tilted weights
-        np.array([0.05, max(z_sc, 0.3), -0.02, lx, 0.0]),   # dominant single polaron
+        # a dominant polaron with a light mirror image; from b at zeta ~ 0, L-BFGS-B
+        # ends in the psi = 0 corner above the transition, a bound KKT point
+        np.array([0.05, max(z_sc, 0.3), -max(z_sc, 0.02), lx, 0.0]),
         np.array([quarter, 0.5 * z_sc, -0.5 * z_sc, 0.0, 0.0]),
     ]
     if warm_start is not None:
@@ -369,14 +372,11 @@ def _minimize_from(p0: np.ndarray, params: ModelParams):
     )
 
 
-def optimize(params: ModelParams, warm_start: PolaronAnsatz | None = None,
-             multi_start: bool = True) -> PolaronAnsatz:
-    """Minimize the variational energy; returns the best local minimum found."""
-    seeds = _seed_vectors(params, warm_start)
-    if not multi_start:
-        seeds = seeds[:1]
+def optimize(params: ModelParams, warm_start: PolaronAnsatz | None = None) -> PolaronAnsatz:
+    """Minimize the variational energy by L-BFGS-B from every seed, and from
+    ``warm_start`` first when given; returns the lowest local minimum found."""
     best = None
-    for p0 in seeds:
+    for p0 in _seed_vectors(params, warm_start):
         res = _minimize_from(p0, params)
         if best is None or res.fun < best.fun:
             best = res
@@ -519,18 +519,6 @@ def _newton(point: _Point, params: ModelParams) -> tuple[_Point, int, bool]:
     return point, NEWTON_MAX_STEPS, False
 
 
-def _corrected(start: _Point, params: ModelParams, warm: PolaronAnsatz) -> _Point:
-    """The Newton corrector from ``start``; single-start L-BFGS-B from
-    ``warm`` if the corrector stops because it cannot descend, kept if it
-    lowers the energy."""
-    point, _, stuck = _newton(start, params)
-    if stuck:
-        ans = optimize(params, warm_start=warm, multi_start=False)
-        if ans.energy < point.energy:
-            point = _Point.at(_ansatz_to_vector(ans, params), params)
-    return point
-
-
 def _ansatz_at(point: _Point, params: ModelParams) -> PolaronAnsatz:
     return replace(_vector_to_ansatz(point.p, params), energy=point.energy)
 
@@ -565,17 +553,20 @@ def continuation_sweep(omega: float, Omega: float, gbar_grid,
                        warm_start: PolaronAnsatz | None = None) -> PolaronSweep:
     """Predictor-corrector continuation along the grid.
 
-    The first point is a multi-start L-BFGS-B minimization, or a single-start
-    one from ``warm_start`` when given, polished by the Newton corrector. Each
-    later point starts from the tangent predictor
-    p + dg_bar dp/dg_bar of the previous one, clipped into the bounds, or from
-    the previous p where that has the lower energy, and is converged by the
-    Newton corrector (``_newton``). A converged point whose free Hessian
-    block fails the saddle test (``_spectra``), so that its flows would be
-    refused, is re-run by multi-start L-BFGS-B from its own ansatz, and the
-    re-run is kept if it lowers the energy. The sweep keeps the corrector's
-    p, H and d_gbar grad E at every point; a re-run point gets them from one
-    more Hessian evaluation.
+    The first point starts from ``warm_start`` when given, else from a
+    multi-start L-BFGS-B minimization (``optimize``). Each later point starts
+    from the tangent predictor p + dg_bar dp/dg_bar of the previous one,
+    clipped into the bounds, or from the previous p where that has the lower
+    energy. The Newton corrector (``_newton``) converges every point.
+
+    One rule then re-runs a point the corrector cannot vouch for: one whose
+    free Hessian block fails the saddle test (``_spectra``), so that its
+    flows would be refused, or where the corrector stopped because it could
+    not descend. After the last point, each such point is re-run by
+    ``optimize`` from its own ansatz. The re-run replaces it when it lowers
+    the energy, unless the re-run is a saddle where the point was not. The
+    sweep keeps the corrector's p, H and d_gbar grad E at every point; a
+    re-run gets them from one more Hessian evaluation.
     """
     gbar = np.asarray(gbar_grid, dtype=float)
     if gbar.size == 0:
@@ -585,28 +576,28 @@ def continuation_sweep(omega: float, Omega: float, gbar_grid,
     base = ModelParams(omega, Omega, 0.0)
     results: list[PolaronAnsatz] = []
     points: list[_Point] = []
+    stuck = np.zeros(gbar.size, dtype=bool)
     for k, gb in enumerate(gbar):
         params = base.with_g(float(gb) * base.gc0)
         if not points:
-            ans = (optimize(params) if warm_start is None
-                   else optimize(params, warm_start=warm_start, multi_start=False))
-            cold = _ansatz_to_vector(ans, params)
-            point = _newton(_Point.at(cold, params), params)[0]
+            first = optimize(params) if warm_start is None else warm_start
+            start = _ansatz_to_vector(first, params)
         else:
             point = points[-1]
             predicted = _clip(point.p + (gb - gbar[k - 1]) * point.tangent())
             start = min(predicted, point.p, key=lambda q: _energy_at(q, params))
-            point = _corrected(_Point.at(start, params), params, results[-1])
+        point, _, stuck[k] = _newton(_Point.at(start, params), params)
         points.append(point)
         results.append(_ansatz_at(point, params))
     p, hess, mixed = _stack(points)
     *_, refused = _spectra(p, hess)
-    for k in np.flatnonzero(refused):
+    for k in np.flatnonzero(refused | stuck):
         params = base.with_g(float(gbar[k]) * base.gc0)
-        ans = optimize(params, warm_start=results[k], multi_start=True)
-        if ans.energy < results[k].energy:
+        ans = optimize(params, warm_start=results[k])
+        point = _Point.at(_ansatz_to_vector(ans, params), params)
+        saddle = _spectra(point.p[None], point.hess[None])[-1][0]
+        if ans.energy < results[k].energy and (refused[k] or not saddle):
             results[k] = ans
-            point = _Point.at(_ansatz_to_vector(ans, params), params)
             p[k], hess[k], mixed[k] = point.p, point.hess, point.mixed
     return PolaronSweep(omega, Omega, gbar, results, p, hess, mixed)
 

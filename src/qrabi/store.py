@@ -26,7 +26,7 @@ SCHEMA_VERSION = 1
 # changing one turns exactly the records computed by its older numerics into
 # misses. Change a family's version whenever a computation of it that feeds
 # a record changes.
-CODE_VERSIONS = {"ed": "qrabi-0.1.0+ed-sized-eigensolve", "pp": "qrabi-0.1.0+pp-stuck-fallback"}
+CODE_VERSIONS = {"ed": "qrabi-0.1.0+ed-sized-eigensolve", "pp": "qrabi-0.1.0+pp-one-rerun-rule"}
 MAGIC = "#qrm-sweep"
 
 
@@ -91,7 +91,10 @@ def save(record: SweepRecord, path) -> None:
 
 def load(path) -> SweepRecord:
     """Read a record; schema mismatches and corrupt rows raise with position."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not a sweep file: {exc}", offset=exc.start)
     lines = text.splitlines()
     if not lines or not lines[0].startswith(MAGIC):
         raise SchemaError(f"not a sweep file: missing {MAGIC} header", offset=0)
@@ -132,11 +135,15 @@ def cache_path(cache_dir, digest: str) -> Path:
 
 
 def lookup(cache_dir, digest: str) -> SweepRecord | None:
-    """Exact-hash cache lookup; returns None on miss."""
+    """Exact-hash cache lookup; returns None on a miss, and for a corrupt
+    record, which the caller then recomputes and ``store`` replaces."""
     path = cache_path(cache_dir, digest)
     if not path.exists():
         return None
-    record = load(path)
+    try:
+        record = load(path)
+    except SchemaError:
+        return None
     if record.content_hash() != digest:
         return None
     return record

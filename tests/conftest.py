@@ -388,8 +388,9 @@ def optimized_flow_oracle(sweep, index: int, h: float = 1e-3) -> np.ndarray:
     gbar = float(sweep.gbar[index])
     ends = []
     for gb in (gbar - h, gbar + h):
-        a = polaron.optimize(base.with_g(gb * base.gc0), warm_start=sweep.ansatz[index],
-                             multi_start=False)
+        params = base.with_g(gb * base.gc0)
+        warm = polaron._ansatz_to_vector(sweep.ansatz[index], params)
+        a = polaron._vector_to_ansatz(polaron._minimize_from(warm, params).x, params)
         ends.append(np.array([math.atan2(a.beta, a.alpha), a.zeta_alpha, a.zeta_beta,
                               a.xi_alpha, a.xi_beta]))
     return (ends[1] - ends[0]) / (2.0 * h)

@@ -340,6 +340,26 @@ def test_peak_record_carries_search_diagnostics(runner, tmp_path):
                                        est.bracket_width, est.evaluations]
 
 
+@pytest.mark.parametrize("corrupt", [lambda data: data[:40], lambda data: b"\xff" + data],
+                         ids=["truncated-header", "not-utf8"])
+def test_corrupt_peak_record_is_recomputed(runner, tmp_path, corrupt):
+    # a cached qfi-peak record cut inside its header, or not UTF-8 text, is a
+    # miss: the command recomputes the peak and replaces the file, so the
+    # next run hits again
+    cache = tmp_path / "cache"
+    out = tmp_path / "gc.csv"
+    args = ["gc", "--with-peaks", "-w", "0.1", "--out", str(out), "--cache", str(cache)]
+    assert _invoke(runner, args).exit_code == 0
+    fresh = store.load(out).column("g_cF").tolist()
+    (path,) = [p for p in cache.glob("*.sweep") if store.load(p).meta["kind"] == "qfi-peak"]
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(store.SchemaError):
+        store.load(path)
+    assert _invoke(runner, args).exit_code == 0
+    assert store.load(out).column("g_cF").tolist() == fresh
+    assert store.load(path).meta["kind"] == "qfi-peak"
+
+
 def test_gc_peaks_past_the_old_search_range(runner, tmp_path):
     # the peaks lie at g_bar 4.3140 and 12.987, beyond the former search
     # window (0.5, 3), whose end the search used to return

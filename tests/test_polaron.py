@@ -473,32 +473,44 @@ def test_warm_points_make_no_optimizer_calls(monkeypatch):
     assert calls == [{}]
 
 
-def test_rerun_happens_exactly_at_refused_points(monkeypatch):
+def test_rerun_happens_exactly_at_refused_or_stuck_points(monkeypatch):
     # in the flat valley far below the transition the corrector stops at
-    # saddles; the sweep re-runs each of them by multi-start L-BFGS-B from its
-    # own ansatz, and no other point
-    grid = np.linspace(0.1, 0.5, 21)
+    # saddles, and once where it cannot descend; the sweep re-runs each of
+    # them by multi-start L-BFGS-B from its own ansatz, and no other point
+    grid = np.linspace(0.05, 4.0, 401)
+    stuck = []
+    newton_fn = polaron._newton
+
+    def newton(point, params):
+        result = newton_fn(point, params)
+        if result[2]:
+            stuck.append(params.g_bar)
+        return result
+
     optimize_fn = polaron.optimize
     reruns = []
 
-    def optimize(params, warm_start=None, multi_start=True):
-        if warm_start is not None and multi_start:
+    def optimize(params, warm_start=None):
+        if warm_start is not None:
             reruns.append((params.g_bar, declined))
             if declined:
                 return warm_start      # not lower: the corrector's point stays
-        return optimize_fn(params, warm_start=warm_start, multi_start=multi_start)
+        return optimize_fn(params, warm_start=warm_start)
 
+    monkeypatch.setattr(polaron, "_newton", newton)
     monkeypatch.setattr(polaron, "optimize", optimize)
     declined = True
     corrector = continuation_sweep(0.02, 1.0, grid)
-    refused = np.flatnonzero(np.isnan(parameter_derivatives(corrector)["dpsi"]))
-    assert refused.size > 1
+    refused = np.isnan(parameter_derivatives(corrector)["dpsi"])
+    assert np.count_nonzero(refused) > 1
+    expected = refused | np.isclose(grid[:, None], stuck, rtol=1e-12, atol=0.0).any(axis=1)
+    assert np.count_nonzero(expected & ~refused) == 1
     declined = False
     sweep = continuation_sweep(0.02, 1.0, grid)
-    np.testing.assert_allclose([g for g, d in reruns if d], grid[refused], rtol=1e-12)
-    np.testing.assert_allclose([g for g, d in reruns if not d], grid[refused], rtol=1e-12)
+    np.testing.assert_allclose([g for g, d in reruns if d], grid[expected], rtol=1e-12)
+    np.testing.assert_allclose([g for g, d in reruns if not d], grid[expected], rtol=1e-12)
     assert np.count_nonzero(np.isnan(parameter_derivatives(sweep)["dpsi"])) <= 1
-    for k in refused:
+    for k in np.flatnonzero(expected):
         assert sweep.ansatz[k].energy <= corrector.ansatz[k].energy
 
 
@@ -514,23 +526,32 @@ def test_sweep_through_transition_reaches_cold_energy():
 
 def test_corrector_falls_back_to_lbfgsb_when_it_cannot_descend(monkeypatch):
     # a corrector that stops without descending, at once or after some steps,
-    # hands the point to single-start L-BFGS-B from the previous point's ansatz
+    # leaves the point to multi-start L-BFGS-B from its own ansatz, the first
+    # point of the sweep too
     calls = []
     optimize_fn = polaron.optimize
     monkeypatch.setattr(polaron, "optimize",
                         lambda *a, **k: calls.append(k) or optimize_fn(*a, **k))
     for steps in (0, 2):
-        monkeypatch.setattr(polaron, "_newton", lambda point, params: (point, steps, True))
+        stuck = []
+
+        def newton(point, params):
+            stuck.append(polaron._ansatz_at(point, params))
+            return point, steps, True
+
+        monkeypatch.setattr(polaron, "_newton", newton)
         calls.clear()
         sweep = continuation_sweep(0.1, 1.0, [1.2, 1.25])
-        assert calls[1:] == [{"warm_start": sweep.ansatz[0], "multi_start": False}]
-        assert sweep.ansatz[1].energy <= optimize_fn(sweep.params_at(1)).energy + 1e-12
+        assert calls == [{}] + [{"warm_start": ans} for ans in stuck]
+        for k in range(2):
+            assert sweep.ansatz[k].energy <= optimize_fn(sweep.params_at(k)).energy + 1e-12
 
 
 @pytest.mark.parametrize("ratio, gbar", [(0.02, 0.14875), (1.0, 0.375875)])
 def test_corrector_stuck_after_steps_gets_the_fallback(ratio, gbar, monkeypatch):
     # on these grids the corrector stops stuck after one or two steps at one
-    # point each; L-BFGS-B runs there, and the point keeps an energy no higher
+    # point each; L-BFGS-B re-runs it once, and the point keeps an energy no
+    # higher
     stuck = {}
     newton_fn = polaron._newton
 
@@ -541,20 +562,38 @@ def test_corrector_stuck_after_steps_gets_the_fallback(ratio, gbar, monkeypatch)
         return result
 
     monkeypatch.setattr(polaron, "_newton", newton)
-    fallbacks = []
+    reruns = []
     optimize_fn = polaron.optimize
 
     def optimize(params, **kwargs):
-        if kwargs.get("multi_start") is False:
-            fallbacks.append(params.g_bar)
+        if "warm_start" in kwargs:
+            reruns.append(params.g_bar)
         return optimize_fn(params, **kwargs)
 
     monkeypatch.setattr(polaron, "optimize", optimize)
     sweep = continuation_sweep(ratio, 1.0, np.linspace(0.05, 4.0, 401))
     assert any(abs(g - gbar) < 1e-12 and steps > 0 for g, (_, steps, _) in stuck.items())
-    assert fallbacks == list(stuck)
+    assert all(reruns.count(g) == 1 for g in stuck)
     for g, (point, _, _) in stuck.items():
         assert sweep.ansatz[int(np.argmin(np.abs(sweep.gbar - g)))].energy <= point.energy
+
+
+def test_rerun_that_is_a_new_saddle_is_not_kept(monkeypatch):
+    # at w/W 1 the corrector stops stuck at g_bar 0.36, a point that passes
+    # the saddle test, and its re-run is lower; were the re-run a saddle, it
+    # would cost the point its flows, so the corrector's point stays
+    grid = np.linspace(0.1, 0.5, 21)
+    rerun = continuation_sweep(1.0, 1.0, grid)
+    spectra = polaron._spectra
+
+    def reruns_are_saddles(p, hess):
+        *rest, refused = spectra(p, hess)
+        return (*rest, refused | (len(p) == 1))
+
+    monkeypatch.setattr(polaron, "_spectra", reruns_are_saddles)
+    kept = continuation_sweep(1.0, 1.0, grid)
+    assert kept.ansatz[13].energy > rerun.ansatz[13].energy
+    assert np.isfinite(parameter_derivatives(kept)["dpsi"][13])
 
 
 def test_qfi_pass_of_a_sweep_makes_no_hessian_evaluation(monkeypatch):

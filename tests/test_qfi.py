@@ -154,6 +154,21 @@ def test_pp_full_exists_where_the_polarons_merge(ratio):
         assert f_pp[k] == pytest.approx(ed.f_q_gbar, rel=5e-3)
 
 
+@pytest.mark.parametrize("ratio, lo, hi", [(0.001, 2.0, 3.0), (0.005, 2.5, 3.5)])
+def test_pp_sweep_started_above_the_transition_reaches_the_ground_state(ratio, lo, hi):
+    # a cold start above the transition at small w/W: L-BFGS-B from a seed
+    # with polaron b at zeta ~ 0 stopped in the psi = 0 corner, up to 5.9 %
+    # above the ED energy with F_PP 14 % off
+    base = ModelParams(ratio, 1.0, 0.0)
+    sweep = _sweep(ratio, lo, hi, 11)
+    f_pp = qfi.qfi_pp_full(sweep)
+    for k in range(11):
+        params = base.with_g(float(sweep.gbar[k]) * base.gc0)
+        e_ed = edsolver.ground_state(params)[0].energy
+        assert (sweep.ansatz[k].energy - e_ed) / abs(e_ed) <= 1e-8
+        assert f_pp[k] == pytest.approx(qfi.qfi_ed(params).f_q_gbar, rel=1e-4)
+
+
 def test_pp_simplified_forms_agree_algebraically():
     # (Omega/omega) v_p^2 xi is the kinetic energy (1/2) m_F v_p^2 with
     # m_F = 2 (Omega/omega) xi, v_p = d(zeta g_bar)/d g_bar from the flows
@@ -258,6 +273,22 @@ def test_find_peak_pp_matches_golden_section(ratio, monkeypatch):
     assert est.bracket_width <= qfi.PP_REFINE_TOL
     assert est.evaluations == sum(solved)
     assert solved[0] == qfi.PP_SCAN_POINTS and set(solved[1:]) == {qfi.PP_REFINE_POINTS}
+
+
+def test_pp_searches_solve_one_cold_start(monkeypatch):
+    # the re-sweeps of a PP search start from the previous sweep's ansatz
+    # with the Newton corrector alone: the PP-full peak pays for the scan's
+    # cold start only, and the a = 0 search, given a sweep, for none
+    calls = []
+    optimize = polaron.optimize
+    monkeypatch.setattr(polaron, "optimize",
+                        lambda *a, **k: calls.append(k) or optimize(*a, **k))
+    qfi.find_peak(0.1, 1.0, method="PP-full")
+    assert calls == [{}]
+    sweep = polaron.continuation_sweep(0.1, 1.0, np.linspace(1.0, 1.8, 41))
+    calls.clear()
+    qfi.acceleration_condition(sweep)
+    assert calls == []
 
 
 def _recorded(f):

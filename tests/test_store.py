@@ -112,13 +112,14 @@ def test_record_of_older_numerics_is_a_miss(tmp_path):
     # scan-and-golden-section QFI peak; warm-started L-BFGS-B PP sweeps with
     # finite-difference Hessians; one version for both numerics families; PP
     # sweeps that re-ran points by the parameter-jump rule; PP sweeps that kept
-    # points where the corrector stopped stuck after a step); the same request
-    # now hashes differently
+    # points where the corrector stopped stuck after a step; PP sweeps whose
+    # stuck points fell back to L-BFGS-B from the previous point); the same
+    # request now hashes differently
     for version in ("qrabi-0.1.0", "qrabi-0.1.0+ed-linear-response",
                     "qrabi-0.1.0+pp-gradient", "qrabi-0.1.0+ed-one-eigensolve",
                     "qrabi-0.1.0+pp-three-pairs", "qrabi-0.1.0+ed-peak-root",
                     "qrabi-0.1.0+pp-newton", "qrabi-0.1.0+pp-sweep-flows",
-                    "qrabi-0.1.0+pp-saddle-rerun"):
+                    "qrabi-0.1.0+pp-saddle-rerun", "qrabi-0.1.0+pp-stuck-fallback"):
         old = _record({"code_version": version})
         store.store(tmp_path, old)
         assert store.lookup(tmp_path, old.content_hash()) is not None
