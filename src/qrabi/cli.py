@@ -290,11 +290,22 @@ def cmd_fit(omega_ratio, max_order, cache, out):
 @click.option("--gbar-max", default=2.0, show_default=True, type=float)
 @click.option("--gbar-steps", default=121, show_default=True, type=int)
 @click.option("--out", default="map", show_default=True, help="Output path prefix.")
-def cmd_map(omega_min, omega_max, omega_steps, gbar_min, gbar_max, gbar_steps, out):
-    """Row-normalized density maps of F_Q and d|<x>|/dg with gc overlays."""
+@click.option("--cache", default=".qrabi_cache", show_default=True,
+              help="Cache directory (env QRM_CACHE_DIR overrides).")
+def cmd_map(omega_min, omega_max, omega_steps, gbar_min, gbar_max, gbar_steps, out, cache):
+    """Row-normalized density maps of F_Q and d|<x>|/dg with gc overlays.
+
+    Each omega row is one cached record; a row with a failed cell is left
+    empty, is not cached, and makes the command exit 3.
+    """
+    if omega_max < omega_min or omega_steps < 1:
+        raise click.UsageError("need omega-min <= omega-max and omega-steps >= 1")
     omega_grid = np.geomspace(omega_min, omega_max, omega_steps)
     gbar_grid = _gbar_grid(gbar_min, gbar_max, gbar_steps)
-    cmap = observables.coincidence_map(omega_grid, gbar_grid, Omega=1.0)
+    cache_dir = _cache_dir(cache)
+    rows = [_map_row_cached(float(w), gbar_grid, [gbar_min, gbar_max, gbar_steps], cache_dir)
+            for w in omega_grid]
+    cmap = observables.assemble_map(omega_grid, gbar_grid, rows, Omega=1.0)
     header = ",".join(f"{g:.17g}" for g in gbar_grid)
     for name, mat in (("qfi", cmap.qfi), ("susceptibility", cmap.susceptibility)):
         path = f"{out}_{name}.csv"
@@ -315,6 +326,23 @@ def cmd_map(omega_min, omega_max, omega_steps, gbar_min, gbar_max, gbar_steps, o
     if cmap.failed_rows:
         click.echo(f"failed rows: {cmap.failed_rows}", err=True)
         sys.exit(EXIT_PARTIAL)
+
+
+def _map_row_cached(omega, gbar_grid, grid, cache_dir):
+    """Raw cells of one map row (``observables.map_row``), from the cache when
+    a record of the same row exists; stored only when no cell failed, so a
+    rerun retries a failed row."""
+    Omega = 1.0
+    meta = {"kind": "map-row", "omega": omega, "Omega": Omega, "grid": grid,
+            "tolerances": {"tol": ENERGY_TOL}, "code_version": store.code_version("ed")}
+    record = store.lookup(cache_dir, store.compute_hash(meta))
+    if record is not None:
+        return record.data
+    row = observables.map_row(omega, Omega, gbar_grid)
+    if np.all(np.isfinite(row)):
+        store.store(cache_dir, store.SweepRecord(
+            meta=meta, columns=list(observables.MAP_ROW_COLUMNS), data=row))
+    return row
 
 
 @main.command("verify")

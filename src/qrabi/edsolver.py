@@ -20,9 +20,15 @@ Rayleigh quotient of the vector.
 Because dH/dg = sigma_z (a + a^dag) conserves parity, the derivative of the
 ground state with respect to g stays in the sector and follows from one
 banded linear solve at the certified cutoff (first-order perturbation theory
-without the spectrum); ``ground_state_response`` returns both. dF_Q/dg,
-asked for only by the QFI-peak search, factors the same pinned matrix again
-and costs one more solve.
+without the spectrum); ``ground_state_response`` returns both, with <x>_+ and
+its slope from the one product V psi that the solve's right-hand side needs.
+dF_Q/dg, asked for only by the QFI-peak search, factors the same pinned
+matrix again and costs one more solve.
+
+Per point the work is a handful of LAPACK calls on O(N) arrays, so the small
+array operations around them cost as much as the solves: sqrt(n) and the
+sector spin sign come from module tables shared by every cutoff, and each
+product with T or V is formed once.
 """
 
 from __future__ import annotations
@@ -51,6 +57,23 @@ TRUNCATION_MARGIN = 16
 EIGENVALUE_ABSTOL = 1e-6
 RESPONSE_RESIDUAL_TOL = 1e-8
 _EPS = np.finfo(float).eps
+# (sqrt(n), -(-1)^n) over n = 0, 1, ...: read-only, replaced by a longer pair
+# whenever a cutoff needs more rows, with no cap (``sector_eigenpairs`` takes
+# any cutoff)
+_TABLES = (np.zeros(0), np.zeros(0))
+
+
+def _tables(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(n), -(-1)^n) for n < size, views of the shared tables."""
+    global _TABLES
+    roots, spin = _TABLES
+    if roots.size < size:
+        n = np.arange(max(size, 2 * roots.size))
+        roots, spin = np.sqrt(n), -(-1.0) ** n
+        roots.setflags(write=False)
+        spin.setflags(write=False)
+        _TABLES = (roots, spin)
+    return roots[:size], spin[:size]
 
 
 @dataclass(frozen=True)
@@ -78,14 +101,17 @@ class QuantumState:
     ``coeffs_plus[n]`` and ``coeffs_minus[n]`` are the Fock coefficients of the
     two spin-z components, each normalized to 1; the physical state carries a
     global 1/sqrt(2). In the parity -1 sector, coeffs_minus[n] =
-    -(-1)^n coeffs_plus[n].
+    -(-1)^n coeffs_plus[n], derived from coeffs_plus on access.
     """
 
     params: ModelParams
     cutoff: int
     energy: float
     coeffs_plus: np.ndarray
-    coeffs_minus: np.ndarray
+
+    @property
+    def coeffs_minus(self) -> np.ndarray:
+        return _tables(self.cutoff + 1)[1] * self.coeffs_plus
 
 
 def sector_tridiagonal(params: ModelParams, cutoff: int):
@@ -103,9 +129,9 @@ def sector_tridiagonal(params: ModelParams, cutoff: int):
 
 @functools.lru_cache(maxsize=1)
 def _tridiagonal(params: ModelParams, cutoff: int):
-    n = np.arange(cutoff + 1)
-    diag = params.omega * n - 0.5 * params.Omega * (-1.0) ** n
-    off = params.g * np.sqrt(n[1:])
+    roots, spin = _tables(cutoff + 1)
+    diag = params.omega * np.arange(cutoff + 1) + 0.5 * params.Omega * spin
+    off = params.g * roots[1:]
     diag.setflags(write=False)
     off.setflags(write=False)
     return diag, off
@@ -141,7 +167,7 @@ def sector_eigenpairs(params: ModelParams, cutoff: int):
 
 
 def _gauge_fix(vec: np.ndarray) -> np.ndarray:
-    if vec[np.argmax(np.abs(vec))] < 0:
+    if vec[np.abs(vec).argmax()] < 0:
         return -vec
     return vec
 
@@ -154,14 +180,8 @@ def state_from_sector_vector(params: ModelParams, cutoff: int, energy: float,
     components share the sector amplitudes up to the alternating sign.
     """
     vec = _gauge_fix(np.asarray(vec, dtype=float))
-    signs = -(-1.0) ** np.arange(cutoff + 1)
-    return QuantumState(
-        params=params,
-        cutoff=cutoff,
-        energy=float(energy),
-        coeffs_plus=vec.copy(),
-        coeffs_minus=signs * vec,
-    )
+    return QuantumState(params=params, cutoff=cutoff, energy=float(energy),
+                        coeffs_plus=vec.copy())
 
 
 def _photon_cutoff(params: ModelParams, widths: float, margin: int) -> int:
@@ -274,7 +294,7 @@ class _PinnedSystem:
 def _pinned_system(state: QuantumState) -> _PinnedSystem:
     """T - E0 of the state's sector, pinned at the largest component of psi and factored."""
     diag, off = sector_tridiagonal(state.params, state.cutoff)
-    m = int(np.argmax(np.abs(state.coeffs_plus)))
+    m = int(np.abs(state.coeffs_plus).argmax())
     pinned_diag = diag - state.energy
     pinned_diag[m] = 1.0
     pinned_off = off.copy()
@@ -293,12 +313,20 @@ class GroundStateResponse:
     solve that produced it. The lift to the full space is an isometry, so
     sector inner products are full-space inner products. ``report`` is the
     certificate of the eigensolve behind ``state``.
+
+    ``x_plus`` is the spin-up displacement <x>_+ = <V>/sqrt(2), with
+    V = dT/dg (the sector off-diagonal sqrt(n)); in the sector
+    <x>_- = -<x>_+ exactly. ``dx_plus_dg`` = sqrt(2) (V psi).dvec is its
+    derivative with respect to g. Both reuse the V psi of the solve's
+    right-hand side.
     """
 
     state: QuantumState
     dvec: np.ndarray
     residual: float
     report: ConvergenceReport
+    x_plus: float
+    dx_plus_dg: float
 
     @property
     def fisher_information(self) -> float:
@@ -309,11 +337,6 @@ class GroundStateResponse:
     def first_derivative_term(self) -> float:
         """<d psi|psi>, zero up to roundoff by construction."""
         return float(self.state.coeffs_plus @ self.dvec)
-
-    @property
-    def dx_plus_dg(self) -> float:
-        """d<x>_+/dg = sqrt(2) (V psi).dvec, from <x>_+ = psi.V.psi/sqrt(2)."""
-        return math.sqrt(2.0) * float(_coupling_apply(self.state.coeffs_plus) @ self.dvec)
 
     def dfisher_dg(self) -> float:
         """dF_Q/dg = -16 y.(V x - <V> x), with x = dvec and (T - E0) y = x on psi-perp.
@@ -338,7 +361,12 @@ def _tridiagonal_apply(diag, off: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 def _coupling_apply(vec: np.ndarray) -> np.ndarray:
     """V vec with V = dT/dg, the sector off-diagonal sqrt(n)."""
-    return _tridiagonal_apply(0.0, np.sqrt(np.arange(1, vec.size)), vec)
+    roots = _tables(vec.size)[0][1:]
+    out = np.empty_like(vec)
+    out[:-1] = roots * vec[1:]
+    out[-1] = 0.0
+    out[1:] += roots * vec[:-1]
+    return out
 
 
 def ground_state_response(params: ModelParams) -> GroundStateResponse:
@@ -355,25 +383,26 @@ def ground_state_response(params: ModelParams) -> GroundStateResponse:
     state, report = ground_state(params)
     psi = state.coeffs_plus
     diag, off = sector_tridiagonal(params, state.cutoff)
-    diag = diag - state.energy
     vpsi = _coupling_apply(psi)
-    rhs = -(vpsi - float(psi @ vpsi) * psi)
+    v_mean = float(psi @ vpsi)
+    rhs = -(vpsi - v_mean * psi)
     x = _pinned_system(state).solve(rhs, psi)
 
-    residual = float(np.linalg.norm(_tridiagonal_apply(diag, off, x) - rhs)
-                     / np.linalg.norm(rhs))
+    res = _tridiagonal_apply(diag, off, x) - state.energy * x - rhs
+    residual = math.sqrt(float(res @ res) / float(rhs @ rhs))
     if not residual <= RESPONSE_RESIDUAL_TOL:
         raise QrabiError(
             f"linear-response residual {residual:.2e} exceeds {RESPONSE_RESIDUAL_TOL:.0e} "
             f"at cutoff {state.cutoff}"
         )
-    return GroundStateResponse(state=state, dvec=x, residual=residual, report=report)
+    return GroundStateResponse(state=state, dvec=x, residual=residual, report=report,
+                               x_plus=v_mean / math.sqrt(2.0),
+                               dx_plus_dg=math.sqrt(2.0) * float(vpsi @ x))
 
 
 def expectation_x(state: QuantumState) -> tuple[float, float]:
     """Per-spin displacement <x>_sigma = sqrt(2) <psi_sigma| a |psi_sigma>."""
-    n = np.arange(1, state.cutoff + 1)
-    roots = np.sqrt(n)
+    roots = _tables(state.cutoff + 1)[0][1:]
 
     def _one(c):
         return math.sqrt(2.0) * float(np.sum(c[:-1] * roots * c[1:]))

@@ -1,6 +1,11 @@
 """Transition observables: displacement expectations, the susceptibility of
 the single-photon absorption rate d|<x>|/dg, and the density-map data that
 bridges the QFI ridge to the observable ridge.
+
+A map is built row by row: ``map_row`` solves one omega row, one ground-state
+response per cell, and ``assemble_map`` normalizes rows and takes their
+argmaxes. ``coincidence_map`` is the two in sequence; ``qrabi map`` caches
+each row between them.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import numpy as np
 
 from . import polaron as pp
 from .critical import gc0 as gc0_estimate, gc2 as gc2_estimate
-from .edsolver import GroundStateResponse, expectation_x, ground_state_response
+from .edsolver import GroundStateResponse, ground_state_response
 from .errors import ParameterDomainError, QrabiError
 from .model import ModelParams
 
@@ -48,8 +53,8 @@ def _x_and_slope(response: GroundStateResponse) -> tuple[float, float, float]:
     The slope is 0 where <x>_+ = 0 (g = 0): |<x>_+| is even in g, so its
     symmetric derivative vanishes at the kink.
     """
-    xp, xm = expectation_x(response.state)
-    return xp, xm, float(np.sign(xp)) * response.dx_plus_dg
+    xp = response.x_plus
+    return xp, -xp, float(np.sign(xp)) * response.dx_plus_dg
 
 
 def _x_slope_pp(sweep: pp.PolaronSweep, flows: dict) -> np.ndarray:
@@ -138,32 +143,51 @@ class CoincidenceMap:
     failed_rows: tuple[int, ...] = ()
 
 
-def coincidence_map(omega_grid, gbar_grid, Omega: float = 1.0) -> CoincidenceMap:
-    """Dense (omega, g_bar) maps of F_Q and d|<x>|/dg, row-normalized.
+MAP_ROW_COLUMNS = ("gbar", "F_Q_g", "d_abs_x_dg", "cutoff", "residual")
 
-    Both come from one ground-state response per cell. A row whose solve
-    fails with a QrabiError is recorded in ``failed_rows`` and left NaN.
+
+def map_row(omega: float, Omega: float, gbar_grid) -> np.ndarray:
+    """Raw cells of one map row: one ground-state response per g_bar.
+
+    Returns a (cells x 5) array with columns ``MAP_ROW_COLUMNS``: g_bar,
+    F_Q with respect to g, d|<x>|/dg, and the certified cutoff and
+    linear-solve residual behind them. A cell whose response fails with a
+    QrabiError is NaN past its g_bar column.
+    """
+    gbar_grid = np.asarray(gbar_grid, dtype=float)
+    base = ModelParams(float(omega), Omega, 0.0)
+    row = np.full((gbar_grid.size, len(MAP_ROW_COLUMNS)), np.nan)
+    row[:, 0] = gbar_grid
+    for k, gb in enumerate(gbar_grid):
+        try:
+            response = ground_state_response(base.with_g(gb * base.gc0))
+        except QrabiError:
+            continue
+        row[k, 1:] = (response.fisher_information, _x_and_slope(response)[2],
+                      response.state.cutoff, response.residual)
+    return row
+
+
+def assemble_map(omega_grid, gbar_grid, rows, Omega: float = 1.0) -> CoincidenceMap:
+    """The ``CoincidenceMap`` of raw ``map_row`` rows, one per omega.
+
+    A row with any failed cell is recorded in ``failed_rows`` and left NaN;
+    every other row is divided by its maximum, and its argmax is the g_bar
+    of its largest cell.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     gbar_grid = np.asarray(gbar_grid, dtype=float)
-    if np.any(np.diff(omega_grid) < 0) or np.any(np.diff(gbar_grid) < 0):
-        raise ParameterDomainError("grids must be ascending")
     n_rows, n_cols = omega_grid.size, gbar_grid.size
     qfi = np.full((n_rows, n_cols), np.nan)
     sus = np.full((n_rows, n_cols), np.nan)
     qfi_argmax = np.full(n_rows, np.nan)
     sus_argmax = np.full(n_rows, np.nan)
     failed = []
-    for i, omega in enumerate(omega_grid):
-        base = ModelParams(float(omega), Omega, 0.0)
-        try:
-            responses = [ground_state_response(base.with_g(gb * base.gc0))
-                         for gb in gbar_grid]
-        except QrabiError:
+    for i, row in enumerate(rows):
+        row_q, row_s = row[:, 1], row[:, 2]
+        if not np.all(np.isfinite(row[:, 1:3])):
             failed.append(i)
             continue
-        row_q = np.array([r.fisher_information for r in responses])
-        row_s = np.array([_x_and_slope(r)[2] for r in responses])
         qfi[i] = row_q / np.max(row_q)
         sus[i] = row_s / np.max(row_s)
         qfi_argmax[i] = gbar_grid[int(np.argmax(row_q))]
@@ -180,3 +204,18 @@ def coincidence_map(omega_grid, gbar_grid, Omega: float = 1.0) -> CoincidenceMap
         gc0_overlay=gc0_overlay, gc2_overlay=gc2_overlay,
         failed_rows=tuple(failed),
     )
+
+
+def coincidence_map(omega_grid, gbar_grid, Omega: float = 1.0) -> CoincidenceMap:
+    """Dense (omega, g_bar) maps of F_Q and d|<x>|/dg, row-normalized.
+
+    Both come from one ground-state response per cell (``map_row``), and
+    ``assemble_map`` normalizes the rows. A row with a cell whose solve fails
+    with a QrabiError is recorded in ``failed_rows`` and left NaN.
+    """
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    gbar_grid = np.asarray(gbar_grid, dtype=float)
+    if np.any(np.diff(omega_grid) < 0) or np.any(np.diff(gbar_grid) < 0):
+        raise ParameterDomainError("grids must be ascending")
+    rows = [map_row(float(w), Omega, gbar_grid) for w in omega_grid]
+    return assemble_map(omega_grid, gbar_grid, rows, Omega)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qrabi import qfi, store
+from qrabi import observables, qfi, store
 from qrabi.cli import main
+from qrabi.errors import NonconvergenceError
 
 
 @pytest.fixture
@@ -402,6 +403,8 @@ def test_failed_peak_is_explicit(runner, tmp_path):
     ["gc", "-w", "0"],
     ["pp-sweep", "-w", "0"],
     ["map", "--omega-min", "0"],
+    ["map", "--omega-min", "0.5", "--omega-max", "0.02"],
+    ["map", "--omega-steps", "0"],
     ["pp-sweep", "-w", "0.1", "--gbar-min", "-0.5"],
     ["qfi-sweep", "-w", "0.1", "--gbar-min", "-0.5"],
 ])
@@ -409,6 +412,99 @@ def test_out_of_domain_input_is_a_usage_error(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert not list(tmp_path.iterdir())
+
+
+MAP_ARGS = ["map", "--omega-min", "0.1", "--omega-max", "0.3", "--omega-steps", "2",
+            "--gbar-min", "1.0", "--gbar-max", "1.8", "--gbar-steps", "9"]
+MAP_FILES = ("map_qfi.csv", "map_susceptibility.csv", "map_overlays.csv")
+
+
+def _map(runner, tmp_path, cache, name="map"):
+    """(exit code, {file: bytes}) of ``MAP_ARGS`` written under ``tmp_path/name``."""
+    result = _invoke(runner, [*MAP_ARGS, "--out", str(tmp_path / name), "--cache", str(cache)])
+    files = {f: (tmp_path / f"{name}_{f[4:]}").read_bytes() for f in MAP_FILES}
+    return result.exit_code, files
+
+
+def _raising(params):
+    raise AssertionError("a cached map row was recomputed")
+
+
+def test_map_replay_reads_the_cached_rows(runner, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    code, cold = _map(runner, tmp_path, cache, "cold")
+    assert code == 0
+    records = [store.load(path) for path in cache.glob("*.sweep")]
+    assert sorted(rec.meta["omega"] for rec in records) == [0.1, 0.3]
+    for rec in records:
+        assert rec.meta["kind"] == "map-row"
+        assert rec.meta["grid"] == [1.0, 1.8, 9]
+        assert rec.columns == list(observables.MAP_ROW_COLUMNS)
+        assert np.all(rec.column("residual") <= 1e-8) and np.all(rec.column("cutoff") > 0)
+    monkeypatch.setattr(observables, "ground_state_response", _raising)
+    code, replay = _map(runner, tmp_path, cache, "replay")
+    assert code == 0
+    assert replay == cold
+
+
+def test_map_row_with_failed_cell_is_not_cached(runner, tmp_path, monkeypatch):
+    # one failed cell in the w/W = 0.3 row: the row is empty in every file,
+    # only the w/W = 0.1 row is cached, and a rerun computes the failed row again
+    real = observables.ground_state_response
+    calls = []
+
+    def flaky(params):
+        calls.append(params.omega)
+        if params.omega > 0.2 and params.g_bar > 1.7:
+            raise NonconvergenceError("cutoff limit reached")
+        return real(params)
+
+    monkeypatch.setattr(observables, "ground_state_response", flaky)
+    cache = tmp_path / "cache"
+    code, files = _map(runner, tmp_path, cache)
+    assert code == 3
+    assert [store.load(p).meta["omega"] for p in cache.glob("*.sweep")] == [0.1]
+    last = files["map_qfi.csv"].decode().splitlines()[-1].split(",")
+    assert float(last[0]) == 0.3 and set(last[1:]) == {"nan"}
+    assert len(calls) == 18
+
+    code, _ = _map(runner, tmp_path, cache)
+    assert code == 3
+    assert len(calls) == 27
+    monkeypatch.setattr(observables, "ground_state_response", real)
+    code, _ = _map(runner, tmp_path, cache)
+    assert code == 0
+    assert len(list(cache.glob("*.sweep"))) == 2
+
+
+def test_map_row_under_an_older_ed_version_misses(runner, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    current = store.CODE_VERSIONS["ed"]
+    monkeypatch.setitem(store.CODE_VERSIONS, "ed", "qrabi-0.1.0+ed-older")
+    code, old = _map(runner, tmp_path, cache)
+    assert code == 0
+    monkeypatch.setitem(store.CODE_VERSIONS, "ed", current)
+    before = set(cache.glob("*.sweep"))
+    code, new = _map(runner, tmp_path, cache)
+    assert code == 0
+    assert len(set(cache.glob("*.sweep")) - before) == 2
+    assert new == old
+
+
+def test_corrupt_map_row_record_is_recomputed(runner, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    code, fresh = _map(runner, tmp_path, cache)
+    assert code == 0
+    (path,) = [p for p in cache.glob("*.sweep") if store.load(p).meta["omega"] == 0.3]
+    path.write_bytes(path.read_bytes()[:60])
+    with pytest.raises(store.SchemaError):
+        store.load(path)
+    code, again = _map(runner, tmp_path, cache)
+    assert code == 0
+    assert again == fresh
+    assert store.load(path).meta["kind"] == "map-row"
+    monkeypatch.setattr(observables, "ground_state_response", _raising)
+    assert _map(runner, tmp_path, cache) == (0, fresh)
 
 
 def test_verify_passes(runner):

@@ -146,6 +146,22 @@ def test_photon_number_monotone_across_transition():
     assert np.all(np.diff(values) > 0)
 
 
+@pytest.mark.parametrize("ratio, gbar", [(0.5, 0.3), (0.1, 1.3), (0.02, 1.1), (0.005, 2.5)])
+def test_response_displacement_and_slope(ratio, gbar):
+    # <x>_+ from the response's V psi against the per-spin sum, and its slope
+    # against a central difference of <x>_+ (step 1e-5 g)
+    base = ModelParams(ratio, 1.0, 0.0)
+    params = base.with_g(gbar * base.gc0)
+    response = ground_state_response(params)
+    xp, xm = expectation_x(response.state)
+    assert response.x_plus == pytest.approx(xp, rel=1e-14)
+    assert xm == pytest.approx(-xp, rel=1e-14)
+    h = 1e-5 * params.g
+    central = (ground_state_response(params.with_g(params.g + h)).x_plus
+               - ground_state_response(params.with_g(params.g - h)).x_plus) / (2.0 * h)
+    assert response.dx_plus_dg == pytest.approx(central, rel=1e-7)
+
+
 def test_response_residual_above_bound_raises(monkeypatch):
     monkeypatch.setattr(edsolver, "RESPONSE_RESIDUAL_TOL", 0.0)
     with pytest.raises(QrabiError, match="residual"):

@@ -121,6 +121,34 @@ def test_coincidence_map_small():
     assert np.allclose(cmap.qfi_argmax, cmap.gc2_overlay, rtol=0.02)
 
 
+def test_map_row_cells_carry_their_solve(monkeypatch):
+    # a row holds per cell F_Q, the slope of |<x>|, and the cutoff and residual
+    # of its solve; a failed cell is NaN past its g_bar and the others stand
+    from qrabi import qfi
+
+    grid = np.linspace(1.0, 1.8, 5)
+    row = observables.map_row(0.1, 1.0, grid)
+    assert row.shape == (5, len(observables.MAP_ROW_COLUMNS))
+    base = ModelParams(0.1, 1.0, 0.0)
+    for gbar, f_q, slope, cutoff, residual in row:
+        sample = qfi.qfi_ed(base.with_g(gbar * base.gc0))
+        assert (f_q, cutoff, residual) == (sample.f_q_g, sample.cutoff, sample.residual)
+    ed = observables.susceptibility_sweep(0.1, 1.0, grid, method="ED")
+    assert row[:, 2].tolist() == [s.d_abs_x_dg for s in ed]
+
+    real = observables.ground_state_response
+
+    def flaky(params):
+        if params.g_bar > 1.7:
+            raise NonconvergenceError("cutoff limit reached")
+        return real(params)
+
+    monkeypatch.setattr(observables, "ground_state_response", flaky)
+    failed = observables.map_row(0.1, 1.0, grid)
+    assert np.array_equal(failed[:4], row[:4])
+    assert failed[4, 0] == grid[4] and np.all(np.isnan(failed[4, 1:]))
+
+
 def test_coincidence_map_failed_row(monkeypatch):
     real = observables.ground_state_response
 
