@@ -27,8 +27,8 @@ matrix again and costs one more solve.
 
 Per point the work is a handful of LAPACK calls on O(N) arrays, so the small
 array operations around them cost as much as the solves: sqrt(n) and the
-sector spin sign come from module tables shared by every cutoff, and each
-product with T or V is formed once.
+sector spin sign come from module tables shared by every cutoff, and V psi
+is formed once per response.
 """
 
 from __future__ import annotations

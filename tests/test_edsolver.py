@@ -153,9 +153,7 @@ def test_response_displacement_and_slope(ratio, gbar):
     base = ModelParams(ratio, 1.0, 0.0)
     params = base.with_g(gbar * base.gc0)
     response = ground_state_response(params)
-    xp, xm = expectation_x(response.state)
-    assert response.x_plus == pytest.approx(xp, rel=1e-14)
-    assert xm == pytest.approx(-xp, rel=1e-14)
+    assert response.x_plus == pytest.approx(expectation_x(response.state)[0], rel=1e-14)
     h = 1e-5 * params.g
     central = (ground_state_response(params.with_g(params.g + h)).x_plus
                - ground_state_response(params.with_g(params.g - h)).x_plus) / (2.0 * h)
