@@ -4,8 +4,9 @@ Subcommands: qfi-sweep, pp-sweep, gc, fit, map, verify. Curves are written as
 CSV (via the sweep-store format), fit and peak summaries as JSON; plotting is
 left to external tools.
 
-Exit codes: 0 success, 2 configuration error (an option outside its domain
-included), 3 partial numerical failure.
+Exit codes: 0 success, 2 configuration error (an option outside its domain,
+NaN or infinite included), 3 partial numerical failure. A failed value is
+written as NaN next to a status column.
 An unexpected internal error ends with a Python traceback and exit status 1.
 """
 
@@ -30,8 +31,22 @@ EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 
 DEFAULT_FREQS = critical.DEFAULT_FIT_GRID
-# the domain of every frequency-ratio option
-POSITIVE = click.FloatRange(min=0.0, min_open=True)
+
+
+class FiniteRange(click.FloatRange):
+    """A float range that also refuses NaN and infinities."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value} is not a finite number.", param, ctx)
+        return value
+
+
+# the domain of every frequency-ratio option and of --dc1
+POSITIVE = FiniteRange(min=0.0, min_open=True)
+# the domain of every g_bar bound
+NONNEGATIVE = FiniteRange(min=0.0)
 # the numerics families behind a qfi-sweep record, by --method
 SWEEP_FAMILIES = {"ed": ("ed",), "pp": ("pp",), "both": ("ed", "pp")}
 
@@ -42,8 +57,8 @@ def _cache_dir(cache):
 
 
 def _gbar_grid(gbar_min, gbar_max, gbar_steps):
-    if gbar_min < 0 or gbar_max <= gbar_min or gbar_steps < 2:
-        raise click.UsageError("need 0 <= gbar-min < gbar-max and gbar-steps >= 2")
+    if gbar_max <= gbar_min or gbar_steps < 2:
+        raise click.UsageError("need gbar-min < gbar-max and gbar-steps >= 2")
     return np.linspace(gbar_min, gbar_max, gbar_steps)
 
 
@@ -56,8 +71,8 @@ def main():
 @click.option("--omega-ratio", "-w", multiple=True, type=POSITIVE,
               default=DEFAULT_FREQS, show_default=True,
               help="Frequency ratios omega/Omega (repeatable).")
-@click.option("--gbar-min", default=0.5, show_default=True, type=float)
-@click.option("--gbar-max", default=3.0, show_default=True, type=float)
+@click.option("--gbar-min", default=0.5, show_default=True, type=NONNEGATIVE)
+@click.option("--gbar-max", default=3.0, show_default=True, type=NONNEGATIVE)
 @click.option("--gbar-steps", default=126, show_default=True, type=int)
 @click.option("--method", type=click.Choice(list(SWEEP_FAMILIES)), default="ed",
               show_default=True)
@@ -82,14 +97,12 @@ def cmd_qfi_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, method,
             "code_version": store.code_version(*SWEEP_FAMILIES[method]),
             "omega_ratio": ratio, "gc2_variant": gc2_variant,
         }
-        digest = store.compute_hash(meta)
-        record = store.lookup(cache_dir, digest)
-        if record is None:
-            record, failed = _compute_qfi_sweep(omega, Omega, grid, method, gc2_variant, meta)
-            any_partial = any_partial or failed
-            # a record with failed points is never cached, so a rerun retries them
-            if not failed:
-                store.store(cache_dir, record)
+        families = SWEEP_FAMILIES[method]
+        columns = ["g", "gbar", "g_over_gc2",
+                   *(f"F_Q_{f}{rel}" for f in families for rel in ("", "_rel")), "status"]
+        record = store.cached(cache_dir, meta, columns, lambda: _qfi_sweep_payload(
+            omega, Omega, grid, families, gc2_variant))
+        any_partial = any_partial or bool(record.column("status").any())
         path = f"{out}_w{ratio:g}.csv"
         store.save(record, path)
         click.echo(f"wrote {path} ({record.data.shape[0]} points)")
@@ -97,57 +110,47 @@ def cmd_qfi_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, method,
         sys.exit(EXIT_PARTIAL)
 
 
-def _compute_qfi_sweep(omega, Omega, grid, method, gc2_variant, meta):
+def _qfi_sweep_payload(omega, Omega, grid, families, gc2_variant):
+    """The qfi-sweep columns: g, g_bar, g/gc2, then F_Q and F_Q/max F_Q per
+    family, NaN where that route failed, and the status (1 where any failed)."""
     base = ModelParams(omega, Omega, 0.0)
     gc2_val = critical.gc2(omega, Omega, gc2_variant).value
-    columns = ["g", "gbar", "g_over_gc2"]
-    want_ed = method in ("ed", "both")
-    want_pp = method in ("pp", "both")
-    n = grid.size
-    ed_vals = np.full(n, np.nan)
-    if want_ed:
-        for k in range(n):
-            try:
-                ed_vals[k] = qfi.qfi_ed(base.with_g(float(grid[k]) * base.gc0)).f_q_gbar
-            except QrabiError:
-                pass
-    pp_vals = np.full(n, np.nan)
-    if want_pp:
-        pp_vals = qfi.qfi_pp_full(polaron.continuation_sweep(omega, Omega, grid))
     cols = [grid * base.gc0, grid, grid * base.gc0 / gc2_val]
-    if want_ed:
-        columns += ["F_Q_ed", "F_Q_ed_rel"]
-        mx = np.nanmax(ed_vals) if np.any(np.isfinite(ed_vals)) else math.nan
-        cols += [np.nan_to_num(ed_vals, nan=-1.0), np.nan_to_num(ed_vals / mx, nan=-1.0)]
-    if want_pp:
-        columns += ["F_Q_pp", "F_Q_pp_rel"]
-        mx = np.nanmax(pp_vals) if np.any(np.isfinite(pp_vals)) else math.nan
-        cols += [np.nan_to_num(pp_vals, nan=-1.0), np.nan_to_num(pp_vals / mx, nan=-1.0)]
-    columns.append("status")
-    # a point fails when any route that ran failed there
-    failed = (want_ed & ~np.isfinite(ed_vals)) | (want_pp & ~np.isfinite(pp_vals))
+    failed = np.zeros(grid.size, dtype=bool)
+    for family in families:
+        if family == "ed":
+            vals = np.full(grid.size, np.nan)
+            for k, gb in enumerate(grid):
+                try:
+                    vals[k] = qfi.qfi_ed(base.with_g(float(gb) * base.gc0)).f_q_gbar
+                except QrabiError:
+                    pass
+        else:
+            vals = qfi.qfi_pp_full(polaron.continuation_sweep(omega, Omega, grid))
+        mx = np.nanmax(vals) if np.any(np.isfinite(vals)) else math.nan
+        cols += [vals, vals / mx]
+        failed |= np.isnan(vals)
     cols.append(failed.astype(float))
-    record = store.SweepRecord(meta=meta, columns=columns, data=np.column_stack(cols))
-    return record, bool(np.any(failed))
+    return np.column_stack(cols)
 
 
 @main.command("pp-sweep")
 @click.option("--omega-ratio", "-w", type=POSITIVE, required=True)
-@click.option("--gbar-min", default=0.5, show_default=True, type=float)
-@click.option("--gbar-max", default=2.0, show_default=True, type=float)
+@click.option("--gbar-min", default=0.5, show_default=True, type=NONNEGATIVE)
+@click.option("--gbar-max", default=2.0, show_default=True, type=NONNEGATIVE)
 @click.option("--gbar-steps", default=151, show_default=True, type=int)
 @click.option("--out", default="pp_sweep.csv", show_default=True)
 def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out):
     """Variational polaron continuation sweep with ansatz parameters per point.
 
-    A point whose QFI assembly fails has status 1 and F_Q_pp = -1, and the
+    A point whose QFI assembly fails has status 1 and F_Q_pp = NaN, and the
     command exits 3.
     """
     grid = _gbar_grid(gbar_min, gbar_max, gbar_steps)
     omega, Omega = float(omega_ratio), 1.0
     sweep = polaron.continuation_sweep(omega, Omega, grid)
     fq = qfi.qfi_pp_full(sweep)
-    failed = ~np.isfinite(fq)
+    failed = np.isnan(fq)
     rows = [[grid[k], ans.energy, ans.alpha, ans.beta, ans.zeta_alpha, ans.zeta_beta,
              ans.xi_alpha, ans.xi_beta] for k, ans in enumerate(sweep.ansatz)]
     meta = {"kind": "pp-sweep", "omega": omega, "Omega": Omega,
@@ -157,7 +160,7 @@ def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out):
         meta=meta,
         columns=["gbar", "energy", "alpha", "beta", "zeta_alpha", "zeta_beta",
                  "xi_alpha", "xi_beta", "F_Q_pp", "status"],
-        data=np.column_stack([rows, np.where(failed, -1.0, fq), failed.astype(float)]),
+        data=np.column_stack([rows, fq, failed.astype(float)]),
     )
     store.save(record, out)
     click.echo(f"wrote {out}")
@@ -167,34 +170,29 @@ def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out):
 
 def _peak_cached(ratio, cache_dir):
     """ED QFI peak g_bar at omega/Omega = ratio, from the cache when a record
-    of the same search exists; NaN, named on stderr and not cached, when the
-    search fails."""
+    of the same search exists; NaN, named on stderr, when the search fails."""
     omega, Omega = float(ratio), 1.0
     meta = {"kind": "qfi-peak", "omega": omega, "Omega": Omega,
             "grid": [], "tolerances": {"tol": ENERGY_TOL, "method": "ED"},
             "code_version": store.code_version("ed")}
-    digest = store.compute_hash(meta)
-    record = store.lookup(cache_dir, digest)
-    if record is not None:
-        return float(record.column("gbar_cf")[0])
-    try:
-        est = qfi.find_peak(omega, Omega, method="ED")
-    except QrabiError as exc:
-        click.echo(f"omega/Omega = {ratio:g}: QFI peak search failed: {exc}", err=True)
-        return math.nan
-    record = store.SweepRecord(
-        meta=meta, columns=["gbar_cf", "g_cf", "f_q_max", "bracket_width", "evaluations"],
-        data=np.array([[est.gbar_cf, est.g_cf, est.f_q_max, est.bracket_width,
-                        est.evaluations]]),
-    )
-    store.store(cache_dir, record)
-    return est.gbar_cf
+
+    def search():
+        try:
+            est = qfi.find_peak(omega, Omega, method="ED")
+        except QrabiError as exc:
+            click.echo(f"omega/Omega = {ratio:g}: QFI peak search failed: {exc}", err=True)
+            return [math.nan] * 5
+        return [est.gbar_cf, est.g_cf, est.f_q_max, est.bracket_width, est.evaluations]
+
+    record = store.cached(cache_dir, meta,
+                          ["gbar_cf", "g_cf", "f_q_max", "bracket_width", "evaluations"], search)
+    return float(record.column("gbar_cf")[0])
 
 
 @main.command("gc")
 @click.option("--omega-ratio", "-w", multiple=True, type=POSITIVE, default=DEFAULT_FREQS,
               show_default=True)
-@click.option("--dc1", default=critical.DEFAULT_DC1, show_default=True, type=float)
+@click.option("--dc1", default=critical.DEFAULT_DC1, show_default=True, type=POSITIVE)
 @click.option("--with-peaks/--no-peaks", default=False, show_default=True,
               help="Also compute/cache the numeric QFI-peak coupling g_cF.")
 @click.option("--cache", default=".qrabi_cache", show_default=True)
@@ -202,8 +200,8 @@ def _peak_cached(ratio, cache_dir):
 def cmd_gc(omega_ratio, dc1, with_peaks, cache, out):
     """Critical-coupling table in the gc0, gc1 and gc2 scalings.
 
-    A ratio whose peak search fails has status 1 and g_cF = -1, and the
-    command exits 3.
+    A ratio whose peak search fails has status 1 and g_cF = NaN, and the
+    command exits 3. Without --with-peaks, g_cF is NaN at status 0.
     """
     cache_dir = _cache_dir(cache)
     rows = []
@@ -226,7 +224,7 @@ def cmd_gc(omega_ratio, dc1, with_peaks, cache, out):
             gcf,
             g1.value / g0.value, gx.value / g0.value, g2a.value / g0.value,
             g2a.value / g1.value,
-            gcf / g2a.value if math.isfinite(gcf) else -1.0,
+            gcf / g2a.value,
             float(with_peaks and math.isnan(gcf)),
         ])
     meta = {"kind": "gc-table", "omega": list(omega_ratio), "Omega": 1.0,
@@ -238,7 +236,7 @@ def cmd_gc(omega_ratio, dc1, with_peaks, cache, out):
                  "gc2_fourThirds", "gc2_fitted", "g_cF",
                  "gc1_over_gc0", "gcxi_over_gc0", "gc2_over_gc0",
                  "gc2_over_gc1", "gcF_over_gc2", "status"],
-        data=np.nan_to_num(np.array(rows), nan=-1.0),
+        data=np.array(rows),
     )
     store.save(record, out)
     click.echo(f"wrote {out}")
@@ -259,7 +257,8 @@ def cmd_fit(omega_ratio, max_order, cache, out):
     fits, and the command exits 3.
     """
     cache_dir = _cache_dir(cache)
-    peaks = [(ratio, _peak_cached(ratio, cache_dir) - 1.0) for ratio in omega_ratio]
+    # a repeated ratio adds no data point; the first of each is kept
+    peaks = [(ratio, _peak_cached(ratio, cache_dir) - 1.0) for ratio in dict.fromkeys(omega_ratio)]
     data = np.array([row for row in peaks if math.isfinite(row[1])])
     failed = len(data) < len(peaks)
     results = []
@@ -286,8 +285,8 @@ def cmd_fit(omega_ratio, max_order, cache, out):
 @click.option("--omega-min", default=0.02, show_default=True, type=POSITIVE)
 @click.option("--omega-max", default=0.5, show_default=True, type=POSITIVE)
 @click.option("--omega-steps", default=25, show_default=True, type=int)
-@click.option("--gbar-min", default=0.8, show_default=True, type=float)
-@click.option("--gbar-max", default=2.0, show_default=True, type=float)
+@click.option("--gbar-min", default=0.8, show_default=True, type=NONNEGATIVE)
+@click.option("--gbar-max", default=2.0, show_default=True, type=NONNEGATIVE)
 @click.option("--gbar-steps", default=121, show_default=True, type=int)
 @click.option("--out", default="map", show_default=True, help="Output path prefix.")
 @click.option("--cache", default=".qrabi_cache", show_default=True,
@@ -296,14 +295,18 @@ def cmd_map(omega_min, omega_max, omega_steps, gbar_min, gbar_max, gbar_steps, o
     """Row-normalized density maps of F_Q and d|<x>|/dg with gc overlays.
 
     Each omega row is one cached record; a row with a failed cell is left
-    empty, is not cached, and makes the command exit 3.
+    NaN, is not cached, and makes the command exit 3.
     """
     if omega_max < omega_min or omega_steps < 1:
         raise click.UsageError("need omega-min <= omega-max and omega-steps >= 1")
     omega_grid = np.geomspace(omega_min, omega_max, omega_steps)
     gbar_grid = _gbar_grid(gbar_min, gbar_max, gbar_steps)
     cache_dir = _cache_dir(cache)
-    rows = [_map_row_cached(float(w), gbar_grid, [gbar_min, gbar_max, gbar_steps], cache_dir)
+    meta = {"kind": "map-row", "Omega": 1.0, "grid": [gbar_min, gbar_max, gbar_steps],
+            "tolerances": {"tol": ENERGY_TOL}, "code_version": store.code_version("ed")}
+    # the raw cells of each omega row (observables.map_row), one cached record per row
+    rows = [store.cached(cache_dir, {**meta, "omega": float(w)}, list(observables.MAP_ROW_COLUMNS),
+                         lambda: observables.map_row(float(w), 1.0, gbar_grid)).data
             for w in omega_grid]
     cmap = observables.assemble_map(omega_grid, gbar_grid, rows, Omega=1.0)
     header = ",".join(f"{g:.17g}" for g in gbar_grid)
@@ -326,23 +329,6 @@ def cmd_map(omega_min, omega_max, omega_steps, gbar_min, gbar_max, gbar_steps, o
     if cmap.failed_rows:
         click.echo(f"failed rows: {cmap.failed_rows}", err=True)
         sys.exit(EXIT_PARTIAL)
-
-
-def _map_row_cached(omega, gbar_grid, grid, cache_dir):
-    """Raw cells of one map row (``observables.map_row``), from the cache when
-    a record of the same row exists; stored only when no cell failed, so a
-    rerun retries a failed row."""
-    Omega = 1.0
-    meta = {"kind": "map-row", "omega": omega, "Omega": Omega, "grid": grid,
-            "tolerances": {"tol": ENERGY_TOL}, "code_version": store.code_version("ed")}
-    record = store.lookup(cache_dir, store.compute_hash(meta))
-    if record is not None:
-        return record.data
-    row = observables.map_row(omega, Omega, gbar_grid)
-    if np.all(np.isfinite(row)):
-        store.store(cache_dir, store.SweepRecord(
-            meta=meta, columns=list(observables.MAP_ROW_COLUMNS), data=row))
-    return row
 
 
 @main.command("verify")

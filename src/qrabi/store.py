@@ -3,7 +3,8 @@
 File layout: a single header line ``#qrm-sweep v1 {json}`` carrying the
 metadata (including the column names in order), then one CSV row per grid
 point. Numbers are serialized with 17 significant digits so round trips are
-lossless.
+lossless. NaN, written ``nan``, is the one failure value: ``cached`` never
+stores a record that holds one, so a rerun computes it again.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ class SweepRecord:
     meta: dict
     columns: list[str]
     data: np.ndarray
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         self.data = np.atleast_2d(np.asarray(self.data, dtype=float))
@@ -77,13 +77,13 @@ def compute_hash(meta: dict) -> str:
 
 
 def save(record: SweepRecord, path) -> None:
-    """Write a record; NaN payloads are rejected."""
-    if np.any(~np.isfinite(record.data)):
-        raise SchemaError("refusing to save non-finite payload values")
+    """Write a record; NaN cells are written as ``nan``, infinities are rejected."""
+    if np.any(np.isinf(record.data)):
+        raise SchemaError("refusing to save infinite payload values")
     header = dict(record.meta)
     header["columns"] = record.columns
     header.setdefault("code_version", code_version(*CODE_VERSIONS))
-    lines = [f"{MAGIC} v{record.schema_version} {json.dumps(header, sort_keys=True)}"]
+    lines = [f"{MAGIC} v{SCHEMA_VERSION} {json.dumps(header, sort_keys=True)}"]
     for row in record.data:
         lines.append(",".join(f"{v:.17g}" for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -166,3 +166,15 @@ def store(cache_dir, record: SweepRecord) -> Path:
     finally:
         tmp.unlink(missing_ok=True)
     return path
+
+
+def cached(cache_dir, meta: dict, columns: list[str], compute) -> SweepRecord:
+    """The record of ``meta`` from the cache, else a new one with payload
+    ``compute()``. A new record is stored only when it holds no NaN, so a
+    rerun computes its failed values again."""
+    record = lookup(cache_dir, compute_hash(meta))
+    if record is None:
+        record = SweepRecord(meta=meta, columns=columns, data=compute())
+        if not np.isnan(record.data).any():
+            store(cache_dir, record)
+    return record

@@ -102,7 +102,8 @@ def test_qfi_sweep_and_cache_reuse(runner, tmp_path):
 
 def test_qfi_sweep_with_failed_point_is_not_cached(runner, tmp_path, monkeypatch):
     # at w/W = 0.001 only gbar = 8.0 has its truncation cutoff (17155) above
-    # the cutoff limit: 1 failed point of 11, which must not be cached or exit 0
+    # the cutoff limit: 1 failed point of 11, written as NaN, which must not be
+    # cached or exit 0
     calls = []
     qfi_ed = qfi.qfi_ed
 
@@ -118,6 +119,8 @@ def test_qfi_sweep_with_failed_point_is_not_cached(runner, tmp_path, monkeypatch
     assert result.exit_code == 3
     rec = store.load(tmp_path / "q_w0.001.csv")
     assert list(rec.column("status")) == [0.0] * 10 + [1.0]
+    for column in ("F_Q_ed", "F_Q_ed_rel"):
+        assert np.all(rec.column(column)[:10] > 0) and np.isnan(rec.column(column)[10])
     assert not list(cache.glob("*.sweep"))
     assert len(calls) == 11
 
@@ -139,7 +142,8 @@ def _nan_at(index):
 
 
 def test_qfi_sweep_both_with_failed_pp_point_is_not_cached(runner, tmp_path, monkeypatch):
-    # ED succeeds everywhere; the PP failure alone must mark the point failed
+    # ED succeeds everywhere; the PP failure alone must mark the point failed,
+    # and the NaN in the PP columns names the route that failed
     monkeypatch.setattr(qfi, "qfi_pp_full", _nan_at(3))
     cache = tmp_path / "cache"
     result = _invoke(runner, ["qfi-sweep", "-w", "0.1", "--method", "both",
@@ -148,7 +152,9 @@ def test_qfi_sweep_both_with_failed_pp_point_is_not_cached(runner, tmp_path, mon
     assert result.exit_code == 3
     rec = store.load(tmp_path / "q_w0.1.csv")
     assert list(rec.column("status")) == [0.0] * 3 + [1.0] + [0.0] * 5
-    assert np.all(rec.column("F_Q_ed") > 0)
+    assert np.all(rec.column("F_Q_ed") > 0) and np.all(rec.column("F_Q_ed_rel") > 0)
+    for column in ("F_Q_pp", "F_Q_pp_rel"):
+        assert np.isnan(rec.column(column)).tolist() == [False] * 3 + [True] + [False] * 5
     assert not list(cache.glob("*.sweep"))
 
 
@@ -302,6 +308,7 @@ def test_pp_sweep(runner, tmp_path):
 
 def test_pp_sweep_with_failed_point_exits_3(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(qfi, "qfi_pp_full", _nan_at(2))
+    monkeypatch.setenv("QRM_CACHE_DIR", str(tmp_path / "cache"))
     out = tmp_path / "pp.csv"
     result = _invoke(runner, ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2",
                               "--gbar-max", "1.4", "--gbar-steps", "5",
@@ -310,8 +317,9 @@ def test_pp_sweep_with_failed_point_exits_3(runner, tmp_path, monkeypatch):
     rec = store.load(out)
     fq = rec.column("F_Q_pp")
     assert list(rec.column("status")) == [0.0, 0.0, 1.0, 0.0, 0.0]
-    assert fq[2] == -1.0
+    assert np.isnan(fq[2])
     assert np.all(np.delete(fq, 2) > 0)
+    assert [p.name for p in tmp_path.iterdir()] == ["pp.csv"]
 
 
 def test_fit_command(runner, tmp_path):
@@ -376,7 +384,7 @@ def test_gc_peaks_past_the_old_search_range(runner, tmp_path):
 
 def test_failed_peak_is_explicit(runner, tmp_path):
     # at w/W = 1e-5 the peak search needs a cutoff above the limit and fails
-    # before any solve: status 1, g_cF = -1, nothing cached, exit 3
+    # before any solve: status 1, g_cF = NaN, nothing cached, exit 3
     cache = tmp_path / "cache"
     out = tmp_path / "gc.csv"
     result = _invoke(runner, ["gc", "--with-peaks", "-w", "0.1", "-w", "1e-5",
@@ -385,7 +393,7 @@ def test_failed_peak_is_explicit(runner, tmp_path):
     assert "omega/Omega = 1e-05: QFI peak search failed" in result.stderr
     rec = store.load(out)
     assert rec.column("status").tolist() == [0.0, 1.0]
-    assert rec.column("g_cF")[1] == -1.0 and rec.column("gcF_over_gc2")[1] == -1.0
+    assert np.isnan(rec.column("g_cF")[1]) and np.isnan(rec.column("gcF_over_gc2")[1])
     assert rec.column("g_cF")[0] > 0.0
     assert [store.load(p).meta["omega"] for p in cache.glob("*.sweep")] == [0.1]
 
@@ -399,6 +407,37 @@ def test_failed_peak_is_explicit(runner, tmp_path):
     assert {f["order"] for f in payload["fits"]} == {2}
 
 
+def test_gc_without_peaks_writes_nan_at_status_0(runner, tmp_path):
+    # no peak was asked for: g_cF and its ratio are NaN, and nothing failed
+    out = tmp_path / "gc.csv"
+    result = _invoke(runner, ["gc", "--no-peaks", "-w", "0.1", "--out", str(out),
+                              "--cache", str(tmp_path / "cache")])
+    assert result.exit_code == 0
+    rec = store.load(out)
+    assert np.isnan(rec.column("g_cF")[0]) and np.isnan(rec.column("gcF_over_gc2")[0])
+    assert rec.column("status").tolist() == [0.0]
+    assert out.read_text().splitlines()[1].split(",")[7] == "nan"
+    assert not (tmp_path / "cache").exists()
+
+
+def test_fit_drops_repeated_ratios(runner, tmp_path):
+    # one ratio given three times is one data point: too few to fit
+    cache = str(tmp_path / "cache")
+    result = runner.invoke(main, ["fit", "-w", "0.1", "-w", "0.1", "-w", "0.1",
+                                  "--out", str(tmp_path / "fit.json"), "--cache", cache])
+    assert result.exit_code == 2
+    assert "insufficient data points" in result.stderr
+    assert not (tmp_path / "fit.json").exists()
+    # a repeat is dropped and the first of each ratio is kept
+    fits = {}
+    for name, ratios in (("once", ["0.1", "0.2", "0.3"]), ("twice", ["0.1", "0.2", "0.1", "0.3"])):
+        out = tmp_path / f"{name}.json"
+        args = ["fit", "--max-order", "2", "--out", str(out), "--cache", cache]
+        assert _invoke(runner, args + [arg for r in ratios for arg in ("-w", r)]).exit_code == 0
+        fits[name] = json.loads(out.read_text())
+    assert fits["twice"] == fits["once"]
+
+
 @pytest.mark.parametrize("args", [
     ["gc", "-w", "0"],
     ["pp-sweep", "-w", "0"],
@@ -407,6 +446,19 @@ def test_failed_peak_is_explicit(runner, tmp_path):
     ["map", "--omega-steps", "0"],
     ["pp-sweep", "-w", "0.1", "--gbar-min", "-0.5"],
     ["qfi-sweep", "-w", "0.1", "--gbar-min", "-0.5"],
+    ["gc", "-w", "inf"],
+    ["gc", "-w", "nan"],
+    ["pp-sweep", "-w", "nan"],
+    ["qfi-sweep", "-w", "inf"],
+    ["map", "--omega-max", "inf"],
+    ["map", "--omega-min", "nan"],
+    ["qfi-sweep", "-w", "0.1", "--gbar-min", "nan"],
+    ["qfi-sweep", "-w", "0.1", "--gbar-max", "inf"],
+    ["pp-sweep", "-w", "0.1", "--gbar-max", "nan"],
+    ["map", "--gbar-min", "-inf"],
+    ["gc", "--dc1", "0"],
+    ["gc", "--dc1", "nan"],
+    ["gc", "--dc1", "-1"],
 ])
 def test_out_of_domain_input_is_a_usage_error(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])

@@ -48,10 +48,53 @@ def test_hash_ignores_payload_and_presentation():
     assert c != a  # tolerance change flips the hash
 
 
-def test_nan_payload_rejected(tmp_path):
+def test_nan_round_trips_and_inf_is_rejected(tmp_path):
+    # NaN is the failure value of a cell: written "nan", read back as NaN
     rec = _record(data=np.array([[1.0, np.nan]]))
-    with pytest.raises(SchemaError):
-        store.save(rec, tmp_path / "bad.sweep")
+    store.save(rec, tmp_path / "failed.sweep")
+    assert (tmp_path / "failed.sweep").read_text().splitlines()[1] == "1,nan"
+    assert np.array_equal(store.load(tmp_path / "failed.sweep").data, rec.data, equal_nan=True)
+    for value in (np.inf, -np.inf):
+        with pytest.raises(SchemaError):
+            store.save(_record(data=np.array([[1.0, value]])), tmp_path / "bad.sweep")
+    assert not (tmp_path / "bad.sweep").exists()
+
+
+def test_file_with_a_minus_one_cell_loads_unchanged(tmp_path):
+    # files written while failed cells held -1.0 are plain v1 rows: they load
+    # as they stand, and saving them again gives the same bytes
+    text = ('#qrm-sweep v1 {"Omega": 1.0, "code_version": {"pp": '
+            '"qrabi-0.1.0+pp-one-rerun-rule"}, "columns": ["gbar", "F_Q_pp", "status"], '
+            '"grid": [1.2, 1.4, 3], "kind": "pp-sweep", "omega": 0.1, "tolerances": {}}\n'
+            "1.2,27.5,0\n1.3,-1,1\n1.3999999999999999,31.25,0\n")
+    path = tmp_path / "old.csv"
+    path.write_text(text)
+    rec = store.load(path)
+    assert rec.column("F_Q_pp").tolist() == [27.5, -1.0, 31.25]
+    assert rec.column("status").tolist() == [0.0, 1.0, 0.0]
+    store.save(rec, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_text() == text
+
+
+def test_cached_stores_only_a_record_without_nan(tmp_path):
+    # a computed record holding a NaN is returned but not stored, so the next
+    # call computes it again; a complete record is stored and then served
+    calls = []
+
+    def compute(payload):
+        def run():
+            calls.append(payload)
+            return np.array(payload)
+        return run
+
+    failed = store.cached(tmp_path, _record().meta, ["a", "b"], compute([[1.0, np.nan]]))
+    assert np.isnan(failed.column("b")[0])
+    assert not list(tmp_path.iterdir())
+    done = store.cached(tmp_path, _record().meta, ["a", "b"], compute([[1.0, 2.0]]))
+    assert [p.name for p in tmp_path.iterdir()] == [f"{done.content_hash()}.sweep"]
+    hit = store.cached(tmp_path, _record().meta, ["a", "b"], compute([[9.0, 9.0]]))
+    assert hit.data.tolist() == [[1.0, 2.0]]
+    assert len(calls) == 2
 
 
 def test_column_count_mismatch_rejected():
@@ -147,7 +190,7 @@ def test_stale_lock_neither_delays_nor_fails_store(tmp_path):
 
 def test_failed_write_leaves_no_temporary_file(tmp_path):
     rec = _record()
-    rec.data[0, 0] = np.nan
+    rec.data[0, 0] = np.inf
     with pytest.raises(SchemaError):
         store.store(tmp_path, rec)
     assert not list(tmp_path.iterdir())
