@@ -15,7 +15,7 @@ from .critical import (
     gc2,
     gc_xi,
 )
-from .edsolver import QuantumState, ground_state
+from .edsolver import GroundStateResponse, QuantumState, ground_state
 from .errors import (
     DerivativeInvalidError,
     NonconvergenceError,
@@ -27,7 +27,6 @@ from .model import ModelParams
 from .polaron import PolaronAnsatz, PolaronSweep, continuation_sweep, optimize
 from .qfi import (
     PeakEstimate,
-    QfiSample,
     acceleration_condition,
     find_peak,
     qfi_ed,
@@ -42,13 +41,13 @@ __all__ = [
     "CriticalEstimate",
     "DerivativeInvalidError",
     "FitResult",
+    "GroundStateResponse",
     "ModelParams",
     "NonconvergenceError",
     "ParameterDomainError",
     "PeakEstimate",
     "PolaronAnsatz",
     "PolaronSweep",
-    "QfiSample",
     "QrabiError",
     "QuantumState",
     "SchemaError",

@@ -119,12 +119,8 @@ def _qfi_sweep_payload(omega, Omega, grid, families, gc2_variant):
     failed = np.zeros(grid.size, dtype=bool)
     for family in families:
         if family == "ed":
-            vals = np.full(grid.size, np.nan)
-            for k, gb in enumerate(grid):
-                try:
-                    vals[k] = qfi.qfi_ed(base.with_g(float(gb) * base.gc0)).f_q_gbar
-                except QrabiError:
-                    pass
+            # F_Q per g of each response, NaN where it failed, times gc0^2
+            vals = observables.map_row(omega, Omega, grid)[:, 1] * base.gc0 ** 2
         else:
             vals = qfi.qfi_pp_full(polaron.continuation_sweep(omega, Omega, grid))
         mx = np.nanmax(vals) if np.any(np.isfinite(vals)) else math.nan
@@ -352,30 +348,31 @@ def cmd_verify():
         except NonconvergenceError:
             check(name, False)
 
-    params = ModelParams(0.1, 1.0, 0.2)
     try:
-        sample = qfi.qfi_ed(params)
-        state, report = ground_state(params)
+        response = ground_state_response(ModelParams(0.1, 1.0, 0.2))
     except QrabiError as exc:
         check(f"ED QFI ({exc})", False)
     else:
-        check(f"cutoff energy bound {sample.energy_delta:.1e} <= tol |E0| = "
-              f"{ENERGY_TOL * abs(state.energy):.1e} (cutoff {report.final_cutoff} against "
+        report, bound = response.report, ENERGY_TOL * abs(response.state.energy)
+        f_q = response.fisher_information
+        check(f"cutoff energy bound {report.energy_delta:.1e} <= tol |E0| = "
+              f"{bound:.1e} (cutoff {report.final_cutoff} against "
               f"truncation {report.truncation_cutoff}, eigensolves {report.eigensolves})",
-              sample.energy_delta <= ENERGY_TOL * abs(state.energy))
-        check("F_Q >= 0", sample.f_q_g >= 0)
-        rel = 4.0 * sample.first_derivative_term ** 2 / sample.f_q_g
+              report.energy_delta <= bound)
+        check("F_Q >= 0", f_q >= 0)
+        rel = 4.0 * response.first_derivative_term ** 2 / f_q
         check("<psi'|psi> negligible", rel < 1e-10)
-        check(f"linear-response residual {sample.residual:.1e} < {RESPONSE_RESIDUAL_TOL:.0e} "
-              f"(cutoff {sample.cutoff})", sample.residual < RESPONSE_RESIDUAL_TOL)
+        check(f"linear-response residual {response.residual:.1e} < {RESPONSE_RESIDUAL_TOL:.0e} "
+              f"(cutoff {response.state.cutoff})", response.residual < RESPONSE_RESIDUAL_TOL)
 
     base = ModelParams(0.1, 1.0, 0.0)
     params = base.with_g(1.2 * base.gc0)
     step = 1e-5 * params.g
     try:
         exact = ground_state_response(params).dfisher_dg()
-        central = (qfi.qfi_ed(params.with_g(params.g + step)).f_q_g
-                   - qfi.qfi_ed(params.with_g(params.g - step)).f_q_g) / (2.0 * step)
+        central = (ground_state_response(params.with_g(params.g + step)).fisher_information
+                   - ground_state_response(params.with_g(params.g - step)).fisher_information
+                   ) / (2.0 * step)
     except QrabiError as exc:
         check(f"dF_Q/dg ({exc})", False)
     else:

@@ -22,8 +22,8 @@ ground state with respect to g stays in the sector and follows from one
 banded linear solve at the certified cutoff (first-order perturbation theory
 without the spectrum); ``ground_state_response`` returns both, with <x>_+ and
 its slope from the one product V psi that the solve's right-hand side needs.
-dF_Q/dg, asked for only by the QFI-peak search, factors the same pinned
-matrix again and costs one more solve.
+The response keeps the factors of that solve, so dF_Q/dg, asked for only by
+the QFI-peak search, costs one more solve and no second factorization.
 
 Per point the work is a handful of LAPACK calls on O(N) arrays, so the small
 array operations around them cost as much as the solves: sqrt(n) and the
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -318,7 +318,8 @@ class GroundStateResponse:
     V = dT/dg (the sector off-diagonal sqrt(n)); in the sector
     <x>_- = -<x>_+ exactly. ``dx_plus_dg`` = sqrt(2) (V psi).dvec is its
     derivative with respect to g. Both reuse the V psi of the solve's
-    right-hand side.
+    right-hand side. ``pinned`` holds the factors of that solve, which
+    ``dfisher_dg`` solves with again.
     """
 
     state: QuantumState
@@ -327,11 +328,17 @@ class GroundStateResponse:
     report: ConvergenceReport
     x_plus: float
     dx_plus_dg: float
+    pinned: _PinnedSystem = field(repr=False)
 
     @property
     def fisher_information(self) -> float:
         """F_Q with respect to g, 4 <d psi|d psi> (the <d psi|psi> term is zero)."""
         return 4.0 * float(self.dvec @ self.dvec)
+
+    @property
+    def f_q_gbar(self) -> float:
+        """F_Q with respect to g_bar = g/gc0, the exact factor gc0^2 larger."""
+        return self.fisher_information * self.state.params.gc0 ** 2
 
     @property
     def first_derivative_term(self) -> float:
@@ -343,11 +350,10 @@ class GroundStateResponse:
 
         Differentiating (T - E0) x = -(V - <V>) psi once more gives
         (T - E0) dx/dg = -2 (V - <V>) x along psi-perp, and dF_Q/dg = 8 x.dx/dg.
-        y comes from the pinned system behind ``dvec``, factored again here
-        (O(N), against the eigensolve) so that responses carry no factors.
+        y comes from the factors behind ``dvec``.
         """
         psi, x = self.state.coeffs_plus, self.dvec
-        y = _pinned_system(self.state).solve(x, psi)
+        y = self.pinned.solve(x, psi)
         v_mean = float(psi @ _coupling_apply(psi))
         return -16.0 * float(y @ (_coupling_apply(x) - v_mean * x))
 
@@ -386,7 +392,8 @@ def ground_state_response(params: ModelParams) -> GroundStateResponse:
     vpsi = _coupling_apply(psi)
     v_mean = float(psi @ vpsi)
     rhs = -(vpsi - v_mean * psi)
-    x = _pinned_system(state).solve(rhs, psi)
+    pinned = _pinned_system(state)
+    x = pinned.solve(rhs, psi)
 
     res = _tridiagonal_apply(diag, off, x) - state.energy * x - rhs
     residual = math.sqrt(float(res @ res) / float(rhs @ rhs))
@@ -397,15 +404,5 @@ def ground_state_response(params: ModelParams) -> GroundStateResponse:
         )
     return GroundStateResponse(state=state, dvec=x, residual=residual, report=report,
                                x_plus=v_mean / math.sqrt(2.0),
-                               dx_plus_dg=math.sqrt(2.0) * float(vpsi @ x))
-
-
-def expectation_x(state: QuantumState) -> tuple[float, float]:
-    """Per-spin displacement <x>_sigma = sqrt(2) <psi_sigma| a |psi_sigma>."""
-    roots = _tables(state.cutoff + 1)[0][1:]
-
-    def _one(c):
-        return math.sqrt(2.0) * float(np.sum(c[:-1] * roots * c[1:]))
-
-    return _one(state.coeffs_plus), _one(state.coeffs_minus)
+                               dx_plus_dg=math.sqrt(2.0) * float(vpsi @ x), pinned=pinned)
 

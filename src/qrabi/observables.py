@@ -4,8 +4,7 @@ bridges the QFI ridge to the observable ridge.
 
 A map is built row by row: ``map_row`` solves one omega row, one ground-state
 response per cell, and ``assemble_map`` normalizes rows and takes their
-argmaxes. ``coincidence_map`` is the two in sequence; ``qrabi map`` caches
-each row between them.
+argmaxes; ``qrabi map`` caches each row between the two.
 """
 
 from __future__ import annotations
@@ -205,17 +204,3 @@ def assemble_map(omega_grid, gbar_grid, rows, Omega: float = 1.0) -> Coincidence
         failed_rows=tuple(failed),
     )
 
-
-def coincidence_map(omega_grid, gbar_grid, Omega: float = 1.0) -> CoincidenceMap:
-    """Dense (omega, g_bar) maps of F_Q and d|<x>|/dg, row-normalized.
-
-    Both come from one ground-state response per cell (``map_row``), and
-    ``assemble_map`` normalizes the rows. A row with a cell whose solve fails
-    with a QrabiError is recorded in ``failed_rows`` and left NaN.
-    """
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    gbar_grid = np.asarray(gbar_grid, dtype=float)
-    if np.any(np.diff(omega_grid) < 0) or np.any(np.diff(gbar_grid) < 0):
-        raise ParameterDomainError("grids must be ascending")
-    rows = [map_row(float(w), Omega, gbar_grid) for w in omega_grid]
-    return assemble_map(omega_grid, gbar_grid, rows, Omega)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import polaron as pp
 from .critical import CriticalEstimate, gc2
-from .edsolver import ground_state_response
+from .edsolver import GroundStateResponse, ground_state_response
 from .errors import DerivativeInvalidError, NonconvergenceError, ParameterDomainError, QrabiError
 from .model import ModelParams
 
@@ -39,27 +39,6 @@ PP_SCAN_RANGE = (0.5, 3.0)
 PP_SCAN_POINTS = 41
 PP_REFINE_POINTS = 9
 PP_REFINE_TOL = 1e-4
-
-
-@dataclass(frozen=True)
-class QfiSample:
-    """One QFI evaluation; f_q_g and f_q_gbar differ by the exact factor gc0^2.
-
-    ED samples carry the certified ``cutoff``, the relative ``residual`` of
-    the linear solve behind them and the certificate's ``energy_delta``
-    (its bound on the truncation's energy change, at most
-    ``edsolver.ENERGY_TOL`` |E0|).
-    """
-
-    g: float
-    g_bar: float
-    f_q_g: float
-    f_q_gbar: float
-    method: str
-    first_derivative_term: float
-    cutoff: int | None = None
-    residual: float | None = None
-    energy_delta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -79,21 +58,15 @@ class PeakEstimate:
     evaluations: int = 0
 
 
-def qfi_ed(params: ModelParams, *, check_step: bool = False) -> QfiSample:
-    """QFI with respect to g by exact linear response at the certified cutoff.
+def qfi_ed(params: ModelParams, *, check_step: bool = False) -> GroundStateResponse:
+    """QFI by exact linear response at the certified cutoff: the
+    ``GroundStateResponse`` of ``params``, whose ``fisher_information`` and
+    ``f_q_gbar`` are F_Q per g and per g_bar.
 
     ``check_step`` is accepted for compatibility and has no effect: there is
     no differentiation step to check.
     """
-    response = ground_state_response(params)
-    f_q = response.fisher_information
-    return QfiSample(
-        g=params.g, g_bar=params.g_bar if params.Omega > 0 else math.nan,
-        f_q_g=f_q, f_q_gbar=f_q * params.gc0 ** 2, method="ED",
-        first_derivative_term=response.first_derivative_term,
-        cutoff=response.state.cutoff, residual=response.residual,
-        energy_delta=response.report.energy_delta,
-    )
+    return ground_state_response(params)
 
 
 def _pp_overlap_terms(sweep: pp.PolaronSweep) -> tuple[np.ndarray, np.ndarray]:

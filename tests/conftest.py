@@ -4,8 +4,9 @@ Everything here is deliberately independent of the package internals: direct
 quadrature, dense grid diagonalization, the dense full-space Fock Hamiltonian,
 explicit Gaussian algebra and high-precision series extraction, used to
 validate the closed forms and solvers against first principles. The
-position-space wavefunction, photon number and full-space vector of a ground
-state live here too, since only tests read them. The polaron optimizer
+position-space wavefunction, photon number, per-spin displacement and
+full-space vector of a ground state live here too, since only tests read
+them. The polaron optimizer
 oracles (derivative-free minimization, re-optimized finite differences)
 evaluate the package's energy, which the quadrature oracles check.
 """
@@ -155,6 +156,19 @@ def photon_number(state) -> float:
     (normalized) spin components."""
     n = np.arange(state.cutoff + 1)
     return float(0.5 * np.sum(n * (state.coeffs_plus ** 2 + state.coeffs_minus ** 2)))
+
+
+def expectation_x(state) -> tuple[float, float]:
+    """Per-spin displacement <x>_sigma = sqrt(2) <psi_sigma| a |psi_sigma> of a
+    ``QuantumState``, summed over the Fock ladder of each spin component: the
+    oracle of ``GroundStateResponse.x_plus``."""
+    roots = np.sqrt(np.arange(1, state.cutoff + 1))
+
+    def one(c):
+        return math.sqrt(2.0) * float(np.sum(c[:-1] * roots * c[1:]))
+
+    minus = -((-1.0) ** np.arange(state.cutoff + 1)) * state.coeffs_plus
+    return one(state.coeffs_plus), one(minus)
 
 
 def full_vector(state) -> np.ndarray:

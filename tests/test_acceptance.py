@@ -11,9 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import gc1_taylor_coefficients, gcxi_fractional_coefficients, numeric_pair_oracle
+from conftest import (
+    expectation_x,
+    gc1_taylor_coefficients,
+    gcxi_fractional_coefficients,
+    numeric_pair_oracle,
+)
 from qrabi import critical, observables, polaron, qfi
-from qrabi.edsolver import expectation_x, ground_state
+from qrabi.edsolver import ground_state
 from qrabi.model import ModelParams
 from qrabi.polaron import continuation_sweep
 
@@ -47,11 +52,11 @@ def test_criterion_01_decoupled_limit_exactness(capsys):
     energy_ok = abs(state.energy + 0.5) < 1e-12
     sample = qfi.qfi_ed(ModelParams(0.1, 1.0, 1e-4))
     oracle = 4.0 / (0.1 + 1.0) ** 2
-    qfi_ok = abs(sample.f_q_g / oracle - 1.0) < 1e-4
+    qfi_ok = abs(sample.fisher_information / oracle - 1.0) < 1e-4
     elapsed = time.perf_counter() - t0
     _report(capsys, 1, "decoupled-limit exactness", energy_ok and qfi_ok and elapsed < 1.0,
             f"E0 err {abs(state.energy + 0.5):.1e}, F_Q rel err "
-            f"{abs(sample.f_q_g / oracle - 1.0):.1e}, {elapsed:.2f}s")
+            f"{abs(sample.fisher_information / oracle - 1.0):.1e}, {elapsed:.2f}s")
 
 
 def test_criterion_02_vanishing_first_derivative_term(capsys):
@@ -64,7 +69,7 @@ def test_criterion_02_vanishing_first_derivative_term(capsys):
             s = qfi.qfi_ed(base.with_g(float(gbar) * base.gc0))
             worst_first = max(worst_first, abs(s.first_derivative_term))
             # F_Q - 4<psi'|psi'> = -4 <psi'|psi>^2 by construction
-            worst_rel = max(worst_rel, 4.0 * s.first_derivative_term ** 2 / s.f_q_g)
+            worst_rel = max(worst_rel, 4.0 * s.first_derivative_term ** 2 / s.fisher_information)
     elapsed = time.perf_counter() - t0
     ok = worst_first < 1e-8 and worst_rel < 1e-8 and elapsed < 300.0
     _report(capsys, 2, "vanishing first-derivative term", ok,
@@ -181,7 +186,8 @@ def test_criterion_10_coincidence_map(capsys):
     t0 = time.perf_counter()
     omega_grid = np.geomspace(0.02, 0.5, 7)
     gbar_grid = np.linspace(1.0, 2.0, 51)
-    cmap = observables.coincidence_map(omega_grid, gbar_grid)
+    rows = [observables.map_row(omega, 1.0, gbar_grid) for omega in omega_grid]
+    cmap = observables.assemble_map(omega_grid, gbar_grid, rows)
     cell = gbar_grid[1] - gbar_grid[0]
     cells_ok = (cmap.failed_rows == () and np.all(
         np.abs(cmap.qfi_argmax - cmap.susceptibility_argmax) <= 2 * cell + 1e-12

@@ -105,13 +105,13 @@ def test_qfi_sweep_with_failed_point_is_not_cached(runner, tmp_path, monkeypatch
     # the cutoff limit: 1 failed point of 11, written as NaN, which must not be
     # cached or exit 0
     calls = []
-    qfi_ed = qfi.qfi_ed
+    real = observables.ground_state_response
 
-    def counted(params, **kwargs):
+    def counted(params):
         calls.append(params.g_bar)
-        return qfi_ed(params, **kwargs)
+        return real(params)
 
-    monkeypatch.setattr(qfi, "qfi_ed", counted)
+    monkeypatch.setattr(observables, "ground_state_response", counted)
     cache = tmp_path / "cache"
     args = ["qfi-sweep", "-w", "0.001", "--gbar-min", "5.5", "--gbar-max", "8.0",
             "--gbar-steps", "11", "--out", str(tmp_path / "q"), "--cache", str(cache)]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     build_hamiltonian,
+    expectation_x,
     full_vector,
     grid_ground_energy,
     photon_number,
@@ -16,7 +17,6 @@ from conftest import (
 )
 from qrabi import edsolver, qfi
 from qrabi.edsolver import (
-    expectation_x,
     ground_state,
     ground_state_response,
     initial_cutoff,
@@ -180,8 +180,8 @@ def test_one_eigensolve_search_matches_two_solve_oracle(ratio):
         assert report.eigensolves == 1
         assert state.energy == pytest.approx(energy, rel=1e-13)
         sample = qfi.qfi_ed(params)
-        assert sample.f_q_g == pytest.approx(f_q, rel=1e-12)
-        assert sample.energy_delta == report.energy_delta <= 1e-10 * abs(state.energy)
+        assert sample.fisher_information == pytest.approx(f_q, rel=1e-12)
+        assert sample.report.energy_delta == report.energy_delta <= 1e-10 * abs(state.energy)
 
 
 @pytest.mark.parametrize("ratio", np.geomspace(5e-4, 1.0, 30)[::5])
@@ -195,7 +195,7 @@ def test_start_cutoff_is_certified_on_the_grid(ratio):
         _, report = ground_state(params)
         assert report.eigensolves == 1
         _, _, f_q = two_solve_qfi(params)
-        assert qfi.qfi_ed(params).f_q_g == pytest.approx(f_q, rel=1e-11)
+        assert qfi.qfi_ed(params).fisher_information == pytest.approx(f_q, rel=1e-11)
 
 
 @pytest.mark.parametrize("ratio", [1e-4, 0.005, 0.1, 1.0])

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import ansatz_wavefunction, random_ansatz
 from qrabi import observables
+from qrabi.edsolver import ground_state_response
 from qrabi.errors import NonconvergenceError, ParameterDomainError
 from qrabi.model import ModelParams
 from qrabi.polaron import PolaronAnsatz
@@ -105,10 +106,16 @@ def test_susceptibility_sweep_pp_accepts_any_ascending_grid(grid):
         assert s.velocity == pytest.approx(ref.velocity, rel=1e-5)
 
 
+def _coincidence_map(omega_grid, gbar_grid):
+    """The map of ``qrabi map``: one ``map_row`` per omega, then ``assemble_map``."""
+    rows = [observables.map_row(omega, 1.0, gbar_grid) for omega in omega_grid]
+    return observables.assemble_map(omega_grid, gbar_grid, rows)
+
+
 def test_coincidence_map_small():
     omega_grid = np.array([0.1, 0.3])
     gbar_grid = np.linspace(1.0, 1.8, 33)
-    cmap = observables.coincidence_map(omega_grid, gbar_grid)
+    cmap = _coincidence_map(omega_grid, gbar_grid)
     assert cmap.failed_rows == ()
     # row maxima exactly 1 after normalization
     assert np.allclose(np.nanmax(cmap.qfi, axis=1), 1.0)
@@ -124,15 +131,14 @@ def test_coincidence_map_small():
 def test_map_row_cells_carry_their_solve(monkeypatch):
     # a row holds per cell F_Q, the slope of |<x>|, and the cutoff and residual
     # of its solve; a failed cell is NaN past its g_bar and the others stand
-    from qrabi import qfi
-
     grid = np.linspace(1.0, 1.8, 5)
     row = observables.map_row(0.1, 1.0, grid)
     assert row.shape == (5, len(observables.MAP_ROW_COLUMNS))
     base = ModelParams(0.1, 1.0, 0.0)
     for gbar, f_q, slope, cutoff, residual in row:
-        sample = qfi.qfi_ed(base.with_g(gbar * base.gc0))
-        assert (f_q, cutoff, residual) == (sample.f_q_g, sample.cutoff, sample.residual)
+        response = ground_state_response(base.with_g(gbar * base.gc0))
+        assert (f_q, cutoff, residual) == (response.fisher_information, response.state.cutoff,
+                                           response.residual)
     ed = observables.susceptibility_sweep(0.1, 1.0, grid, method="ED")
     assert row[:, 2].tolist() == [s.d_abs_x_dg for s in ed]
 
@@ -158,7 +164,7 @@ def test_coincidence_map_failed_row(monkeypatch):
         return real(params)
 
     monkeypatch.setattr(observables, "ground_state_response", flaky)
-    cmap = observables.coincidence_map([0.1, 0.3], np.linspace(1.0, 1.8, 9))
+    cmap = _coincidence_map([0.1, 0.3], np.linspace(1.0, 1.8, 9))
     assert cmap.failed_rows == (1,)
     assert np.all(np.isnan(cmap.qfi[1])) and np.isnan(cmap.qfi_argmax[1])
     assert np.allclose(np.max(cmap.qfi[0]), 1.0)
@@ -170,4 +176,4 @@ def test_coincidence_map_propagates_programming_errors(monkeypatch):
 
     monkeypatch.setattr(observables, "ground_state_response", broken)
     with pytest.raises(TypeError):
-        observables.coincidence_map([0.1], np.linspace(1.0, 1.8, 9))
+        _coincidence_map([0.1], np.linspace(1.0, 1.8, 9))

@@ -171,7 +171,8 @@ def test_energy_rejects_unnormalized():
 def test_optimize_below_transition_matches_ed_state():
     # the raw (zeta, weight) parameters are not unique in the nearly
     # harmonic regime, so check the physical state: energy and displacement
-    from qrabi.edsolver import expectation_x, ground_state
+    from conftest import expectation_x
+    from qrabi.edsolver import ground_state
     from qrabi.observables import x_expectation_pp
 
     base = ModelParams(0.1, 1.0, 0.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,16 +25,17 @@ def test_perturbative_limit():
     # second-order perturbation theory: F_Q(g->0) = 4/(omega+Omega)^2
     params = ModelParams(0.1, 1.0, 1e-4)
     sample = qfi.qfi_ed(params)
-    assert sample.f_q_g == pytest.approx(4.0 / 1.1 ** 2, rel=1e-4)
+    assert sample.fisher_information == pytest.approx(4.0 / 1.1 ** 2, rel=1e-4)
     # exact at g = 0, where the response is a single Fock state
-    assert qfi.qfi_ed(params.with_g(0.0)).f_q_g == pytest.approx(4.0 / 1.1 ** 2, rel=1e-12)
+    exact = qfi.qfi_ed(params.with_g(0.0)).fisher_information
+    assert exact == pytest.approx(4.0 / 1.1 ** 2, rel=1e-12)
 
 
 def test_unit_conversion_identity():
     params = ModelParams(0.1, 1.0, 0.2)
     sample = qfi.qfi_ed(params)
-    assert sample.f_q_gbar == pytest.approx(sample.f_q_g * params.gc0 ** 2, rel=1e-14)
-    assert sample.f_q_g >= 0.0
+    assert sample.f_q_gbar == sample.fisher_information * params.gc0 ** 2
+    assert sample.fisher_information >= 0.0
 
 
 def test_first_derivative_term_negligible():
@@ -42,7 +44,7 @@ def test_first_derivative_term_negligible():
         sample = qfi.qfi_ed(base.with_g(gbar * base.gc0))
         assert abs(sample.first_derivative_term) < 1e-8
         # F_Q and 4<psi'|psi'> agree: the cross term is negligible
-        assert 4.0 * sample.first_derivative_term ** 2 < 1e-8 * sample.f_q_g
+        assert 4.0 * sample.first_derivative_term ** 2 < 1e-8 * sample.fisher_information
 
 
 def test_richardson_step_control():
@@ -51,9 +53,9 @@ def test_richardson_step_control():
     params = ModelParams(0.1, 1.0, 0.2)
     reference = qfi.qfi_ed(params)
     h = 1e-4 * params.gc0
-    f_2h, f_h, f_h2 = (fd_qfi(params, k * h, reference.cutoff) for k in (2.0, 1.0, 0.5))
+    f_2h, f_h, f_h2 = (fd_qfi(params, k * h, reference.state.cutoff) for k in (2.0, 1.0, 0.5))
     assert abs((f_2h - f_h) / (f_h - f_h2) - 4.0) <= 2.0
-    assert f_h == pytest.approx(reference.f_q_g, rel=1e-5)
+    assert f_h == pytest.approx(reference.fisher_information, rel=1e-5)
 
 
 @pytest.mark.parametrize("omega", [0.005, 0.1, 0.5])
@@ -62,8 +64,8 @@ def test_linear_response_matches_fd_oracle(omega):
     for gbar in np.linspace(0.5, 3.0, 11):
         params = base.with_g(float(gbar) * base.gc0)
         sample = qfi.qfi_ed(params)
-        oracle = fd_qfi(params, 1e-6 * base.gc0, sample.cutoff)
-        assert sample.f_q_g == pytest.approx(oracle, rel=1e-7)
+        oracle = fd_qfi(params, 1e-6 * base.gc0, sample.state.cutoff)
+        assert sample.fisher_information == pytest.approx(oracle, rel=1e-7)
 
 
 @pytest.mark.parametrize("omega", [0.005, 0.1, 0.5])
@@ -84,9 +86,9 @@ def test_qfi_ed_converges_at_low_frequency():
     base = ModelParams(0.001, 1.0, 0.0)
     for gbar in (1.5, 3.0):
         sample = qfi.qfi_ed(base.with_g(gbar * base.gc0))
-        assert sample.cutoff < 8192
+        assert sample.state.cutoff < 8192
         assert sample.residual < 1e-8
-        assert sample.f_q_g > 0
+        assert sample.fisher_information > 0
 
 
 def test_invalid_steps_rejected():
@@ -103,9 +105,9 @@ def test_fidelity_consistency():
     # 2(1-F)/delta^2 estimates chi_F = F_Q/4
     params = ModelParams(0.1, 1.0, ModelParams(0.1, 1.0, 0.0).gc0)
     delta = 1e-3 * params.gc0
-    cutoff = qfi.qfi_ed(params.with_g(params.g + delta)).cutoff
+    cutoff = qfi.qfi_ed(params.with_g(params.g + delta)).state.cutoff
     f = overlap_fidelity(params, delta, cutoff)
-    chi = qfi.qfi_ed(params).f_q_g / 4.0
+    chi = qfi.qfi_ed(params).fisher_information / 4.0
     assert 2.0 * (1.0 - f) / delta ** 2 == pytest.approx(chi, rel=0.01)
     assert overlap_fidelity(params, 0.0, cutoff) == pytest.approx(1.0, abs=1e-12)
 
@@ -249,6 +251,25 @@ def test_find_peak_ed_root_search(ratio, monkeypatch):
     base = ModelParams(ratio, 1.0, 0.0)
     for shift in (-1e-6, 1e-6):
         assert est.f_q_max >= qfi.qfi_ed(base.with_g((est.gbar_cf + shift) * base.gc0)).f_q_gbar
+
+
+def test_find_peak_factors_once_per_response(monkeypatch):
+    # each response keeps the factors of its solve, and dF_Q/dg solves with
+    # them: one dgttrf per evaluation of the peak search
+    calls = []
+    real = edsolver.dgttrf
+    monkeypatch.setattr(edsolver, "dgttrf", lambda *a: calls.append(1) or real(*a))
+    est = qfi.find_peak(0.1, 1.0)
+    assert len(calls) == est.evaluations > 0
+
+
+@pytest.mark.parametrize("ratio, gbar", [(0.5, 0.3), (0.1, 1.3), (0.005, 2.5)])
+def test_dfisher_with_held_factors_is_a_fresh_factorization(ratio, gbar):
+    base = ModelParams(ratio, 1.0, 0.0)
+    response = edsolver.ground_state_response(base.with_g(gbar * base.gc0))
+    fresh = dataclasses.replace(response, pinned=edsolver._pinned_system(response.state))
+    assert fresh.pinned is not response.pinned
+    assert response.dfisher_dg() == fresh.dfisher_dg()
 
 
 @pytest.mark.parametrize("ratio", DEFAULT_FIT_GRID)
