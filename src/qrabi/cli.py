@@ -6,7 +6,9 @@ left to external tools.
 
 Exit codes: 0 success, 2 configuration error (an option outside its domain,
 NaN or infinite included), 3 partial numerical failure. A failed value is
-written as NaN next to a status column.
+written as NaN next to a status column. Frequency ratios and --dc1 lie in
+[1e-20, 1e20] and g_bar bounds in [0, 1e6]; past them the closed-form
+couplings and cutoffs overflow.
 An unexpected internal error ends with a Python traceback and exit status 1.
 """
 
@@ -43,10 +45,13 @@ class FiniteRange(click.FloatRange):
         return value
 
 
-# the domain of every frequency-ratio option and of --dc1
-POSITIVE = FiniteRange(min=0.0, min_open=True)
-# the domain of every g_bar bound
-NONNEGATIVE = FiniteRange(min=0.0)
+# the domain of every frequency-ratio option and of --dc1: past it the
+# closed forms of ``critical`` overflow (gc1 from a ratio of about 1e77,
+# gc_xi below about 1e-103)
+RATIO = FiniteRange(min=1e-20, max=1e20)
+# the domain of every g_bar bound: at g_bar 1e300 the ED photon number and
+# the polaron energy's powers of the displacement overflow
+GBAR = FiniteRange(min=0.0, max=1e6)
 # the numerics families behind a qfi-sweep record, by --method
 SWEEP_FAMILIES = {"ed": ("ed",), "pp": ("pp",), "both": ("ed", "pp")}
 
@@ -68,11 +73,11 @@ def main():
 
 
 @main.command("qfi-sweep")
-@click.option("--omega-ratio", "-w", multiple=True, type=POSITIVE,
+@click.option("--omega-ratio", "-w", multiple=True, type=RATIO,
               default=DEFAULT_FREQS, show_default=True,
               help="Frequency ratios omega/Omega (repeatable).")
-@click.option("--gbar-min", default=0.5, show_default=True, type=NONNEGATIVE)
-@click.option("--gbar-max", default=3.0, show_default=True, type=NONNEGATIVE)
+@click.option("--gbar-min", default=0.5, show_default=True, type=GBAR)
+@click.option("--gbar-max", default=3.0, show_default=True, type=GBAR)
 @click.option("--gbar-steps", default=126, show_default=True, type=int)
 @click.option("--method", type=click.Choice(list(SWEEP_FAMILIES)), default="ed",
               show_default=True)
@@ -131,9 +136,9 @@ def _qfi_sweep_payload(omega, Omega, grid, families, gc2_variant):
 
 
 @main.command("pp-sweep")
-@click.option("--omega-ratio", "-w", type=POSITIVE, required=True)
-@click.option("--gbar-min", default=0.5, show_default=True, type=NONNEGATIVE)
-@click.option("--gbar-max", default=2.0, show_default=True, type=NONNEGATIVE)
+@click.option("--omega-ratio", "-w", type=RATIO, required=True)
+@click.option("--gbar-min", default=0.5, show_default=True, type=GBAR)
+@click.option("--gbar-max", default=2.0, show_default=True, type=GBAR)
 @click.option("--gbar-steps", default=151, show_default=True, type=int)
 @click.option("--out", default="pp_sweep.csv", show_default=True)
 def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out):
@@ -186,9 +191,9 @@ def _peak_cached(ratio, cache_dir):
 
 
 @main.command("gc")
-@click.option("--omega-ratio", "-w", multiple=True, type=POSITIVE, default=DEFAULT_FREQS,
+@click.option("--omega-ratio", "-w", multiple=True, type=RATIO, default=DEFAULT_FREQS,
               show_default=True)
-@click.option("--dc1", default=critical.DEFAULT_DC1, show_default=True, type=POSITIVE)
+@click.option("--dc1", default=critical.DEFAULT_DC1, show_default=True, type=RATIO)
 @click.option("--with-peaks/--no-peaks", default=False, show_default=True,
               help="Also compute/cache the numeric QFI-peak coupling g_cF.")
 @click.option("--cache", default=".qrabi_cache", show_default=True)
@@ -241,7 +246,7 @@ def cmd_gc(omega_ratio, dc1, with_peaks, cache, out):
 
 
 @main.command("fit")
-@click.option("--omega-ratio", "-w", multiple=True, type=POSITIVE, default=DEFAULT_FREQS,
+@click.option("--omega-ratio", "-w", multiple=True, type=RATIO, default=DEFAULT_FREQS,
               show_default=True)
 @click.option("--max-order", default=9, show_default=True, type=int)
 @click.option("--cache", default=".qrabi_cache", show_default=True)
@@ -278,11 +283,11 @@ def cmd_fit(omega_ratio, max_order, cache, out):
 
 
 @main.command("map")
-@click.option("--omega-min", default=0.02, show_default=True, type=POSITIVE)
-@click.option("--omega-max", default=0.5, show_default=True, type=POSITIVE)
+@click.option("--omega-min", default=0.02, show_default=True, type=RATIO)
+@click.option("--omega-max", default=0.5, show_default=True, type=RATIO)
 @click.option("--omega-steps", default=25, show_default=True, type=int)
-@click.option("--gbar-min", default=0.8, show_default=True, type=NONNEGATIVE)
-@click.option("--gbar-max", default=2.0, show_default=True, type=NONNEGATIVE)
+@click.option("--gbar-min", default=0.8, show_default=True, type=GBAR)
+@click.option("--gbar-max", default=2.0, show_default=True, type=GBAR)
 @click.option("--gbar-steps", default=121, show_default=True, type=int)
 @click.option("--out", default="map", show_default=True, help="Output path prefix.")
 @click.option("--cache", default=".qrabi_cache", show_default=True,

@@ -459,11 +459,49 @@ def test_fit_drops_repeated_ratios(runner, tmp_path):
     ["gc", "--dc1", "0"],
     ["gc", "--dc1", "nan"],
     ["gc", "--dc1", "-1"],
+    # finite values past the domains, where the closed forms and cutoffs overflow
+    ["gc", "-w", "1e100"],
+    ["gc", "-w", "1e300"],
+    ["gc", "-w", "1e-300"],
+    ["gc", "-w", "1e-30"],
+    ["gc", "--dc1", "1e300"],
+    ["gc", "--dc1", "1e-100"],
+    ["fit", "-w", "1e21"],
+    ["qfi-sweep", "-w", "1e300"],
+    ["pp-sweep", "-w", "1e-300"],
+    ["map", "--omega-min", "1e299", "--omega-max", "1e300", "--omega-steps", "1"],
+    ["qfi-sweep", "-w", "0.1", "--gbar-max", "1e300"],
+    ["pp-sweep", "-w", "0.1", "--gbar-max", "1e300"],
+    ["map", "--gbar-max", "1e300"],
+    ["qfi-sweep", "-w", "0.1", "--gbar-max", "1.1e6"],
 ])
 def test_out_of_domain_input_is_a_usage_error(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    [*command, *ends]
+    for ends in (["-w", "1e-20"], ["-w", "1e20"])
+    for command in (["qfi-sweep", "--method", "both", "--gbar-steps", "3"],
+                    ["pp-sweep", "--gbar-steps", "3"], ["gc", "--with-peaks"], ["fit"])
+] + [
+    ["gc", "-w", "1e-20", "-w", "1e20", "--dc1", "1e-20"],
+    ["gc", "-w", "1e-20", "-w", "1e20", "--dc1", "1e20"],
+    ["map", "--omega-min", "1e-20", "--omega-max", "1e20", "--omega-steps", "2",
+     "--gbar-steps", "3"],
+] + [
+    [*command, "--gbar-min", "0", "--gbar-max", "1e6", "--gbar-steps", "3"]
+    for command in (["qfi-sweep", "--method", "both", "-w", "0.1"], ["pp-sweep", "-w", "0.1"],
+                    ["map", "--omega-steps", "1"])
+])
+def test_domain_ends_give_values_or_explicit_failures(runner, tmp_path, args):
+    # at each end of each option domain every command runs to exit 0, or to
+    # exit 3 with its failed values written as NaN; no traceback
+    cache = [] if args[0] == "pp-sweep" else ["--cache", str(tmp_path / "cache")]
+    result = runner.invoke(main, [*args, *cache, "--out", str(tmp_path / "out")])
+    assert result.exit_code in (0, 3), result.output
 
 
 MAP_ARGS = ["map", "--omega-min", "0.1", "--omega-max", "0.3", "--omega-steps", "2",
