@@ -124,7 +124,7 @@ def _qfi_sweep_payload(omega, Omega, grid, families, gc2_variant):
     failed = np.zeros(grid.size, dtype=bool)
     for family in families:
         if family == "ed":
-            # F_Q per g of each response, NaN where it failed, times gc0^2
+            # map_row's F_Q per g, NaN where a response failed, taken per g_bar
             vals = observables.map_row(omega, Omega, grid)[:, 1] * base.gc0 ** 2
         else:
             vals = qfi.qfi_pp_full(polaron.continuation_sweep(omega, Omega, grid))
@@ -360,10 +360,9 @@ def cmd_verify():
     else:
         report, bound = response.report, ENERGY_TOL * abs(response.state.energy)
         f_q = response.fisher_information
-        check(f"cutoff energy bound {report.energy_delta:.1e} <= tol |E0| = "
-              f"{bound:.1e} (cutoff {report.final_cutoff} against "
-              f"truncation {report.truncation_cutoff}, eigensolves {report.eigensolves})",
-              report.energy_delta <= bound)
+        check(f"cutoff energy bound {report.energy_delta:.1e} <= tol |E0| = {bound:.1e} "
+              f"(cutoff {report.final_cutoff} against truncation {report.truncation_cutoff}, "
+              f"eigensolves {report.eigensolves})", report.energy_delta <= bound)
         check("F_Q >= 0", f_q >= 0)
         rel = 4.0 * response.first_derivative_term ** 2 / f_q
         check("<psi'|psi> negligible", rel < 1e-10)

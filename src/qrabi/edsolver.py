@@ -405,4 +405,3 @@ def ground_state_response(params: ModelParams) -> GroundStateResponse:
     return GroundStateResponse(state=state, dvec=x, residual=residual, report=report,
                                x_plus=v_mean / math.sqrt(2.0),
                                dx_plus_dg=math.sqrt(2.0) * float(vpsi @ x), pinned=pinned)
-

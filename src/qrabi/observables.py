@@ -203,4 +203,3 @@ def assemble_map(omega_grid, gbar_grid, rows, Omega: float = 1.0) -> Coincidence
         gc0_overlay=gc0_overlay, gc2_overlay=gc2_overlay,
         failed_rows=tuple(failed),
     )
-
