@@ -8,7 +8,9 @@ alpha^2 + beta^2 + 2 alpha beta <phi_a|phi_b> = 1.
 
 The energy of p = (psi, zeta_a, zeta_b, ln xi_a, ln xi_b) has a closed-form
 gradient and Hessian H, with the mixed derivative d_gbar grad E
-(``_objective``). ``optimize`` minimizes it by multi-start L-BFGS-B. A
+(``_objective``). ``optimize`` minimizes it by multi-start L-BFGS-B:
+scipy's compiled ``setulb``, driven in ``_minimize_from`` bitwise as
+``scipy.optimize.minimize`` drives it, without importing ``scipy.optimize``. A
 continuation sweep is predictor-corrector: each point after the first starts
 from the tangent p + dg_bar dp/dg_bar of the previous one, and a projected
 Newton corrector with the exact H converges it (``_newton``). The sweep keeps
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ParameterDomainError
-from .lapack import dsyev
+from .lapack import dsyev, lbfgsb
 from .model import ModelParams
 
 NORMALIZATION_TOL = 1e-8
@@ -48,6 +50,13 @@ EIGEN_FLOOR = 1e-10         # |eigenvalue| floor of a Newton step, relative to t
 # the energy varies by less than its rounding, and the state hardly changes
 FLAT_TOL = 1e-8
 _EPS = np.finfo(float).eps
+LBFGSB_MEMORY = 20          # L-BFGS-B correction pairs
+LBFGSB_MAXITER = 2000       # L-BFGS-B iterations per run
+LBFGSB_MAXFUN = 15000       # L-BFGS-B evaluations per run, scipy's default
+LBFGSB_MAXLS = 20           # line-search steps per L-BFGS-B iteration
+# setulb's task codes: evaluate at x, new iterate, stop; and the two stop reasons
+_FG, _NEW_X, _STOP = 3, 1, 5
+_STOP_MAXFUN, _STOP_MAXITER = 502, 504
 
 
 class Polaron(NamedTuple):
@@ -356,20 +365,64 @@ _BOUNDS = [
     LOG_XI_BOUNDS,
     LOG_XI_BOUNDS,
 ]
-_LOWER, _UPPER = np.array(_BOUNDS).T
+_LOWER, _UPPER = np.array(_BOUNDS).T.copy()     # contiguous rows, as setulb reads them
 
 
-def _minimize_from(p0: np.ndarray, params: ModelParams):
-    # imported here, so the ED commands start without scipy.optimize
-    from scipy.optimize import minimize
+class _Minimum(NamedTuple):
+    """The end of an L-BFGS-B run: its point and the energy there."""
 
-    # ftol = 0: stop on the projected gradient or when a step no longer lowers
-    # the energy; the longer memory resolves the flat directions of
-    # near-merged polarons below the transition
-    return minimize(
-        _objective, p0, args=(params,), jac=True, method="L-BFGS-B", bounds=_BOUNDS,
-        options={"ftol": 0.0, "gtol": GRADIENT_TOL, "maxiter": 2000, "maxcor": 20},
-    )
+    x: np.ndarray
+    fun: float
+
+
+def _minimize_from(p0: np.ndarray, params: ModelParams,
+                   maxiter: int = LBFGSB_MAXITER) -> _Minimum:
+    """L-BFGS-B from p0 inside the bounds (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
+    Comput. 16, 1190 (1995)), without importing ``scipy.optimize``.
+
+    The loop drives scipy's ``setulb`` as ``_minimize_lbfgsb`` in
+    ``scipy/optimize/_lbfgsb_py.py`` does, so the end point, its energy and
+    the sequence of evaluated points are bitwise those of
+    ``scipy.optimize.minimize(method="L-BFGS-B")`` with ftol 0, gtol
+    GRADIENT_TOL, maxcor LBFGSB_MEMORY and ``maxiter``. ftol = 0 (factr 0)
+    stops only on the projected gradient or when a step no longer lowers the
+    energy; the longer memory resolves the flat directions of near-merged
+    polarons below the transition.
+    """
+    setulb = lbfgsb().setulb
+    n, m = _LOWER.size, LBFGSB_MEMORY
+    nbd = np.full(n, 2, dtype=np.int32)     # every component has both bounds
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+
+    x = np.clip(p0, _LOWER, _UPPER)
+    evaluated = x.copy()
+    last = _objective(evaluated, params)
+    nfev, iterations = 1, 0
+    f, g = 0.0, np.zeros(n)
+    while True:
+        g = g.astype(np.float64)    # a copy: setulb may write to it, and ``last`` is reused
+        setulb(m, x, _LOWER, _UPPER, nbd, f, g, 0.0, GRADIENT_TOL, wa, iwa, task,
+               lsave, isave, dsave, LBFGSB_MAXLS, ln_task)
+        if task[0] == _FG:
+            if not np.array_equal(x, evaluated):
+                evaluated = x.copy()
+                last = _objective(evaluated, params)
+                nfev += 1
+            f, g = last
+        elif task[0] == _NEW_X:
+            iterations += 1
+            if iterations >= maxiter:
+                task[:] = _STOP, _STOP_MAXITER
+            elif nfev > LBFGSB_MAXFUN:
+                task[:] = _STOP, _STOP_MAXFUN
+        else:
+            return _Minimum(x, f)
 
 
 def optimize(params: ModelParams, warm_start: PolaronAnsatz | None = None) -> PolaronAnsatz:

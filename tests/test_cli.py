@@ -613,8 +613,8 @@ def test_help_documents_defaults(runner):
     assert "default" in result.output.lower()
 
 
-# Run in a fresh interpreter: the ED commands on tiny grids, then pp-sweep;
-# prints which of the slow-to-import modules each stage has loaded.
+# Run in a fresh interpreter: the ED commands on tiny grids, then the PP
+# commands; prints which of the slow-to-import modules each stage has loaded.
 IMPORT_BUDGET_SCRIPT = """
 import json, sys
 from qrabi.cli import main
@@ -628,14 +628,19 @@ for name, args in (
         ("map", ["map", "--omega-steps", "2", "--gbar-steps", "5"]),
         ("gc", ["gc", "--with-peaks", *ratios]),
         ("fit", ["fit", *ratios]),
-        ("pp-sweep", ["pp-sweep", "-w", "0.1", "--gbar-steps", "5"])):
+        ("pp-sweep", ["pp-sweep", "-w", "0.1", "--gbar-steps", "5"]),
+        ("qfi-sweep both", ["qfi-sweep", "--method", "both", "-w", "0.05", "--gbar-steps", "5"]),
+        ("verify", ["verify"])):
     if args is not None:
         main(args, standalone_mode=False)
     loaded[name] = [m for m in SLOW if m in sys.modules]
-# scipy.linalg is loaded by now (scipy.optimize imports it): it found the
-# _flapack module qrabi.lapack registered, so the extension was loaded once
+# the script's own imports find the extension modules qrabi.lapack
+# registered, so each extension was loaded once
+registered = sys.modules["scipy.optimize._lbfgsb"]
 import qrabi.lapack
+import scipy.optimize
 import scipy.linalg.lapack
+loaded["shared _lbfgsb"] = scipy.optimize._lbfgsb_py._lbfgsb is registered
 loaded["shared _flapack"] = scipy.linalg.lapack._flapack is qrabi.lapack._flapack
 loaded["shared dstebz"] = scipy.linalg.lapack.dstebz is qrabi.lapack.dstebz
 print(json.dumps(loaded))
@@ -656,22 +661,26 @@ def _run_fresh(script, cwd, *argv):
     return json.loads(result.stdout.strip().splitlines()[-1])
 
 
-def test_ed_commands_load_neither_scipy_optimize_nor_mpmath(tmp_path):
-    loaded = _run_fresh(IMPORT_BUDGET_SCRIPT, tmp_path, "scipy.optimize", "mpmath")
+def test_no_command_loads_scipy_optimize_or_mpmath(tmp_path):
+    loaded = _run_fresh(IMPORT_BUDGET_SCRIPT, tmp_path, "scipy.optimize", "mpmath",
+                        "scipy.optimize._lbfgsb")
     for stage in ("import", "qfi-sweep", "map", "gc", "fit"):
         assert loaded[stage] == [], stage
-    # the check is not vacuous: the PP optimizer does load scipy.optimize
-    assert "scipy.optimize" in loaded["pp-sweep"]
+    # the check is not vacuous: the PP optimizer loads scipy's L-BFGS-B
+    # extension, by file, at its first run
+    for stage in ("pp-sweep", "qfi-sweep both", "verify"):
+        assert loaded[stage] == ["scipy.optimize._lbfgsb"], stage
+    assert loaded["shared _lbfgsb"] is True
     assert (tmp_path / "fit_result.json").exists()
 
 
-def test_ed_commands_leave_scipy_linalg_unloaded(tmp_path):
+def test_no_command_loads_scipy_linalg(tmp_path):
     loaded = _run_fresh(IMPORT_BUDGET_SCRIPT, tmp_path, "scipy.linalg")
-    for stage in ("import", "qfi-sweep", "map", "gc", "fit"):
+    for stage in ("import", "qfi-sweep", "map", "gc", "fit", "pp-sweep", "qfi-sweep both",
+                  "verify"):
         assert loaded[stage] == [], stage
-    # the check is not vacuous: the PP optimizer's scipy.optimize loads
-    # scipy.linalg, which then reuses the extension qrabi.lapack loaded
-    assert loaded["pp-sweep"] == ["scipy.linalg"]
+    # the check is not vacuous: the script's own import of scipy.linalg
+    # reuses the extension qrabi.lapack loaded
     assert loaded["shared _flapack"] is True
     assert loaded["shared dstebz"] is True
 
@@ -679,7 +688,7 @@ def test_ed_commands_leave_scipy_linalg_unloaded(tmp_path):
 LAPACK_FALLBACK_SCRIPT = """
 import importlib.machinery, json, sys
 if sys.argv[1] == "fallback":
-    # no extension suffix: the lookup of scipy's _flapack file misses
+    # no extension suffix: the lookups of scipy's _flapack and _lbfgsb files miss
     importlib.machinery.EXTENSION_SUFFIXES = []
 import qrabi.lapack
 report = {"direct": qrabi.lapack._flapack is not None,
@@ -687,10 +696,13 @@ report = {"direct": qrabi.lapack._flapack is not None,
 from qrabi.cli import main
 main(["qfi-sweep", "--method", "ed", "-w", "0.1", "--gbar-steps", "5"], standalone_mode=False)
 main(["pp-sweep", "-w", "0.1", "--gbar-steps", "5"], standalone_mode=False)
+report["scipy.optimize after pp-sweep"] = "scipy.optimize" in sys.modules
 import scipy.linalg.lapack
+import scipy.optimize
 report["routines of scipy.linalg.lapack"] = all(
     getattr(qrabi.lapack, name) is getattr(scipy.linalg.lapack, name)
     for name in qrabi.lapack.__all__)
+report["_lbfgsb of scipy.optimize"] = qrabi.lapack.lbfgsb() is scipy.optimize._lbfgsb_py._lbfgsb
 print(json.dumps(report))
 """
 
@@ -706,10 +718,13 @@ def test_lapack_fallback_gives_identical_files(tmp_path):
     fallback.mkdir()
     assert _run_fresh(LAPACK_FALLBACK_SCRIPT, direct, "direct") == {
         "direct": True, "scipy.linalg at import": False,
-        "routines of scipy.linalg.lapack": True}
+        "scipy.optimize after pp-sweep": False,
+        "routines of scipy.linalg.lapack": True, "_lbfgsb of scipy.optimize": True}
+    # the fallback takes both extensions from scipy's own package imports
     assert _run_fresh(LAPACK_FALLBACK_SCRIPT, fallback, "fallback") == {
         "direct": False, "scipy.linalg at import": True,
-        "routines of scipy.linalg.lapack": True}
+        "scipy.optimize after pp-sweep": True,
+        "routines of scipy.linalg.lapack": True, "_lbfgsb of scipy.optimize": True}
     files = _tree(direct)
     assert "pp_sweep.csv" in files and any(name.startswith("cache") for name in files)
     assert files == _tree(fallback)

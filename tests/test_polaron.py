@@ -380,6 +380,55 @@ def test_optimize_reaches_nelder_mead_energy(ratio, gbar):
     assert optimize(params).energy <= nelder_mead_energy(params) + 1e-12
 
 
+@pytest.mark.parametrize("ratio, gbar, maxiter", [
+    (0.1, 0.8, polaron.LBFGSB_MAXITER), (0.1, 1.2, polaron.LBFGSB_MAXITER),
+    (0.5, 1.6, polaron.LBFGSB_MAXITER),
+    # the flat valley of near-merged polarons
+    (0.02, 0.2, polaron.LBFGSB_MAXITER), (0.02, 0.35, polaron.LBFGSB_MAXITER),
+    (0.02, 0.5, polaron.LBFGSB_MAXITER),
+    # above the transition, where some seeds end in the psi = 0 corner
+    (0.001, 2.5, polaron.LBFGSB_MAXITER), (0.01, 2.0, polaron.LBFGSB_MAXITER),
+    # every run stops at the iteration limit
+    (0.02, 0.3, 3),
+])
+def test_minimize_from_is_scipy_lbfgsb(ratio, gbar, maxiter, monkeypatch):
+    # _minimize_from must reproduce scipy's L-BFGS-B runs bit for bit: the end
+    # point, the energy there and every evaluated point, in order
+    from scipy.optimize import minimize
+
+    options = {"ftol": 0.0, "gtol": polaron.GRADIENT_TOL, "maxiter": maxiter,
+               "maxcor": polaron.LBFGSB_MEMORY}
+    base = ModelParams(ratio, 1.0, 0.0)
+    params = base.with_g(gbar * base.gc0)
+    objective = polaron._objective
+
+    def recorded(calls):
+        def fun(p, params):
+            calls.append(p.copy())
+            return objective(p, params)
+        return fun
+
+    corners = 0
+    # the seeds, and a start outside the bounds, clipped into them
+    outside = np.array([-0.2, 1.6, 0.3, 3.0, -5.0])
+    for p0 in [*polaron._seed_vectors(params, None), outside]:
+        ours, theirs = [], []
+        monkeypatch.setattr(polaron, "_objective", recorded(ours))
+        got = polaron._minimize_from(p0, params, maxiter=maxiter)
+        monkeypatch.setattr(polaron, "_objective", objective)
+        want = minimize(recorded(theirs), p0, args=(params,), jac=True, method="L-BFGS-B",
+                        bounds=polaron._BOUNDS, options=options)
+        np.testing.assert_array_equal(got.x, want.x)
+        assert got.fun == want.fun
+        assert len(ours) == len(theirs) == want.nfev
+        for p_ours, p_theirs in zip(ours, theirs):
+            np.testing.assert_array_equal(p_ours, p_theirs)
+        assert (want.nit == maxiter) == (maxiter < polaron.LBFGSB_MAXITER)
+        corners += got.x[0] == 0.0
+    if ratio < 0.02:
+        assert corners > 0
+
+
 @pytest.mark.parametrize("ratio, gbar", [(0.1, 1.0), (0.1, 1.3), (0.1, 1.6),
                                          (0.02, 1.2), (0.02, 1.6)])
 def test_implicit_flows_match_reoptimized_differences(ratio, gbar):
