@@ -18,7 +18,6 @@ the routines come from ``scipy.linalg.lapack`` and
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -59,10 +58,10 @@ else:
         _flapack.dgttrf, _flapack.dgttrs, _flapack.dstebz, _flapack.dstein, _flapack.dsyev)
 
 
-@functools.cache
 def lbfgsb():
     """scipy's ``_lbfgsb`` extension module, whose ``setulb`` runs L-BFGS-B by
-    reverse communication; loaded at the first call."""
+    reverse communication; loaded at the first call and found in
+    ``sys.modules`` after it."""
     module = _load_extension("optimize", "_lbfgsb")
     if module is None:
         from scipy.optimize import _lbfgsb as module

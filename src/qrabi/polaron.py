@@ -375,8 +375,7 @@ class _Minimum(NamedTuple):
     fun: float
 
 
-def _minimize_from(p0: np.ndarray, params: ModelParams,
-                   maxiter: int = LBFGSB_MAXITER) -> _Minimum:
+def _minimize_from(p0: np.ndarray, params: ModelParams) -> _Minimum:
     """L-BFGS-B from p0 inside the bounds (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci.
     Comput. 16, 1190 (1995)), without importing ``scipy.optimize``.
 
@@ -384,7 +383,7 @@ def _minimize_from(p0: np.ndarray, params: ModelParams,
     ``scipy/optimize/_lbfgsb_py.py`` does, so the end point, its energy and
     the sequence of evaluated points are bitwise those of
     ``scipy.optimize.minimize(method="L-BFGS-B")`` with ftol 0, gtol
-    GRADIENT_TOL, maxcor LBFGSB_MEMORY and ``maxiter``. ftol = 0 (factr 0)
+    GRADIENT_TOL, maxcor LBFGSB_MEMORY and maxiter LBFGSB_MAXITER. ftol = 0 (factr 0)
     stops only on the projected gradient or when a step no longer lowers the
     energy; the longer memory resolves the flat directions of near-merged
     polarons below the transition.
@@ -417,7 +416,7 @@ def _minimize_from(p0: np.ndarray, params: ModelParams,
             f, g = last
         elif task[0] == _NEW_X:
             iterations += 1
-            if iterations >= maxiter:
+            if iterations >= LBFGSB_MAXITER:
                 task[:] = _STOP, _STOP_MAXITER
             elif nfev > LBFGSB_MAXFUN:
                 task[:] = _STOP, _STOP_MAXFUN

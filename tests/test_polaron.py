@@ -408,13 +408,15 @@ def test_minimize_from_is_scipy_lbfgsb(ratio, gbar, maxiter, monkeypatch):
             return objective(p, params)
         return fun
 
+    stops_at_limit = maxiter < polaron.LBFGSB_MAXITER
+    monkeypatch.setattr(polaron, "LBFGSB_MAXITER", maxiter)
     corners = 0
     # the seeds, and a start outside the bounds, clipped into them
     outside = np.array([-0.2, 1.6, 0.3, 3.0, -5.0])
     for p0 in [*polaron._seed_vectors(params, None), outside]:
         ours, theirs = [], []
         monkeypatch.setattr(polaron, "_objective", recorded(ours))
-        got = polaron._minimize_from(p0, params, maxiter=maxiter)
+        got = polaron._minimize_from(p0, params)
         monkeypatch.setattr(polaron, "_objective", objective)
         want = minimize(recorded(theirs), p0, args=(params,), jac=True, method="L-BFGS-B",
                         bounds=polaron._BOUNDS, options=options)
@@ -423,7 +425,7 @@ def test_minimize_from_is_scipy_lbfgsb(ratio, gbar, maxiter, monkeypatch):
         assert len(ours) == len(theirs) == want.nfev
         for p_ours, p_theirs in zip(ours, theirs):
             np.testing.assert_array_equal(p_ours, p_theirs)
-        assert (want.nit == maxiter) == (maxiter < polaron.LBFGSB_MAXITER)
+        assert (want.nit == maxiter) == stops_at_limit
         corners += got.x[0] == 0.0
     if ratio < 0.02:
         assert corners > 0
