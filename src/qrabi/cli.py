@@ -141,32 +141,39 @@ def _qfi_sweep_payload(omega, Omega, grid, families, gc2_variant):
 @click.option("--gbar-max", default=2.0, show_default=True, type=GBAR)
 @click.option("--gbar-steps", default=151, show_default=True, type=int)
 @click.option("--out", default="pp_sweep.csv", show_default=True)
-def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out):
-    """Variational polaron continuation sweep with ansatz parameters per point.
+@click.option("--cache", default=".qrabi_cache", show_default=True,
+              help="Cache directory (env QRM_CACHE_DIR overrides).")
+def cmd_pp_sweep(omega_ratio, gbar_min, gbar_max, gbar_steps, out, cache):
+    """Variational polaron continuation sweep with ansatz parameters per point
+    (one record for the whole grid).
 
-    A point whose QFI assembly fails has status 1 and F_Q_pp = NaN, and the
-    command exits 3.
+    A point whose QFI assembly fails has status 1 and F_Q_pp = NaN; the
+    record is then not cached, and the command exits 3.
     """
     grid = _gbar_grid(gbar_min, gbar_max, gbar_steps)
     omega, Omega = float(omega_ratio), 1.0
-    sweep = polaron.continuation_sweep(omega, Omega, grid)
-    fq = qfi.qfi_pp_full(sweep)
-    failed = np.isnan(fq)
-    rows = [[grid[k], ans.energy, ans.alpha, ans.beta, ans.zeta_alpha, ans.zeta_beta,
-             ans.xi_alpha, ans.xi_beta] for k, ans in enumerate(sweep.ansatz)]
+    # the key holds the whole grid: a PP value depends on the sweep's path
     meta = {"kind": "pp-sweep", "omega": omega, "Omega": Omega,
             "grid": [gbar_min, gbar_max, gbar_steps], "tolerances": {},
             "code_version": store.code_version("pp")}
-    record = store.SweepRecord(
-        meta=meta,
-        columns=["gbar", "energy", "alpha", "beta", "zeta_alpha", "zeta_beta",
-                 "xi_alpha", "xi_beta", "F_Q_pp", "status"],
-        data=np.column_stack([rows, fq, failed.astype(float)]),
-    )
+    columns = ["gbar", "energy", "alpha", "beta", "zeta_alpha", "zeta_beta",
+               "xi_alpha", "xi_beta", "F_Q_pp", "status"]
+    record = store.cached(_cache_dir(cache), meta, columns,
+                          lambda: _pp_sweep_payload(omega, Omega, grid))
     store.save(record, out)
     click.echo(f"wrote {out}")
-    if np.any(failed):
+    if record.column("status").any():
         sys.exit(EXIT_PARTIAL)
+
+
+def _pp_sweep_payload(omega, Omega, grid):
+    """The pp-sweep columns: g_bar, the optimum's energy and ansatz parameters,
+    F_Q_pp (NaN where the QFI assembly failed) and the status (1 there)."""
+    sweep = polaron.continuation_sweep(omega, Omega, grid)
+    fq = qfi.qfi_pp_full(sweep)
+    rows = [[grid[k], ans.energy, ans.alpha, ans.beta, ans.zeta_alpha, ans.zeta_beta,
+             ans.xi_alpha, ans.xi_beta] for k, ans in enumerate(sweep.ansatz)]
+    return np.column_stack([rows, fq, np.isnan(fq).astype(float)])
 
 
 def _peak_cached(ratio, cache_dir):

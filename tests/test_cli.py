@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qrabi import observables, qfi, store
+from qrabi import observables, polaron, qfi, store
 from qrabi.cli import main
 from qrabi.errors import NonconvergenceError
 
@@ -286,7 +286,8 @@ def test_gc_header_names_only_the_ed_family(runner, tmp_path):
 def test_pp_sweep_header_names_only_the_pp_family(runner, tmp_path):
     out = tmp_path / "pp.csv"
     result = _invoke(runner, ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2",
-                              "--gbar-max", "1.4", "--gbar-steps", "3", "--out", str(out)])
+                              "--gbar-max", "1.4", "--gbar-steps", "3", "--out", str(out),
+                              "--cache", str(tmp_path / "cache")])
     assert result.exit_code == 0
     assert store.load(out).meta["code_version"] == {"pp": store.CODE_VERSIONS["pp"]}
 
@@ -295,7 +296,7 @@ def test_pp_sweep(runner, tmp_path):
     out = tmp_path / "pp.csv"
     result = _invoke(runner, ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2",
                               "--gbar-max", "1.4", "--gbar-steps", "5",
-                              "--out", str(out)])
+                              "--out", str(out), "--cache", str(tmp_path / "cache")])
     assert result.exit_code == 0
     rec = store.load(out)
     assert rec.data.shape == (5, 10)
@@ -307,19 +308,69 @@ def test_pp_sweep(runner, tmp_path):
 
 
 def test_pp_sweep_with_failed_point_exits_3(runner, tmp_path, monkeypatch):
-    monkeypatch.setattr(qfi, "qfi_pp_full", _nan_at(2))
-    monkeypatch.setenv("QRM_CACHE_DIR", str(tmp_path / "cache"))
+    # the record with a NaN point is not cached: a rerun assembles the QFI
+    # again and exits 3 again
+    patched, calls = _nan_at(2), []
+
+    def counted(sweep):
+        calls.append(sweep)
+        return patched(sweep)
+
+    monkeypatch.setattr(qfi, "qfi_pp_full", counted)
+    cache = tmp_path / "cache"
     out = tmp_path / "pp.csv"
-    result = _invoke(runner, ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2",
-                              "--gbar-max", "1.4", "--gbar-steps", "5",
-                              "--out", str(out)])
-    assert result.exit_code == 3
-    rec = store.load(out)
-    fq = rec.column("F_Q_pp")
-    assert list(rec.column("status")) == [0.0, 0.0, 1.0, 0.0, 0.0]
-    assert np.isnan(fq[2])
-    assert np.all(np.delete(fq, 2) > 0)
-    assert [p.name for p in tmp_path.iterdir()] == ["pp.csv"]
+    args = ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2", "--gbar-max", "1.4",
+            "--gbar-steps", "5", "--out", str(out), "--cache", str(cache)]
+    for run in (1, 2):
+        result = _invoke(runner, args)
+        assert result.exit_code == 3
+        assert len(calls) == run
+        rec = store.load(out)
+        fq = rec.column("F_Q_pp")
+        assert list(rec.column("status")) == [0.0, 0.0, 1.0, 0.0, 0.0]
+        assert np.isnan(fq[2])
+        assert np.all(np.delete(fq, 2) > 0)
+        assert [p.name for p in tmp_path.iterdir()] == ["pp.csv"]
+
+
+PP_ARGS = ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2", "--gbar-max", "1.4",
+           "--gbar-steps", "5"]
+
+
+def _pp_sweep(runner, tmp_path, cache, name):
+    """(exit code, bytes) of ``PP_ARGS`` written to ``tmp_path/name``."""
+    out = tmp_path / name
+    result = _invoke(runner, [*PP_ARGS, "--out", str(out), "--cache", str(cache)])
+    return result.exit_code, out.read_bytes()
+
+
+def _raising_sweep(omega, Omega, grid):
+    raise AssertionError("a cached pp-sweep record was recomputed")
+
+
+def test_pp_sweep_replay_reads_the_cached_record(runner, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    code, cold = _pp_sweep(runner, tmp_path, cache, "cold.csv")
+    assert code == 0
+    (path,) = cache.glob("*.sweep")
+    record = store.load(path)
+    assert record.meta["kind"] == "pp-sweep"
+    assert record.meta["grid"] == [1.2, 1.4, 5]
+    assert record.meta["code_version"] == {"pp": store.CODE_VERSIONS["pp"]}
+    real = polaron.continuation_sweep
+    monkeypatch.setattr(polaron, "continuation_sweep", _raising_sweep)
+    assert _pp_sweep(runner, tmp_path, cache, "replay.csv") == (0, cold)
+    # an ED version change leaves the record a hit
+    monkeypatch.setitem(store.CODE_VERSIONS, "ed", "qrabi-0.1.0+ed-newer")
+    assert _pp_sweep(runner, tmp_path, cache, "ed_bump.csv") == (0, cold)
+    assert list(cache.glob("*.sweep")) == [path]
+    # a PP version change makes it a miss: the sweep runs again into a new record
+    monkeypatch.setattr(polaron, "continuation_sweep", real)
+    monkeypatch.setitem(store.CODE_VERSIONS, "pp", "qrabi-0.1.0+pp-newer")
+    code, _ = _pp_sweep(runner, tmp_path, cache, "pp_bump.csv")
+    assert code == 0
+    assert len(list(cache.glob("*.sweep"))) == 2
+    np.testing.assert_array_equal(store.load(tmp_path / "pp_bump.csv").data, record.data)
 
 
 def test_fit_command(runner, tmp_path):
@@ -476,7 +527,8 @@ def test_fit_drops_repeated_ratios(runner, tmp_path):
     ["qfi-sweep", "-w", "0.1", "--gbar-max", "1.1e6"],
 ])
 def test_out_of_domain_input_is_a_usage_error(runner, tmp_path, args):
-    result = runner.invoke(main, args + ["--out", str(tmp_path / "out")])
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "out"),
+                                         "--cache", str(tmp_path / "cache")])
     assert result.exit_code == 2
     assert not list(tmp_path.iterdir())
 
@@ -499,8 +551,8 @@ def test_out_of_domain_input_is_a_usage_error(runner, tmp_path, args):
 def test_domain_ends_give_values_or_explicit_failures(runner, tmp_path, args):
     # at each end of each option domain every command runs to exit 0, or to
     # exit 3 with its failed values written as NaN; no traceback
-    cache = [] if args[0] == "pp-sweep" else ["--cache", str(tmp_path / "cache")]
-    result = runner.invoke(main, [*args, *cache, "--out", str(tmp_path / "out")])
+    result = runner.invoke(main, [*args, "--cache", str(tmp_path / "cache"),
+                                  "--out", str(tmp_path / "out")])
     assert result.exit_code in (0, 3), result.output
 
 
