@@ -292,13 +292,21 @@ def test_pp_sweep_header_names_only_the_pp_family(runner, tmp_path):
     assert store.load(out).meta["code_version"] == {"pp": store.CODE_VERSIONS["pp"]}
 
 
+PP_ARGS = ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2", "--gbar-max", "1.4",
+           "--gbar-steps", "5"]
+
+
+def _pp_sweep(runner, tmp_path, cache, name):
+    """(exit code, bytes) of ``PP_ARGS`` written to ``tmp_path/name``."""
+    out = tmp_path / name
+    result = _invoke(runner, [*PP_ARGS, "--out", str(out), "--cache", str(cache)])
+    return result.exit_code, out.read_bytes()
+
+
 def test_pp_sweep(runner, tmp_path):
-    out = tmp_path / "pp.csv"
-    result = _invoke(runner, ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2",
-                              "--gbar-max", "1.4", "--gbar-steps", "5",
-                              "--out", str(out), "--cache", str(tmp_path / "cache")])
-    assert result.exit_code == 0
-    rec = store.load(out)
+    code, _ = _pp_sweep(runner, tmp_path, tmp_path / "cache", "pp.csv")
+    assert code == 0
+    rec = store.load(tmp_path / "pp.csv")
     assert rec.data.shape == (5, 10)
     assert np.all(rec.column("status") == 0.0)
     assert np.all(rec.column("alpha") > 0)
@@ -317,31 +325,16 @@ def test_pp_sweep_with_failed_point_exits_3(runner, tmp_path, monkeypatch):
         return patched(sweep)
 
     monkeypatch.setattr(qfi, "qfi_pp_full", counted)
-    cache = tmp_path / "cache"
-    out = tmp_path / "pp.csv"
-    args = ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2", "--gbar-max", "1.4",
-            "--gbar-steps", "5", "--out", str(out), "--cache", str(cache)]
     for run in (1, 2):
-        result = _invoke(runner, args)
-        assert result.exit_code == 3
+        code, _ = _pp_sweep(runner, tmp_path, tmp_path / "cache", "pp.csv")
+        assert code == 3
         assert len(calls) == run
-        rec = store.load(out)
+        rec = store.load(tmp_path / "pp.csv")
         fq = rec.column("F_Q_pp")
         assert list(rec.column("status")) == [0.0, 0.0, 1.0, 0.0, 0.0]
         assert np.isnan(fq[2])
         assert np.all(np.delete(fq, 2) > 0)
         assert [p.name for p in tmp_path.iterdir()] == ["pp.csv"]
-
-
-PP_ARGS = ["pp-sweep", "-w", "0.1", "--gbar-min", "1.2", "--gbar-max", "1.4",
-           "--gbar-steps", "5"]
-
-
-def _pp_sweep(runner, tmp_path, cache, name):
-    """(exit code, bytes) of ``PP_ARGS`` written to ``tmp_path/name``."""
-    out = tmp_path / name
-    result = _invoke(runner, [*PP_ARGS, "--out", str(out), "--cache", str(cache)])
-    return result.exit_code, out.read_bytes()
 
 
 def _raising_sweep(omega, Omega, grid):
