@@ -14,9 +14,20 @@ photon-number widths lower: interlacing bounds that truncation's energy
 change from above without solving it, and the bound must be at most
 ``ENERGY_TOL`` relative while the removed rows carry a weight below 1e-12.
 A point that fails the certificate raises ``NonconvergenceError``; nothing
-is grown or retried. The eigensolve bisects only as far as inverse
-iteration needs, far below the sector gap, and takes the energy as the
-Rayleigh quotient of the vector.
+is grown or retried. The certificate and the cutoffs do not depend on how
+the eigensolve brackets E0.
+
+The eigensolve bisects only as far as inverse iteration needs, to a cell of
+a fixed energy grid of spacing h ~ 1e-6 omega, far below the sector gap, and
+takes the energy as the Rayleigh quotient of the vector. The cell comes from
+bisection of a bracket aligned to the grid, so it depends on the matrix
+alone. A neighbouring response, passed as ``neighbour`` by every caller
+that solves a sequence of couplings, predicts E0 to third order in the
+coupling step; a window of 2^12 cells around that prediction replaces the
+bisection from the Gershgorin interval whenever its Sturm counts show that
+it holds E0, and every value is bitwise the same with or without it.
+Matrices of fewer than ``GRID_MIN_ROWS`` rows keep the index bisection's
+own estimate, which costs less there.
 Because dH/dg = sigma_z (a + a^dag) conserves parity, the derivative of the
 ground state with respect to g stays in the sector and follows from one
 banded linear solve at the certified cutoff (first-order perturbation theory
@@ -40,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonconvergenceError, ParameterDomainError, QrabiError
-from .lapack import dgttrf, dgttrs, dstebz, dstein
+from .lapack import dgttrf, dgttrs, dpttrf, dstebz, dstein
 from .model import ModelParams
 
 HARD_CUTOFF_LIMIT = 16384
@@ -53,8 +64,14 @@ START_MARGIN = 32
 TRUNCATION_WIDTHS = 9.0
 TRUNCATION_MARGIN = 16
 # bisection tolerance of the sector eigensolve, in units of omega; the gap
-# to the next sector level is >= 0.118 omega for omega/Omega >= 1e-4
+# to the next sector level is >= 0.068 omega for omega/Omega >= 1e-4 (0.589,
+# 0.303, 0.144 and 0.068 omega at 0.1, 0.01, 0.001 and 1e-4, about r^(1/3))
 EIGENVALUE_ABSTOL = 1e-6
+# cells of the energy grid in the window around a neighbour's prediction
+WINDOW_CELLS = 2 ** 12
+# matrices with fewer rows skip the energy grid: for them one index bisection
+# from the Gershgorin interval costs less than the three LAPACK calls of a window
+GRID_MIN_ROWS = 128
 RESPONSE_RESIDUAL_TOL = 1e-8
 _EPS = np.finfo(float).eps
 # (sqrt(n), -(-1)^n) over n = 0, 1, ...: read-only, replaced by a longer pair
@@ -142,24 +159,100 @@ def _check_info(info: int, routine: str) -> None:
         raise QrabiError(f"LAPACK {routine} failed with info = {info}")
 
 
-def sector_eigenpairs(params: ModelParams, cutoff: int):
+def cell_width(omega: float) -> float:
+    """Spacing h of the energy grid, the power of two with
+    h <= EIGENVALUE_ABSTOL omega < 2 h."""
+    _, exponent = math.frexp(EIGENVALUE_ABSTOL * omega)
+    return math.ldexp(1.0, exponent - 1)
+
+
+def _gershgorin_floor(diag: np.ndarray, off: np.ndarray) -> float:
+    """min_n (d_n - e_(n-1) - e_n), the Gershgorin bound evaluated in dstebz's
+    order of operations, which dstebz lowers further before it bisects."""
+    rows = diag.copy()
+    rows[1:] -= off
+    rows[:-1] -= off
+    return float(rows.min())
+
+
+def _grid_bisection(diag, off, lo: float, cells: int, h: float, gershgorin: float):
+    """(values, iblock, isplit) of dstebz's value-range bisection of the
+    bracket (lo, lo + cells h], with lo a multiple of h and cells a power of
+    two: every bisection point is a grid point, and with tolerance 1.5 h each
+    level is returned as the midpoint of its h-cell (k h, (k + 1) h], by the
+    Sturm count of the matrix alone. None when the bracket holds no level or
+    dstebz would not bisect exactly it: below ``gershgorin``, the bound
+    it would start from instead; where its relative tolerance 2 eps |x|
+    reaches h (|E0| above about 1e9 omega); or when it splits the matrix into
+    blocks, each bisected from its own bound. The brackets searched end below
+    d_0 + 0.01 omega < d_1, under dstebz's upper Gershgorin bound.
+    """
+    hi = lo + cells * h
+    if lo < gershgorin or not 2.0 * _EPS * max(abs(lo), abs(hi)) < h:
+        return None
+    m, vals, iblock, isplit, info = dstebz(diag, off, 1, lo, hi, 0, 0, 1.5 * h, "E")
+    _check_info(info, "dstebz")
+    if m == 0 or isplit[0] != diag.size:
+        return None
+    return vals, iblock, isplit
+
+
+def sector_eigenpairs(params: ModelParams, cutoff: int,
+                      neighbour: GroundStateResponse | None = None):
     """Lowest eigenpair of the parity -1 sector as (values, vectors): one
     value, and its vector as the one column.
 
-    Bisection (dstebz) brackets the eigenvalue only to ``EIGENVALUE_ABSTOL``
-    omega, five orders of magnitude below the gap to the next sector level;
-    inverse iteration (dstein) from that estimate converges the vector, each
-    iteration shrinking its error by the ratio of the two. The value returned
-    is the vector's Rayleigh quotient, whose error is quadratic in the
-    vector's. These are the LAPACK routines behind scipy's
-    ``eigh_tridiagonal`` with an index range, called without its input
-    validation. A nonzero LAPACK ``info`` raises QrabiError.
+    The lowest level E0 is located on the energy grid of spacing
+    h = ``cell_width(omega)``: inverse iteration (dstein) starts from the
+    midpoint of the cell (k h, (k + 1) h] that holds E0, at most
+    h/2 <= EIGENVALUE_ABSTOL omega / 2 from it and five orders of magnitude
+    below the gap to the next sector level, and each iteration shrinks the
+    vector's error by the ratio of the two. The cell comes from the Sturm
+    counts of dstebz's bisection of an aligned bracket (``_grid_bisection``),
+    so it depends on the matrix alone:
+    - with a ``neighbour`` (a ``GroundStateResponse`` at the same omega and
+      Omega), the bracket is the window of ``WINDOW_CELLS`` cells centred on
+      its prediction of E0 (``predicted_energy``), used when the Sturm count
+      of its lower edge is zero (dpttrf keeps every pivot of T - lo positive)
+      and it holds a level, then the lowest: the window is narrower than the
+      gap, so that level is E0;
+    - otherwise index bisection (dstebz, the lowest level, tolerance
+      EIGENVALUE_ABSTOL omega) from the Gershgorin interval comes to within
+      h of E0, and the four cells around that estimate are bisected. Where
+      those cannot be bisected exactly (E0 within 2.5 h of the Gershgorin
+      bound, as at g = 0, or a matrix dstebz splits), the estimate itself is
+      used; no window is used there either.
+    A matrix of fewer than ``GRID_MIN_ROWS`` rows takes the index estimate
+    alone, with or without a neighbour.
+    The value returned is the vector's Rayleigh quotient, whose error is
+    quadratic in the vector's. These are the LAPACK routines behind scipy's
+    ``eigh_tridiagonal``, called without its input validation. A nonzero
+    LAPACK ``info`` raises QrabiError.
     """
     diag, off = sector_tridiagonal(params, cutoff)
-    m, vals, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1,
-                                           EIGENVALUE_ABSTOL * params.omega, "B")
-    _check_info(info, "dstebz")
-    vecs, info = dstein(diag, off, vals[:m], iblock, isplit)
+    on_grid = diag.size >= GRID_MIN_ROWS
+    found = None
+    if on_grid:
+        h = cell_width(params.omega)
+        gershgorin = _gershgorin_floor(diag, off)
+        if neighbour is not None:
+            predicted = neighbour.predicted_energy(params.g)
+            # finite, and on a grid whose cell indices are exact integers
+            if abs(predicted) < 2.0 ** 52 * h:
+                lo = (math.floor(predicted / h) - WINDOW_CELLS // 2) * h
+                if dpttrf(diag - lo, off, overwrite_d=1)[2] == 0:
+                    found = _grid_bisection(diag, off, lo, WINDOW_CELLS, h, gershgorin)
+    if found is None:
+        _, vals, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1,
+                                               EIGENVALUE_ABSTOL * params.omega, "B")
+        _check_info(info, "dstebz")
+        found = (vals, iblock, isplit)
+        if on_grid:
+            # E0 lies within h of vals[0]; the bracket leaves h/2 on either side
+            found = _grid_bisection(diag, off, h * math.floor(vals[0] / h - 1.5), 4, h,
+                                    gershgorin) or found
+    vals, iblock, isplit = found
+    vecs, info = dstein(diag, off, vals[:1], iblock, isplit)
     _check_info(info, "dstein")
     vec = vecs[:, 0]
     rayleigh = float(vec @ _tridiagonal_apply(diag, off, vec)) / float(vec @ vec)
@@ -222,7 +315,7 @@ def interlacing_bound(params: ModelParams, cutoff: int, energy: float, vec: np.n
     return max(rayleigh / float(head @ head) - energy, _EPS * abs(energy))
 
 
-def ground_state(params: ModelParams):
+def ground_state(params: ModelParams, neighbour: GroundStateResponse | None = None):
     """Certified ground state, the lowest state of the parity -1 sector.
 
     Solves once at N = ``initial_cutoff``, capped at ``HARD_CUTOFF_LIMIT``,
@@ -233,7 +326,8 @@ def ground_state(params: ModelParams):
     bound, N_s and the number of eigensolves. A point that fails raises
     ``NonconvergenceError`` with that report: without a solve when the capped
     cutoff lies at or below N_s, after the one solve when it fails the
-    certificate.
+    certificate. ``neighbour`` brackets the eigensolve
+    (``sector_eigenpairs``) and changes no value.
     """
     cutoff = min(initial_cutoff(params), HARD_CUTOFF_LIMIT)
     truncation = truncation_cutoff(params)
@@ -244,7 +338,7 @@ def ground_state(params: ModelParams):
             payload=ConvergenceReport(final_cutoff=cutoff, energy_delta=math.inf,
                                       truncation_cutoff=truncation, eigensolves=0),
         )
-    vals, vecs = sector_eigenpairs(params, cutoff)
+    vals, vecs = sector_eigenpairs(params, cutoff, neighbour)
     energy, vec = float(vals[0]), vecs[:, 0]
     delta = interlacing_bound(params, truncation, energy, vec)
     tail = float(np.sum(vec[truncation + 1:] ** 2))
@@ -345,6 +439,18 @@ class GroundStateResponse:
         """<d psi|psi>, zero up to roundoff by construction."""
         return float(self.state.coeffs_plus @ self.dvec)
 
+    def predicted_energy(self, g: float) -> float:
+        """E0 at coupling g to third order in dg = g - g0, from the perturbation
+        series in V with x = dvec: dE0/dg = <V> = sqrt(2) x_plus,
+        d2E0/dg2 = 2 (V psi).x = sqrt(2) dx_plus_dg and d3E0/dg3 =
+        6 x.(V - <V>) x."""
+        x = self.dvec
+        v_mean = math.sqrt(2.0) * self.x_plus
+        third = float(x @ _coupling_apply(x)) - v_mean * float(x @ x)
+        dg = g - self.state.params.g
+        return self.state.energy + dg * (v_mean + dg * (self.dx_plus_dg / math.sqrt(2.0)
+                                                        + dg * third))
+
     def dfisher_dg(self) -> float:
         """dF_Q/dg = -16 y.(V x - <V> x), with x = dvec and (T - E0) y = x on psi-perp.
 
@@ -375,7 +481,8 @@ def _coupling_apply(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def ground_state_response(params: ModelParams) -> GroundStateResponse:
+def ground_state_response(params: ModelParams,
+                          neighbour: GroundStateResponse | None = None) -> GroundStateResponse:
     """Certified ground state psi (parity -1 sector) and its coupling derivative x.
 
     x solves (T - E0) x = -(V psi - <V> psi) with x orthogonal to psi. T - E0
@@ -384,9 +491,11 @@ def ground_state_response(params: ModelParams) -> GroundStateResponse:
     the identity, leaves a positive-definite tridiagonal matrix; it is
     factored once (dgttrf) and the factors serve the solve and one refinement
     step (dgttrs), then psi is projected out of x. Raises QrabiError when the
-    relative residual of the unpinned system exceeds 1e-8.
+    relative residual of the unpinned system exceeds 1e-8. ``neighbour``, a
+    response at the same omega and Omega, brackets the eigensolve
+    (``sector_eigenpairs``); every value is the same without it.
     """
-    state, report = ground_state(params)
+    state, report = ground_state(params, neighbour)
     psi = state.coeffs_plus
     diag, off = sector_tridiagonal(params, state.cutoff)
     vpsi = _coupling_apply(psi)

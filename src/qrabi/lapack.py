@@ -1,6 +1,6 @@
-"""The compiled scipy routines the package calls: the five LAPACK routines
-``dstebz``, ``dstein``, ``dgttrf``, ``dgttrs`` and ``dsyev``, and L-BFGS-B's
-``setulb`` (``lbfgsb``).
+"""The compiled scipy routines the package calls: the six LAPACK routines
+``dstebz``, ``dstein``, ``dpttrf``, ``dgttrf``, ``dgttrs`` and ``dsyev``, and
+L-BFGS-B's ``setulb`` (``lbfgsb``).
 
 They are scipy's own wrappers from its ``_flapack`` and ``_lbfgsb``
 extensions, loaded by file so that neither ``scipy/linalg/__init__.py`` nor
@@ -52,10 +52,11 @@ def _load_extension(subpackage: str, name: str):
 
 _flapack = _load_extension("linalg", "_flapack")
 if _flapack is None:
-    from scipy.linalg.lapack import dgttrf, dgttrs, dstebz, dstein, dsyev
+    from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dstebz, dstein, dsyev
 else:
-    dgttrf, dgttrs, dstebz, dstein, dsyev = (
-        _flapack.dgttrf, _flapack.dgttrs, _flapack.dstebz, _flapack.dstein, _flapack.dsyev)
+    dgttrf, dgttrs, dpttrf, dstebz, dstein, dsyev = (
+        _flapack.dgttrf, _flapack.dgttrs, _flapack.dpttrf, _flapack.dstebz, _flapack.dstein,
+        _flapack.dsyev)
 
 
 def lbfgsb():
@@ -68,4 +69,4 @@ def lbfgsb():
     return module
 
 
-__all__ = ["dgttrf", "dgttrs", "dstebz", "dstein", "dsyev"]
+__all__ = ["dgttrf", "dgttrs", "dpttrf", "dstebz", "dstein", "dsyev"]

@@ -82,7 +82,8 @@ def susceptibility_sweep(omega: float, Omega: float, gbar_grid,
                          method: str = "ED") -> list[ObservableSample]:
     """|<x>_+-| per point of an ascending grid and its exact coupling derivative.
 
-    ED derivatives come from the linear response at each point. PP ones come
+    ED derivatives come from the linear response at each point, each solve
+    bracketed by the previous point's response. PP ones come
     from the parameter flows of the continuation sweep over the grid
     (``_x_slope_pp``), which also give the main-polaron velocity
     v_p = d(zeta g_bar)/d g_bar attached with method="PP".
@@ -98,8 +99,9 @@ def susceptibility_sweep(omega: float, Omega: float, gbar_grid,
         xp = np.empty(gbar.size)
         xm = np.empty(gbar.size)
         d_abs = np.empty(gbar.size)
+        response = None
         for k in range(gbar.size):
-            response = ground_state_response(base.with_g(float(g[k])))
+            response = ground_state_response(base.with_g(float(g[k])), neighbour=response)
             xp[k], xm[k], d_abs[k] = _x_and_slope(response)
     elif method == "PP":
         sweep = pp.continuation_sweep(omega, Omega, gbar)
@@ -151,17 +153,20 @@ def map_row(omega: float, Omega: float, gbar_grid) -> np.ndarray:
     Returns a (cells x 5) array with columns ``MAP_ROW_COLUMNS``: g_bar,
     F_Q with respect to g, d|<x>|/dg, and the certified cutoff and
     linear-solve residual behind them. A cell whose response fails with a
-    QrabiError is NaN past its g_bar column.
+    QrabiError is NaN past its g_bar column. Each eigensolve is bracketed by
+    the last cell solved before it, which changes no value.
     """
     gbar_grid = np.asarray(gbar_grid, dtype=float)
     base = ModelParams(float(omega), Omega, 0.0)
     row = np.full((gbar_grid.size, len(MAP_ROW_COLUMNS)), np.nan)
     row[:, 0] = gbar_grid
+    previous = None
     for k, gb in enumerate(gbar_grid):
         try:
-            response = ground_state_response(base.with_g(gb * base.gc0))
+            response = ground_state_response(base.with_g(gb * base.gc0), neighbour=previous)
         except QrabiError:
             continue
+        previous = response
         row[k, 1:] = (response.fisher_information, _x_and_slope(response)[2],
                       response.state.cutoff, response.residual)
     return row

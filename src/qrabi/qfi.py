@@ -177,16 +177,20 @@ def _find_peak_ed(omega, Omega) -> PeakEstimate:
     ``edsolver.HARD_CUTOFF_LIMIT`` the solve raises ``NonconvergenceError``
     (below g_bar = 0, ``ParameterDomainError``). Each g_bar is evaluated
     once: Brent reuses the walk's endpoints and its root is a point it
-    evaluated, so F there is already known.
+    evaluated, so F there is already known. Each eigensolve is bracketed by
+    the response evaluated last, the walk's previous step or Brent's
+    previous iterate, which changes no value.
     """
     base = ModelParams(omega, Omega, 0.0)
     evaluated: dict[float, tuple[float, float]] = {}
+    previous = None
 
     def evaluate(gbar):
+        nonlocal previous
         if gbar not in evaluated:
-            response = ground_state_response(base.with_g(gbar * base.gc0))
-            evaluated[gbar] = (response.fisher_information * base.gc0 ** 2,
-                               response.dfisher_dg() * base.gc0 ** 3)
+            previous = ground_state_response(base.with_g(gbar * base.gc0), neighbour=previous)
+            evaluated[gbar] = (previous.fisher_information * base.gc0 ** 2,
+                               previous.dfisher_dg() * base.gc0 ** 3)
         return evaluated[gbar]
 
     def slope(gbar):

@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import minimize
 
-from qrabi import critical, kernels, polaron
+from qrabi import critical, edsolver, kernels, polaron
 from qrabi.model import ModelParams
 from qrabi.polaron import Polaron, PolaronAnsatz, overlap, weights_from_angle
 
@@ -241,6 +241,16 @@ def sector_ground_pair(params: ModelParams, cutoff: int, parity: int = -1):
     vals, vecs = eigh_tridiagonal(*sector_matrix(params, cutoff, parity), select="i",
                                   select_range=(0, 0))
     return float(vals[0]), vecs[:, 0]
+
+
+def count_index_bisections(monkeypatch) -> list:
+    """A list that gains one entry per ``edsolver.dstebz`` call while the
+    patch holds, True for the index-range bisection of the lowest level (its
+    sum counts those) and False for a value-range window."""
+    calls = []
+    real = edsolver.dstebz
+    monkeypatch.setattr(edsolver, "dstebz", lambda *a: calls.append(a[2] == 2) or real(*a))
+    return calls
 
 
 def sector_ground_vector(params: ModelParams, cutoff: int) -> np.ndarray:

@@ -107,9 +107,9 @@ def test_qfi_sweep_with_failed_point_is_not_cached(runner, tmp_path, monkeypatch
     calls = []
     real = observables.ground_state_response
 
-    def counted(params):
+    def counted(params, neighbour=None):
         calls.append(params.g_bar)
-        return real(params)
+        return real(params, neighbour=neighbour)
 
     monkeypatch.setattr(observables, "ground_state_response", counted)
     cache = tmp_path / "cache"
@@ -561,7 +561,7 @@ def _map(runner, tmp_path, cache, name="map"):
     return result.exit_code, files
 
 
-def _raising(params):
+def _raising(params, neighbour=None):
     raise AssertionError("a cached map row was recomputed")
 
 
@@ -588,11 +588,11 @@ def test_map_row_with_failed_cell_is_not_cached(runner, tmp_path, monkeypatch):
     real = observables.ground_state_response
     calls = []
 
-    def flaky(params):
+    def flaky(params, neighbour=None):
         calls.append(params.omega)
         if params.omega > 0.2 and params.g_bar > 1.7:
             raise NonconvergenceError("cutoff limit reached")
-        return real(params)
+        return real(params, neighbour=neighbour)
 
     monkeypatch.setattr(observables, "ground_state_response", flaky)
     cache = tmp_path / "cache"

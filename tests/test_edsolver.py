@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     build_hamiltonian,
+    count_index_bisections,
     expectation_x,
     full_vector,
     grid_ground_energy,
@@ -25,6 +27,7 @@ from qrabi.edsolver import (
     truncation_cutoff,
 )
 from qrabi.errors import NonconvergenceError, QrabiError
+from qrabi.lapack import dstebz
 from qrabi.model import ModelParams
 
 
@@ -208,6 +211,94 @@ def test_sector_energy_matches_full_bisection(ratio):
         cutoff = initial_cutoff(params)
         energy = sector_eigenpairs(params, cutoff)[0][0]
         assert energy == pytest.approx(sector_ground_pair(params, cutoff)[0], rel=1e-14)
+
+
+@pytest.mark.parametrize("ratio, expected", [(0.1, 0.589), (0.01, 0.303), (0.001, 0.144),
+                                             (1e-4, 0.068)])
+def test_bisection_tolerance_is_far_below_the_sector_gap(ratio, expected):
+    # the gap of the parity -1 sector to its second level, on a g_bar grid of
+    # step 0.0025 around the transition, is smallest inside the grid, falls
+    # about like r^(1/3), and stays four orders above the bisection tolerance
+    base = ModelParams(ratio, 1.0, 0.0)
+    grid = np.arange(360, 561) * 0.0025
+    gaps = []
+    for gbar in grid:
+        params = base.with_g(gbar * base.gc0)
+        diag, off = edsolver.sector_tridiagonal(params, initial_cutoff(params))
+        levels = dstebz(diag, off, 2, 0.0, 0.0, 1, 2, 0.0, "E")[1]
+        gaps.append((levels[1] - levels[0]) / ratio)
+    k = int(np.argmin(gaps))
+    assert 0 < k < grid.size - 1
+    assert gaps[k] == pytest.approx(expected, abs=5e-4)
+    assert edsolver.EIGENVALUE_ABSTOL <= 1e-4 * gaps[k]
+
+
+def _cell_midpoints(monkeypatch):
+    """The energies handed to dstein, recorded while the patch is active."""
+    handed = []
+    real = edsolver.dstein
+    monkeypatch.setattr(edsolver, "dstein",
+                        lambda d, e, w, *blocks: handed.append(float(w[0])) or real(d, e, w, *blocks))
+    return handed
+
+
+def _neighbour_predicting(response, energy):
+    """``response`` with its energy set to ``energy``: at its own coupling it
+    predicts exactly that energy."""
+    return dataclasses.replace(response, state=dataclasses.replace(response.state, energy=energy))
+
+
+@pytest.mark.parametrize("ratio, gbar", [(0.001, 3.0), (0.005, 1.05), (0.1, 1.3),
+                                         (0.33437, 1.92), (0.5, 0.5), (5.0, 2.0)])
+def test_window_and_index_bisection_end_in_the_same_cell(ratio, gbar, monkeypatch):
+    # a neighbour's window and the index bisection end in the same cell of the
+    # energy grid, so the eigenpair is the same to the bit; hints whose window
+    # misses E0 (far below the spectrum, just above the second level, NaN)
+    # fall back to the index bisection. The grid applies at every size;
+    # GRID_MIN_ROWS only says where it pays
+    monkeypatch.setattr(edsolver, "GRID_MIN_ROWS", 1)
+    base = ModelParams(ratio, 1.0, 0.0)
+    params = base.with_g(gbar * base.gc0)
+    cutoff = initial_cutoff(params)
+    handed = _cell_midpoints(monkeypatch)
+    values, vectors = sector_eigenpairs(params, cutoff)
+    h = edsolver.cell_width(ratio)
+    assert h <= edsolver.EIGENVALUE_ABSTOL * ratio < 2.0 * h
+    assert handed[0] / h - 0.5 == math.floor(handed[0] / h)
+    assert abs(handed[0] - values[0]) <= 0.5 * h
+
+    response = ground_state_response(params)
+    diag, off = edsolver.sector_tridiagonal(params, cutoff)
+    second = dstebz(diag, off, 2, 0.0, 0.0, 2, 2, 0.0, "E")[1][0]
+    misses = [values[0] - 1e3 * ratio, second + 100.0 * h, math.nan]
+    rng = np.random.default_rng(11)
+    hits = values[0] + h * rng.uniform(-0.49, 0.49, 20) * edsolver.WINDOW_CELLS
+    index_calls = count_index_bisections(monkeypatch)
+    for k, hint in enumerate([*misses, *hits]):
+        hinted = sector_eigenpairs(params, cutoff, _neighbour_predicting(response, hint))
+        assert np.array_equal(hinted[0], values) and np.array_equal(hinted[1], vectors)
+        assert sum(index_calls) == min(k + 1, len(misses))
+    assert set(handed) == {handed[0]}
+
+
+@pytest.mark.parametrize("gbar", [0.0, 1e-8])
+def test_level_at_the_gershgorin_bound_takes_no_window(gbar, monkeypatch):
+    # at g = 0 (a split matrix) and g = 1.6e-9 (E0 within g of the Gershgorin
+    # bound -1/2 - g, below 2.5 h) dstebz would bisect from that bound, not
+    # from the grid: every hint falls back to the index estimate
+    monkeypatch.setattr(edsolver, "GRID_MIN_ROWS", 1)
+    base = ModelParams(0.1, 1.0, 0.0)
+    params = base.with_g(gbar * base.gc0)
+    cutoff = initial_cutoff(params)
+    values, vectors = sector_eigenpairs(params, cutoff)
+    response = ground_state_response(params)
+    index_calls = count_index_bisections(monkeypatch)
+    h = edsolver.cell_width(0.1)
+    for offset in (-100.0, 0.0, 100.0):
+        hinted = sector_eigenpairs(params, cutoff,
+                                   _neighbour_predicting(response, values[0] + offset * h))
+        assert np.array_equal(hinted[0], values) and np.array_equal(hinted[1], vectors)
+    assert sum(index_calls) == 3
 
 
 def test_start_at_or_below_its_truncation_fails_without_a_solve(monkeypatch):

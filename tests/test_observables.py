@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import ansatz_wavefunction, random_ansatz
-from qrabi import observables
+from conftest import ansatz_wavefunction, count_index_bisections, random_ansatz
+from qrabi import edsolver, observables
 from qrabi.edsolver import ground_state_response
 from qrabi.errors import NonconvergenceError, ParameterDomainError
 from qrabi.model import ModelParams
@@ -144,10 +144,10 @@ def test_map_row_cells_carry_their_solve(monkeypatch):
 
     real = observables.ground_state_response
 
-    def flaky(params):
+    def flaky(params, neighbour=None):
         if params.g_bar > 1.7:
             raise NonconvergenceError("cutoff limit reached")
-        return real(params)
+        return real(params, neighbour=neighbour)
 
     monkeypatch.setattr(observables, "ground_state_response", flaky)
     failed = observables.map_row(0.1, 1.0, grid)
@@ -155,13 +155,33 @@ def test_map_row_cells_carry_their_solve(monkeypatch):
     assert failed[4, 0] == grid[4] and np.all(np.isnan(failed[4, 1:]))
 
 
+@pytest.mark.parametrize("ratio", [0.001, 0.33437])
+def test_map_row_is_independent_of_its_neighbour_brackets(ratio, monkeypatch):
+    # every cell but the first is bracketed by the cell before it, and equals
+    # the unbracketed response to the bit; at 0.33437, g_bar 1.92, E0 =
+    # -1.00087 lies just past a power of two
+    monkeypatch.setattr(edsolver, "GRID_MIN_ROWS", 1)
+    grid = np.round(np.linspace(0.8, 2.0, 61), 10)
+    assert 1.92 in grid
+    index_calls = count_index_bisections(monkeypatch)
+    row = observables.map_row(ratio, 1.0, grid)
+    assert 1 <= sum(index_calls) <= grid.size // 4
+    base = ModelParams(ratio, 1.0, 0.0)
+    for gbar, f_q, slope, cutoff, residual in row:
+        response = ground_state_response(base.with_g(gbar * base.gc0))
+        assert (f_q, slope, cutoff, residual) == (
+            response.fisher_information, observables._x_and_slope(response)[2],
+            response.state.cutoff, response.residual)
+    assert sum(index_calls) > grid.size
+
+
 def test_coincidence_map_failed_row(monkeypatch):
     real = observables.ground_state_response
 
-    def flaky(params):
+    def flaky(params, neighbour=None):
         if params.omega == 0.3:
             raise NonconvergenceError("cutoff limit reached")
-        return real(params)
+        return real(params, neighbour=neighbour)
 
     monkeypatch.setattr(observables, "ground_state_response", flaky)
     cmap = _coincidence_map([0.1, 0.3], np.linspace(1.0, 1.8, 9))
@@ -171,7 +191,7 @@ def test_coincidence_map_failed_row(monkeypatch):
 
 
 def test_coincidence_map_propagates_programming_errors(monkeypatch):
-    def broken(params):
+    def broken(params, neighbour=None):
         raise TypeError("not a numerical failure")
 
     monkeypatch.setattr(observables, "ground_state_response", broken)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     aligned,
+    count_index_bisections,
     ed_qfi,
     fd_acceleration_crossing,
     fd_dfisher,
@@ -251,6 +252,20 @@ def test_find_peak_ed_root_search(ratio, monkeypatch):
     base = ModelParams(ratio, 1.0, 0.0)
     for shift in (-1e-6, 1e-6):
         assert est.f_q_max >= qfi.qfi_ed(base.with_g((est.gbar_cf + shift) * base.gc0)).f_q_gbar
+
+
+@pytest.mark.parametrize("ratio", [*DEFAULT_FIT_GRID, 5.0])
+def test_find_peak_is_independent_of_its_neighbour_brackets(ratio, monkeypatch):
+    # each evaluation is bracketed by the one before it, at every matrix size;
+    # without the brackets every field of the estimate is the same
+    monkeypatch.setattr(edsolver, "GRID_MIN_ROWS", 1)
+    index_calls = count_index_bisections(monkeypatch)
+    bracketed = qfi.find_peak(ratio, 1.0, method="ED")
+    assert sum(index_calls) == 1
+    real = qfi.ground_state_response
+    monkeypatch.setattr(qfi, "ground_state_response", lambda params, neighbour=None: real(params))
+    assert qfi.find_peak(ratio, 1.0, method="ED") == bracketed
+    assert sum(index_calls) == 1 + bracketed.evaluations
 
 
 def test_find_peak_factors_once_per_response(monkeypatch):
