@@ -1,5 +1,5 @@
 """Certified ground states of the truncated Hamiltonian and their coupling
-derivative.
+derivative, solved a row of couplings at a time.
 
 The ground state lives in the parity sector P = sigma_x (-1)^n = -1, where the
 Hamiltonian reduces to a real symmetric tridiagonal matrix T over photon number
@@ -31,21 +31,37 @@ own estimate, which costs less there.
 Because dH/dg = sigma_z (a + a^dag) conserves parity, the derivative of the
 ground state with respect to g stays in the sector and follows from one
 banded linear solve at the certified cutoff (first-order perturbation theory
-without the spectrum); ``ground_state_response`` returns both, with <x>_+ and
-its slope from the one product V psi that the solve's right-hand side needs.
-The response keeps the factors of that solve, so dF_Q/dg, asked for only by
-the QFI-peak search, costs one more solve and no second factorization.
+without the spectrum); the response carries both, with <x>_+ and its slope
+from the one product V psi that the solve's right-hand side needs. A
+response solved alone keeps the factors of that solve, so dF_Q/dg, asked for
+only by the QFI-peak search, costs one more solve and no second
+factorization.
 
-Per point the work is a handful of LAPACK calls on O(N) arrays, so the small
-array operations around them cost as much as the solves: sqrt(n) and the
-sector spin sign come from module tables shared by every cutoff, and V psi
-is formed once per response.
+``ground_state_responses`` solves the cells of one coupling row (one omega
+and Omega) in batches. Each cell keeps its own eigensolve
+(``sector_eigenpairs``) on a view of one concatenated sector matrix whose
+blocks are joined by zero couplings. The certificate and the linear
+response then run once per batch: Rayleigh quotients, interlacing bounds,
+tail weights, gauge and pin are segment operations, every per-cell inner
+product is a segment sum (``np.add.reduceat``), and the block-diagonal pinned
+system takes one ``dgttrf`` and two ``dgttrs``. The zero couplings make each
+block's factors and solution bitwise those of the cell solved alone, and a
+segment sum reads its own block only, so a cell's values do not depend on
+the batch it is solved in. A batch holds cells of fewer than
+``GRID_MIN_ROWS`` rows, at most ``BATCH_ROWS`` rows in all; a larger cell is
+solved alone, bracketed by the response before it, and sums its inner
+products by BLAS dot products instead (``_Batch.dots``). ``ground_state``
+and ``ground_state_response`` are the one-cell case. Solved one at a time,
+the certificate and the response take some 60 numpy and LAPACK calls per
+cell on arrays of 40 to 130 rows, where per-call overhead, not arithmetic,
+sets the cost; a batch makes those calls once.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,14 +86,26 @@ EIGENVALUE_ABSTOL = 1e-6
 # cells of the energy grid in the window around a neighbour's prediction
 WINDOW_CELLS = 2 ** 12
 # matrices with fewer rows skip the energy grid: for them one index bisection
-# from the Gershgorin interval costs less than the three LAPACK calls of a window
+# from the Gershgorin interval costs less than the three LAPACK calls of a
+# window. They are also the cells that share a batch; a larger one is solved
+# alone, bracketed by its neighbour
 GRID_MIN_ROWS = 128
+# basis rows of one batch at most: the cap keeps a batch's arrays, and with
+# them the peak memory, small (uncapped, a qfi-sweep over five ratios of 63
+# points each grew its peak RSS by 16 MB)
+BATCH_ROWS = 2 ** 11
 RESPONSE_RESIDUAL_TOL = 1e-8
 _EPS = np.finfo(float).eps
+_SQRT2 = math.sqrt(2.0)
+# the segment starts of a single cell
+_ONE_CELL = np.zeros(1, dtype=np.intp)
 # (sqrt(n), -(-1)^n) over n = 0, 1, ...: read-only, replaced by a longer pair
 # whenever a cutoff needs more rows, with no cap (``sector_eigenpairs`` takes
 # any cutoff)
 _TABLES = (np.zeros(0), np.zeros(0))
+# (omega, Omega, the sector diagonal over n = 0, 1, ...) of the last row
+# solved: read-only, replaced for another omega or Omega or a longer cutoff
+_DIAGONAL = (math.nan, math.nan, np.zeros(0))
 
 
 def _tables(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,9 +121,22 @@ def _tables(size: int) -> tuple[np.ndarray, np.ndarray]:
     return roots[:size], spin[:size]
 
 
+def _diagonal(omega: float, Omega: float, size: int) -> np.ndarray:
+    """omega n + (Omega/2) (-(-1)^n) for n < size, the sector diagonal, a view
+    of a table shared by every cutoff at the same omega and Omega."""
+    global _DIAGONAL
+    table_omega, table_Omega, table = _DIAGONAL
+    if table.size < size or table_omega != omega or table_Omega != Omega:
+        n = max(size, 2 * table.size if table_omega == omega and table_Omega == Omega else 0)
+        table = omega * np.arange(n) + 0.5 * Omega * _tables(n)[1]
+        table.setflags(write=False)
+        _DIAGONAL = (omega, Omega, table)
+    return table[:size]
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Certificate of ``ground_state``'s one eigensolve.
+    """Certificate of a ground state's one eigensolve.
 
     ``final_cutoff`` is the cutoff solved, certified against its truncation
     to ``truncation_cutoff``: ``energy_delta``, the interlacing bound on the
@@ -131,27 +172,155 @@ class QuantumState:
         return _tables(self.cutoff + 1)[1] * self.coeffs_plus
 
 
+def _rayleigh_quotients(batch: _Batch, vec: np.ndarray):
+    """(energies, forms): per cell, as a list, the Rayleigh quotient of its
+    rows of ``vec``, and the stacked rows vec * T vec and vec * vec.
+
+    The quotients are the forms summed from the cells' starts by one
+    ``np.add.reduceat``; a ``lone`` cell takes dot products
+    (``_Batch.dots``).
+    """
+    tvec = _tridiagonal_apply(batch.diag, batch.off, vec)
+    forms = np.array((tvec, vec))
+    forms *= vec
+    if batch.lone:
+        num, den = batch.dots((vec, vec), (tvec, vec))
+    else:
+        num, den = np.add.reduceat(forms, batch.starts, axis=1).tolist()
+    return [a / b for a, b in zip(num, den)], forms
+
+
+def _cut_quotients(off, vec: np.ndarray, forms: np.ndarray, starts: Sequence[int],
+                   cuts: Sequence[int]):
+    """Per cell, as lists: the Rayleigh quotient of its vector cut after row
+    ``cuts``, and the weight of the rows cut off.
+
+    One ``np.add.reduceat`` of the ``_rayleigh_quotients`` forms sums each
+    cell's rows up to its cut and beyond it. vec.T vec over the rows kept
+    counts the coupling of the last row kept to the first row cut off, which
+    the cut matrix lacks.
+    """
+    edges = np.array([edge for start, cut in zip(starts, cuts) for edge in (start, cut + 1)],
+                     dtype=np.intp)
+    form, norm = np.add.reduceat(forms, edges, axis=1).tolist()
+    heads = [(form[2 * k] - vec.item(cut) * off.item(cut) * vec.item(cut + 1)) / norm[2 * k]
+             for k, cut in enumerate(cuts)]
+    return heads, norm[1::2]
+
+
+class _Batch:
+    """Cells of one coupling row concatenated into one sector matrix.
+
+    ``cells`` holds (params, cutoff, ...) per cell; cell k holds rows
+    ``bounds[k]`` to ``bounds[k + 1] - 1``, photon numbers 0 .. cutoff.
+    ``coupling`` is sqrt(n + 1), V = dT/dg between each row and the next, and
+    ``off`` is g times it: both are zero between one cell's last row and the
+    next cell's first, so the matrix is block diagonal and each block is
+    bitwise its cell's ``sector_tridiagonal``. Every cell has the omega and
+    Omega of the first.
+
+    ``lone`` marks a batch of one cell of at least ``GRID_MIN_ROWS`` rows,
+    the only kind of batch such a cell is ever in.
+    """
+
+    def __init__(self, cells: Sequence[tuple]):
+        first, size = cells[0][0], cells[0][1] + 1
+        if len(cells) == 1:
+            self.sizes, self.bounds, self.starts = [size], [0, size], _ONE_CELL
+            self.lone = size >= GRID_MIN_ROWS
+            self.diag = _diagonal(first.omega, first.Omega, size)
+            self.coupling = _tables(size)[0][1:]
+            self.off = first.g * self.coupling
+            return
+        self.sizes = [cell[1] + 1 for cell in cells]
+        self.bounds = [0, *itertools.accumulate(self.sizes)]
+        size = max(self.sizes)
+        self.lone = False
+        # sqrt(n + 1) reaches each cell's last row, where the gather below zeroes it
+        roots = _tables(size + 1)[0]
+        diag = _diagonal(first.omega, first.Omega, size)
+        self.starts = np.array(self.bounds[:-1], dtype=np.intp)
+        # each row's photon number, gathered from the tables of the largest cell
+        local = np.arange(self.bounds[-1]) - np.repeat(self.starts, self.sizes)
+        self.diag = diag[local]
+        self.coupling = roots[local[:-1] + 1]
+        self.coupling[self.starts[1:] - 1] = 0.0
+        self.off = np.repeat([cell[0].g for cell in cells], self.sizes)[:-1] * self.coupling
+
+    def spread(self, values):
+        """Per-cell ``values`` repeated over each cell's rows; a single cell's
+        value as a scalar."""
+        return values[0] if len(self.sizes) == 1 else np.repeat(values, self.sizes)
+
+    def dots(self, lefts: tuple, rights: tuple) -> list:
+        """Per pair (lefts[i], rights[i]) of vectors over the batch's rows,
+        the list of their inner products over each cell's rows.
+
+        Cells of fewer than ``GRID_MIN_ROWS`` rows sum the stacked products
+        by one ``np.add.reduceat`` from their starts, so each sum reads its
+        own segment only and does not depend on the other cells. A ``lone``
+        cell takes BLAS dot products, the summation its values were always
+        computed with: its F_Q amplifies the rounding of E0 by |E0| over the
+        sector gap, and another summation would move it by up to 1e-11
+        relative at omega/Omega = 1e-4.
+        """
+        if self.lone:
+            return [[float(a @ b)] for a, b in zip(lefts, rights)]
+        if len(lefts) == 1:
+            return [np.add.reduceat(lefts[0] * rights[0], self.starts).tolist()]
+        products = np.array(lefts)
+        products *= np.array(rights)
+        return np.add.reduceat(products, self.starts, axis=1).tolist()
+
+    def gauge(self, vec: np.ndarray):
+        """(psi, pins): each cell's vector with its largest component made
+        positive, and the row of that component (the first, on a tie)."""
+        size = np.abs(vec)
+        if len(self.sizes) == 1:
+            pins = size.argmax()
+            return (-vec if vec[pins] < 0 else vec), pins
+        hits = np.flatnonzero(size == np.repeat(np.maximum.reduceat(size, self.starts),
+                                                self.sizes))
+        pins = hits[np.searchsorted(hits, self.starts)]
+        return vec * np.repeat(np.copysign(1.0, vec[pins]), self.sizes), pins
+
+    def respond(self, psi: np.ndarray, energies: list, pins):
+        """Linear response of every cell: (x, pinned system, sums), the sums
+        (<V>, |r|^2, |rhs|^2, (V psi).x, x.x) per cell as lists.
+
+        x solves (T - E0) x = rhs = -(V psi - <V> psi) with x orthogonal to
+        psi, from the pinned system (``_PinnedSystem``), and r is the residual
+        of the unpinned system.
+        """
+        shift = self.spread(energies)
+        vpsi = _coupling_apply(psi, self.coupling)
+        (v_mean,) = self.dots((psi,), (vpsi,))
+        rhs = self.spread(v_mean) * psi
+        rhs -= vpsi
+        pinned = _PinnedSystem(self, shift, pins)
+        x = pinned.solve(rhs, psi)
+        res = _tridiagonal_apply(self.diag, self.off, x)
+        res -= shift * x
+        res -= rhs
+        return x, pinned, [v_mean, *self.dots((res, rhs, vpsi, x), (res, rhs, x, x))]
+
+
+def _cell_batch(params: ModelParams, cutoff: int) -> _Batch:
+    """The batch of the one cell (params, cutoff)."""
+    if cutoff < 1:
+        raise ParameterDomainError(f"cutoff must be >= 1, got {cutoff}")
+    return _Batch([(params, cutoff)])
+
+
 def sector_tridiagonal(params: ModelParams, cutoff: int):
     """(diagonal, off-diagonal) of the parity -1 sector Hamiltonian.
 
     In the sector, the spin-x eigenvalue at photon number n is -(-1)^n, and
-    the sigma_z coupling hops n -> n+1 within the sector. The arrays are
-    read-only: the last pair built is reused by the next caller at the same
-    (params, cutoff), so one point builds its matrix once.
+    the sigma_z coupling hops n -> n+1 within the sector. This is the one-cell
+    case of a batch's concatenated matrix.
     """
-    if cutoff < 1:
-        raise ParameterDomainError(f"cutoff must be >= 1, got {cutoff}")
-    return _tridiagonal(params, cutoff)
-
-
-@functools.lru_cache(maxsize=1)
-def _tridiagonal(params: ModelParams, cutoff: int):
-    roots, spin = _tables(cutoff + 1)
-    diag = params.omega * np.arange(cutoff + 1) + 0.5 * params.Omega * spin
-    off = params.g * roots[1:]
-    diag.setflags(write=False)
-    off.setflags(write=False)
-    return diag, off
+    batch = _cell_batch(params, cutoff)
+    return batch.diag, batch.off
 
 
 def _check_info(info: int, routine: str) -> None:
@@ -198,7 +367,7 @@ def _grid_bisection(diag, off, lo: float, cells: int, h: float, gershgorin: floa
 
 
 def sector_eigenpairs(params: ModelParams, cutoff: int,
-                      neighbour: GroundStateResponse | None = None):
+                      neighbour: GroundStateResponse | None = None, matrix=None):
     """Lowest eigenpair of the parity -1 sector as (values, vectors): one
     value, and its vector as the one column.
 
@@ -225,11 +394,19 @@ def sector_eigenpairs(params: ModelParams, cutoff: int,
     A matrix of fewer than ``GRID_MIN_ROWS`` rows takes the index estimate
     alone, with or without a neighbour.
     The value returned is the vector's Rayleigh quotient, whose error is
-    quadratic in the vector's. These are the LAPACK routines behind scipy's
-    ``eigh_tridiagonal``, called without its input validation. A nonzero
-    LAPACK ``info`` raises QrabiError.
+    quadratic in the vector's. ``matrix``, views (diag, off) of the sector
+    matrix that the caller already holds, replaces building it: the row
+    engine passes views of its batch's matrix and takes the Rayleigh
+    quotients of the whole batch in one segment pass, so the values are then
+    None. These are the LAPACK routines behind scipy's ``eigh_tridiagonal``,
+    called without its input validation. A nonzero LAPACK ``info`` raises
+    QrabiError.
     """
-    diag, off = sector_tridiagonal(params, cutoff)
+    batch = None
+    if matrix is None:
+        batch = _cell_batch(params, cutoff)
+        matrix = batch.diag, batch.off
+    diag, off = matrix
     on_grid = diag.size >= GRID_MIN_ROWS
     found = None
     if on_grid:
@@ -254,27 +431,9 @@ def sector_eigenpairs(params: ModelParams, cutoff: int,
     vals, iblock, isplit = found
     vecs, info = dstein(diag, off, vals[:1], iblock, isplit)
     _check_info(info, "dstein")
-    vec = vecs[:, 0]
-    rayleigh = float(vec @ _tridiagonal_apply(diag, off, vec)) / float(vec @ vec)
-    return np.array([rayleigh]), vecs
-
-
-def _gauge_fix(vec: np.ndarray) -> np.ndarray:
-    if vec[np.abs(vec).argmax()] < 0:
-        return -vec
-    return vec
-
-
-def state_from_sector_vector(params: ModelParams, cutoff: int, energy: float,
-                             vec: np.ndarray) -> QuantumState:
-    """Lift a sector eigenvector (norm 1 over n) to spin components.
-
-    |s_x> = (|+z> + s_x |-z>)/sqrt(2) with s_x = -(-1)^n, so the spin
-    components share the sector amplitudes up to the alternating sign.
-    """
-    vec = _gauge_fix(np.asarray(vec, dtype=float))
-    return QuantumState(params=params, cutoff=cutoff, energy=float(energy),
-                        coeffs_plus=vec.copy())
+    if batch is None:
+        return None, vecs
+    return np.array(_rayleigh_quotients(batch, vecs[:, 0])[0]), vecs
 
 
 def _photon_cutoff(params: ModelParams, widths: float, margin: int) -> int:
@@ -299,35 +458,15 @@ def truncation_cutoff(params: ModelParams) -> int:
     return _photon_cutoff(params, TRUNCATION_WIDTHS, TRUNCATION_MARGIN)
 
 
-def interlacing_bound(params: ModelParams, cutoff: int, energy: float, vec: np.ndarray) -> float:
-    """Upper bound on E(cutoff) - E(N) from the ground pair (energy, vec) at N > cutoff.
+def cell_cutoffs(params: ModelParams) -> tuple[int, int]:
+    """(cutoff, truncation) of one cell: ``initial_cutoff`` capped at
+    ``HARD_CUTOFF_LIMIT``, the cutoff solved, and ``truncation_cutoff``, the
+    truncation it is certified against.
 
-    The cutoff-N0 sector matrix is the leading principal submatrix of the
-    cutoff-N one, so by Cauchy interlacing E(N) <= E(N0), and E(N0) is at
-    most the Rayleigh quotient RQ of any vector on n <= N0. With vec cut to
-    n <= N0, RQ - E(N) >= E(N0) - E(N) >= 0. RQ - E(N) carries the rounding
-    of E, so the bound is floored at eps |E|: a certificate at rounding reads
-    eps |E|, never 0, five orders of magnitude below ``ENERGY_TOL``.
-    """
-    diag, off = sector_tridiagonal(params, vec.size - 1)
-    head = vec[:cutoff + 1]
-    rayleigh = float(head @ _tridiagonal_apply(diag[:cutoff + 1], off[:cutoff], head))
-    return max(rayleigh / float(head @ head) - energy, _EPS * abs(energy))
-
-
-def ground_state(params: ModelParams, neighbour: GroundStateResponse | None = None):
-    """Certified ground state, the lowest state of the parity -1 sector.
-
-    Solves once at N = ``initial_cutoff``, capped at ``HARD_CUTOFF_LIMIT``,
-    and certifies N against its truncation to N_s = ``truncation_cutoff``:
-    the energy change E(N_s) - E(N), bounded by ``interlacing_bound``
-    without solving N_s, must be at most ``ENERGY_TOL`` relative, and the
-    weight of the removed rows n > N_s below 1e-12. The report carries the
-    bound, N_s and the number of eigensolves. A point that fails raises
-    ``NonconvergenceError`` with that report: without a solve when the capped
-    cutoff lies at or below N_s, after the one solve when it fails the
-    certificate. ``neighbour`` brackets the eigensolve
-    (``sector_eigenpairs``) and changes no value.
+    Raises ``NonconvergenceError``, whose report counts no eigensolve, when
+    the cutoff does not exceed its truncation: there is nothing to certify
+    against, so the cell is refused before any solve. Every solve of a cell
+    starts here, once per cell.
     """
     cutoff = min(initial_cutoff(params), HARD_CUTOFF_LIMIT)
     truncation = truncation_cutoff(params)
@@ -338,36 +477,58 @@ def ground_state(params: ModelParams, neighbour: GroundStateResponse | None = No
             payload=ConvergenceReport(final_cutoff=cutoff, energy_delta=math.inf,
                                       truncation_cutoff=truncation, eigensolves=0),
         )
-    vals, vecs = sector_eigenpairs(params, cutoff, neighbour)
-    energy, vec = float(vals[0]), vecs[:, 0]
-    delta = interlacing_bound(params, truncation, energy, vec)
-    tail = float(np.sum(vec[truncation + 1:] ** 2))
-    report = ConvergenceReport(final_cutoff=cutoff, energy_delta=delta,
-                               truncation_cutoff=truncation, eigensolves=1)
-    if not (delta <= ENERGY_TOL * max(abs(energy), 1e-30) and tail < TAIL_WEIGHT_TOL):
-        raise NonconvergenceError(
-            f"cutoff {cutoff} fails its certificate against truncation {truncation} "
-            f"(energy bound {delta:.3e}, tail weight {tail:.1e}); the polaron ansatz "
-            f"is the documented fallback",
-            payload=report,
-        )
-    return state_from_sector_vector(params, cutoff, energy, vec), report
+    return cutoff, truncation
 
 
-@dataclass(frozen=True)
+def _interlacing(head_quotient: float, energy: float) -> float:
+    """RQ - E floored at eps |E|, with RQ the Rayleigh quotient of the vector
+    cut to the truncation (``interlacing_bound``)."""
+    return max(head_quotient - energy, _EPS * abs(energy))
+
+
+def interlacing_bound(params: ModelParams, cutoff: int, energy: float, vec: np.ndarray) -> float:
+    """Upper bound on E(cutoff) - E(N) from the ground pair (energy, vec) at N > cutoff.
+
+    The cutoff-N0 sector matrix is the leading principal submatrix of the
+    cutoff-N one, so by Cauchy interlacing E(N) <= E(N0), and E(N0) is at
+    most the Rayleigh quotient RQ of any vector on n <= N0. With vec cut to
+    n <= N0, RQ - E(N) >= E(N0) - E(N) >= 0. RQ - E(N) carries the rounding
+    of E, so the bound is floored at eps |E|: a certificate at rounding reads
+    eps |E|, never 0, five orders of magnitude below ``ENERGY_TOL``. The
+    certificate of a batch evaluates the same bound for every cell at once.
+    """
+    batch = _cell_batch(params, vec.size - 1)
+    (head,), _ = _cut_quotients(batch.off, vec, _rayleigh_quotients(batch, vec)[1], [0], [cutoff])
+    return _interlacing(head, energy)
+
+
 class _PinnedSystem:
-    """LU factors of T - E0 with row and column ``pin`` replaced by the identity.
+    """LU factors of T - E0 over a batch, with the row and column of each
+    cell's pin (the largest component of its psi) replaced by the identity.
 
     T - E0 is singular along psi; with the pin at a nonzero component of psi
     the pinned matrix is nonsingular, and for a right-hand side b orthogonal
     to psi its solution solves (T - E0) y = b exactly, because the pinned row
-    is the one equation the others imply.
+    is the one equation the others imply. The matrix is block diagonal, one
+    block per cell: zero couplings join the blocks, so each block's factors
+    and solution are bitwise those of its cell factored alone.
     """
 
-    diag: np.ndarray
-    off: np.ndarray
-    pin: int
-    factors: tuple
+    def __init__(self, batch: _Batch, shift, pins):
+        """The pinned system of ``batch`` at energies ``shift`` (spread over
+        the rows), factored by one dgttrf."""
+        diag = batch.diag - shift
+        diag[pins] = 1.0
+        # the couplings of each pin to its neighbours, on a copy padded with
+        # one entry that a pin on the first or last row clears instead
+        padded = np.empty(diag.size)
+        padded[:-1] = batch.off
+        padded[pins] = 0.0
+        padded[pins - 1] = 0.0
+        off = padded[:-1]
+        *factors, info = dgttrf(off, diag, off)
+        _check_info(info, "dgttrf")
+        self.diag, self.off, self.pins, self.batch, self.factors = diag, off, pins, batch, factors
 
     def _solve_once(self, rhs: np.ndarray) -> np.ndarray:
         y, info = dgttrs(*self.factors, rhs)
@@ -375,27 +536,21 @@ class _PinnedSystem:
         return y
 
     def solve(self, rhs: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """y orthogonal to psi with (T - E0) y = rhs, for rhs orthogonal to psi:
-        the pinned solve, one refinement step, then psi projected out."""
+        """y orthogonal to psi with (T - E0) y = rhs in every cell, for rhs
+        orthogonal to psi: the pinned solve, one refinement step, then psi
+        projected out."""
         pinned_rhs = rhs.copy()
-        pinned_rhs[self.pin] = 0.0
+        pinned_rhs[self.pins] = 0.0
         y = self._solve_once(pinned_rhs)
         y += self._solve_once(pinned_rhs - _tridiagonal_apply(self.diag, self.off, y))
-        y -= float(psi @ y) * psi
+        y -= self.batch.spread(self.batch.dots((psi,), (y,))[0]) * psi
         return y
 
 
 def _pinned_system(state: QuantumState) -> _PinnedSystem:
-    """T - E0 of the state's sector, pinned at the largest component of psi and factored."""
-    diag, off = sector_tridiagonal(state.params, state.cutoff)
-    m = int(np.abs(state.coeffs_plus).argmax())
-    pinned_diag = diag - state.energy
-    pinned_diag[m] = 1.0
-    pinned_off = off.copy()
-    pinned_off[max(m - 1, 0):m + 1] = 0.0
-    *factors, info = dgttrf(pinned_off, pinned_diag, pinned_off)
-    _check_info(info, "dgttrf")
-    return _PinnedSystem(diag=pinned_diag, off=pinned_off, pin=m, factors=tuple(factors))
+    """The pinned system of one state's sector, factored alone."""
+    pin = np.abs(state.coeffs_plus).argmax()
+    return _PinnedSystem(_Batch([(state.params, state.cutoff)]), state.energy, pin)
 
 
 @dataclass(frozen=True)
@@ -412,8 +567,11 @@ class GroundStateResponse:
     V = dT/dg (the sector off-diagonal sqrt(n)); in the sector
     <x>_- = -<x>_+ exactly. ``dx_plus_dg`` = sqrt(2) (V psi).dvec is its
     derivative with respect to g. Both reuse the V psi of the solve's
-    right-hand side. ``pinned`` holds the factors of that solve, which
-    ``dfisher_dg`` solves with again.
+    right-hand side. ``fisher_information`` is F_Q with respect to g,
+    4 <d psi|d psi> (the <d psi|psi> term is zero). ``pinned`` holds the
+    factors of a response solved alone, which ``dfisher_dg`` solves with
+    again; it is None for a response solved in a batch of cells, whose
+    ``dfisher_dg`` factors its cell afresh.
     """
 
     state: QuantumState
@@ -422,12 +580,8 @@ class GroundStateResponse:
     report: ConvergenceReport
     x_plus: float
     dx_plus_dg: float
-    pinned: _PinnedSystem = field(repr=False)
-
-    @property
-    def fisher_information(self) -> float:
-        """F_Q with respect to g, 4 <d psi|d psi> (the <d psi|psi> term is zero)."""
-        return 4.0 * float(self.dvec @ self.dvec)
+    fisher_information: float
+    pinned: _PinnedSystem | None = field(repr=False)
 
     @property
     def f_q_gbar(self) -> float:
@@ -445,10 +599,10 @@ class GroundStateResponse:
         d2E0/dg2 = 2 (V psi).x = sqrt(2) dx_plus_dg and d3E0/dg3 =
         6 x.(V - <V>) x."""
         x = self.dvec
-        v_mean = math.sqrt(2.0) * self.x_plus
+        v_mean = _SQRT2 * self.x_plus
         third = float(x @ _coupling_apply(x)) - v_mean * float(x @ x)
         dg = g - self.state.params.g
-        return self.state.energy + dg * (v_mean + dg * (self.dx_plus_dg / math.sqrt(2.0)
+        return self.state.energy + dg * (v_mean + dg * (self.dx_plus_dg / _SQRT2
                                                         + dg * third))
 
     def dfisher_dg(self) -> float:
@@ -459,7 +613,8 @@ class GroundStateResponse:
         y comes from the factors behind ``dvec``.
         """
         psi, x = self.state.coeffs_plus, self.dvec
-        y = self.pinned.solve(x, psi)
+        pinned = _pinned_system(self.state) if self.pinned is None else self.pinned
+        y = pinned.solve(x, psi)
         v_mean = float(psi @ _coupling_apply(psi))
         return -16.0 * float(y @ (_coupling_apply(x) - v_mean * x))
 
@@ -471,19 +626,182 @@ def _tridiagonal_apply(diag, off: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coupling_apply(vec: np.ndarray) -> np.ndarray:
-    """V vec with V = dT/dg, the sector off-diagonal sqrt(n)."""
-    roots = _tables(vec.size)[0][1:]
+def _coupling_apply(vec: np.ndarray, coupling: np.ndarray | None = None) -> np.ndarray:
+    """V vec with V = dT/dg, the sector off-diagonal sqrt(n), or a batch's
+    ``coupling``."""
+    if coupling is None:
+        coupling = _tables(vec.size)[0][1:]
     out = np.empty_like(vec)
-    out[:-1] = roots * vec[1:]
+    out[:-1] = coupling * vec[1:]
     out[-1] = 0.0
-    out[1:] += roots * vec[:-1]
+    out[1:] += coupling * vec[:-1]
     return out
+
+
+def _solve_batch(cells: list, neighbour: GroundStateResponse | None, respond: bool) -> list:
+    """Outcomes of one batch of (params, cutoff, truncation) cells, in order:
+    per certified cell its ``GroundStateResponse`` (``respond``) or its
+    (state, report), and the ``QrabiError`` of every other cell.
+
+    Each cell's eigensolve runs on its view of the batch's matrix, bracketed
+    by ``neighbour``; a cell whose eigensolve fails leaves the batch, which is
+    built again from the others. A LAPACK failure in the response pass fails
+    every cell of the batch.
+    """
+    outcomes: list = [None] * len(cells)
+    batch = _Batch(cells)
+    bounds, vectors = batch.bounds, []
+    for j, (params, cutoff, _) in enumerate(cells):
+        lo, hi = bounds[j], bounds[j + 1]
+        try:
+            vecs = sector_eigenpairs(params, cutoff, neighbour,
+                                     matrix=(batch.diag[lo:hi], batch.off[lo:hi - 1]))[1]
+        except QrabiError as exc:
+            outcomes[j] = exc
+            continue
+        vectors.append(vecs[:, 0])
+    live = range(len(cells))
+    if len(vectors) < len(cells):
+        if not vectors:
+            return outcomes
+        live = [j for j, outcome in enumerate(outcomes) if outcome is None]
+        batch = _Batch([cells[j] for j in live])
+        bounds = batch.bounds
+    vec = vectors[0] if len(vectors) == 1 else np.concatenate(vectors)
+    energies, forms = _rayleigh_quotients(batch, vec)
+    heads, tails = _cut_quotients(batch.off, vec, forms, bounds,
+                                  [start + cells[j][2] for start, j in zip(bounds, live)])
+    psi, pins = batch.gauge(vec)
+    failure = None
+    if respond:
+        try:
+            x, pinned, (v_mean, res_sq, rhs_sq, slope, norm) = batch.respond(psi, energies, pins)
+        except QrabiError as exc:
+            failure = exc
+        else:
+            alone = pinned if len(live) == 1 else None
+
+    for i, (j, energy) in enumerate(zip(live, energies)):
+        params, cutoff, truncation = cells[j]
+        tail = tails[i]
+        delta = _interlacing(heads[i], energy)
+        report = ConvergenceReport(final_cutoff=cutoff, energy_delta=delta,
+                                   truncation_cutoff=truncation, eigensolves=1)
+        if not (delta <= ENERGY_TOL * max(abs(energy), 1e-30) and tail < TAIL_WEIGHT_TOL):
+            outcomes[j] = NonconvergenceError(
+                f"cutoff {cutoff} fails its certificate against truncation {truncation} "
+                f"(energy bound {delta:.3e}, tail weight {tail:.1e}); the polaron ansatz "
+                f"is the documented fallback",
+                payload=report,
+            )
+            continue
+        lo, hi = bounds[i], bounds[i + 1]
+        state = QuantumState(params=params, cutoff=cutoff, energy=energy, coeffs_plus=psi[lo:hi])
+        if not respond:
+            outcomes[j] = (state, report)
+            continue
+        if failure is not None:
+            outcomes[j] = failure
+            continue
+        residual = math.sqrt(res_sq[i] / rhs_sq[i])
+        if not residual <= RESPONSE_RESIDUAL_TOL:
+            outcomes[j] = QrabiError(
+                f"linear-response residual {residual:.2e} exceeds "
+                f"{RESPONSE_RESIDUAL_TOL:.0e} at cutoff {cutoff}"
+            )
+            continue
+        outcomes[j] = GroundStateResponse(
+            state=state, dvec=x[lo:hi], residual=residual, report=report,
+            x_plus=v_mean[i] / _SQRT2, dx_plus_dg=_SQRT2 * slope[i],
+            fisher_information=4.0 * norm[i], pinned=alone)
+    return outcomes
+
+
+def ground_state_responses(cells: Iterable[ModelParams],
+                           neighbour: GroundStateResponse | None = None) -> Iterator:
+    """Certified ground states and coupling derivatives of a row of cells at
+    one omega and Omega: yields per cell, in order, its
+    ``GroundStateResponse`` or the ``QrabiError`` that failed it.
+
+    Each cell is sized by ``cell_cutoffs``, which refuses it before any solve
+    when its capped cutoff does not exceed its truncation; a refused cell
+    joins no batch. The others are solved in batches whose bounds depend on
+    the cutoffs alone: a cell of at least ``GRID_MIN_ROWS`` rows closes the
+    batch before it and is solved alone, bracketed by the last response
+    before it (``neighbour`` before the first); a batch holds at most
+    ``BATCH_ROWS`` rows. Every value of a cell is bitwise that of the cell
+    solved alone (``ground_state_response``), whatever the row around it.
+    A batch's outcomes are yielded before the next batch is solved, and only
+    the last response is kept to bracket the next, so a caller that keeps
+    the values and drops the responses holds one batch at a time, however
+    long the row. Errors other than ``QrabiError`` propagate.
+    """
+    # since the last batch solved, per cell: its error, or None for a cell of ``batch``
+    queue: list = []
+    batch: list = []
+    rows = 0
+    for params in cells:
+        try:
+            cutoff, truncation = cell_cutoffs(params)
+        except QrabiError as exc:
+            queue.append(exc)
+            continue
+        lone = cutoff + 1 >= GRID_MIN_ROWS
+        if batch and (lone or rows + cutoff + 1 > BATCH_ROWS):
+            neighbour = yield from _drain(queue, batch, neighbour)
+            queue, batch, rows = [], [], 0
+        queue.append(None)
+        batch.append((params, cutoff, truncation))
+        rows += cutoff + 1
+        if lone:
+            neighbour = yield from _drain(queue, batch, neighbour)
+            queue, batch, rows = [], [], 0
+    yield from _drain(queue, batch, neighbour)
+
+
+def _drain(queue: list, batch: list, neighbour):
+    """Yield the ``queue``'s outcomes in row order, the cells of ``batch``
+    solved; return the last response among them, or ``neighbour``, which
+    brackets the next lone cell."""
+    solved = iter(_solve_batch(batch, neighbour, True) if batch else ())
+    for entry in queue:
+        outcome = next(solved) if entry is None else entry
+        if isinstance(outcome, GroundStateResponse):
+            neighbour = outcome
+        yield outcome
+    return neighbour
+
+
+def _solve_alone(params: ModelParams, neighbour: GroundStateResponse | None, respond: bool):
+    """The outcome of ``params`` as a batch of one cell, raised if it is an error."""
+    (outcome,) = _solve_batch([(params, *cell_cutoffs(params))], neighbour, respond)
+    if isinstance(outcome, QrabiError):
+        raise outcome
+    return outcome
+
+
+def ground_state(params: ModelParams, neighbour: GroundStateResponse | None = None):
+    """Certified ground state, the lowest state of the parity -1 sector, as
+    (state, report): the certificate of a one-cell batch.
+
+    Solves once at N = ``initial_cutoff``, capped at ``HARD_CUTOFF_LIMIT``,
+    and certifies N against its truncation to N_s = ``truncation_cutoff``:
+    the energy change E(N_s) - E(N), bounded by ``interlacing_bound``
+    without solving N_s, must be at most ``ENERGY_TOL`` relative, and the
+    weight of the removed rows n > N_s below 1e-12. The report carries the
+    bound, N_s and the number of eigensolves. A point that fails raises
+    ``NonconvergenceError`` with that report: without a solve when the capped
+    cutoff lies at or below N_s (``cell_cutoffs``), after the one solve when
+    it fails the certificate. ``neighbour`` brackets the eigensolve
+    (``sector_eigenpairs``) and changes no value.
+    """
+    return _solve_alone(params, neighbour, False)
 
 
 def ground_state_response(params: ModelParams,
                           neighbour: GroundStateResponse | None = None) -> GroundStateResponse:
-    """Certified ground state psi (parity -1 sector) and its coupling derivative x.
+    """Certified ground state psi (parity -1 sector) and its coupling derivative
+    x: the one-cell case of ``ground_state_responses``.
 
     x solves (T - E0) x = -(V psi - <V> psi) with x orthogonal to psi. T - E0
     is singular along psi (exactly so at g = 0). Pinning x to zero at the
@@ -491,26 +809,9 @@ def ground_state_response(params: ModelParams,
     the identity, leaves a positive-definite tridiagonal matrix; it is
     factored once (dgttrf) and the factors serve the solve and one refinement
     step (dgttrs), then psi is projected out of x. Raises QrabiError when the
-    relative residual of the unpinned system exceeds 1e-8. ``neighbour``, a
-    response at the same omega and Omega, brackets the eigensolve
-    (``sector_eigenpairs``); every value is the same without it.
+    relative residual of the unpinned system exceeds 1e-8, and the error of
+    any other failed step. ``neighbour``, a response at the same omega and
+    Omega, brackets the eigensolve (``sector_eigenpairs``); every value is the
+    same without it.
     """
-    state, report = ground_state(params, neighbour)
-    psi = state.coeffs_plus
-    diag, off = sector_tridiagonal(params, state.cutoff)
-    vpsi = _coupling_apply(psi)
-    v_mean = float(psi @ vpsi)
-    rhs = -(vpsi - v_mean * psi)
-    pinned = _pinned_system(state)
-    x = pinned.solve(rhs, psi)
-
-    res = _tridiagonal_apply(diag, off, x) - state.energy * x - rhs
-    residual = math.sqrt(float(res @ res) / float(rhs @ rhs))
-    if not residual <= RESPONSE_RESIDUAL_TOL:
-        raise QrabiError(
-            f"linear-response residual {residual:.2e} exceeds {RESPONSE_RESIDUAL_TOL:.0e} "
-            f"at cutoff {state.cutoff}"
-        )
-    return GroundStateResponse(state=state, dvec=x, residual=residual, report=report,
-                               x_plus=v_mean / math.sqrt(2.0),
-                               dx_plus_dg=math.sqrt(2.0) * float(vpsi @ x), pinned=pinned)
+    return _solve_alone(params, neighbour, True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import polaron as pp
 from .critical import gc0 as gc0_estimate, gc2 as gc2_estimate
-from .edsolver import GroundStateResponse, ground_state_response
+from .edsolver import GroundStateResponse, ground_state_responses
 from .errors import ParameterDomainError, QrabiError
 from .model import ModelParams
 
@@ -82,8 +82,9 @@ def susceptibility_sweep(omega: float, Omega: float, gbar_grid,
                          method: str = "ED") -> list[ObservableSample]:
     """|<x>_+-| per point of an ascending grid and its exact coupling derivative.
 
-    ED derivatives come from the linear response at each point, each solve
-    bracketed by the previous point's response. PP ones come
+    ED derivatives come from the linear response at each point, the row
+    solved by ``edsolver.ground_state_responses`` as ``map_row`` solves it;
+    the first failed point raises its error. PP ones come
     from the parameter flows of the continuation sweep over the grid
     (``_x_slope_pp``), which also give the main-polaron velocity
     v_p = d(zeta g_bar)/d g_bar attached with method="PP".
@@ -99,9 +100,10 @@ def susceptibility_sweep(omega: float, Omega: float, gbar_grid,
         xp = np.empty(gbar.size)
         xm = np.empty(gbar.size)
         d_abs = np.empty(gbar.size)
-        response = None
-        for k in range(gbar.size):
-            response = ground_state_response(base.with_g(float(g[k])), neighbour=response)
+        for k, response in enumerate(ground_state_responses([base.with_g(float(gk))
+                                                             for gk in g])):
+            if isinstance(response, QrabiError):
+                raise response
             xp[k], xm[k], d_abs[k] = _x_and_slope(response)
     elif method == "PP":
         sweep = pp.continuation_sweep(omega, Omega, gbar)
@@ -153,20 +155,18 @@ def map_row(omega: float, Omega: float, gbar_grid) -> np.ndarray:
     Returns a (cells x 5) array with columns ``MAP_ROW_COLUMNS``: g_bar,
     F_Q with respect to g, d|<x>|/dg, and the certified cutoff and
     linear-solve residual behind them. A cell whose response fails with a
-    QrabiError is NaN past its g_bar column. Each eigensolve is bracketed by
-    the last cell solved before it, which changes no value.
+    QrabiError is NaN past its g_bar column. The row is solved in batches by
+    ``edsolver.ground_state_responses``; every cell is bitwise what it is
+    solved alone.
     """
     gbar_grid = np.asarray(gbar_grid, dtype=float)
     base = ModelParams(float(omega), Omega, 0.0)
     row = np.full((gbar_grid.size, len(MAP_ROW_COLUMNS)), np.nan)
     row[:, 0] = gbar_grid
-    previous = None
-    for k, gb in enumerate(gbar_grid):
-        try:
-            response = ground_state_response(base.with_g(gb * base.gc0), neighbour=previous)
-        except QrabiError:
+    responses = ground_state_responses([base.with_g(gb * base.gc0) for gb in gbar_grid])
+    for k, response in enumerate(responses):
+        if isinstance(response, QrabiError):
             continue
-        previous = response
         row[k, 1:] = (response.fisher_information, _x_and_slope(response)[2],
                       response.state.cutoff, response.residual)
     return row

@@ -29,6 +29,12 @@ from .errors import DerivativeInvalidError, NonconvergenceError, ParameterDomain
 from .model import ModelParams
 
 PEAK_XTOL = 1e-10
+# the largest omega/Omega of an ED peak search: above it the rounding floor of
+# the peak position passes 1e-6 relative in g_bar (3.2e-7 at 1e9, 1.9e-5 at
+# 1e11, growing about as 2.7e-16 omega/Omega), since F_Q per g is 4/omega^2
+# plus a part only Omega/omega as large, and past about 1e12 the sign of
+# dF/dg_bar is rounding noise
+ED_PEAK_MAX_RATIO = 1e9
 # scipy.optimize.brentq's default and smallest relative tolerance
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
 BRENT_MAXITER = 100
@@ -147,7 +153,9 @@ def find_peak(omega: float, Omega: float, method: str = "ED") -> PeakEstimate:
 
     ED: the root of the exact dF/dg_bar, bracketed by an uphill walk from the
     gc2 estimate and refined by Brent's method to 1e-10 in g_bar
-    (``_find_peak_ed``); the walk has no fixed range.
+    (``_find_peak_ed``); the walk has no fixed range. Above omega/Omega =
+    ``ED_PEAK_MAX_RATIO`` the peak is not resolved, and the search raises
+    ``ParameterDomainError`` before any solve.
     PP-full: the largest ``qfi_pp_full`` of a ``PP_SCAN_POINTS``-point sweep
     over ``PP_SCAN_RANGE``, refined by re-sweeps of its bracket to
     ``PP_REFINE_TOL`` (``_sweep_max``); points with refused flows are skipped,
@@ -156,6 +164,10 @@ def find_peak(omega: float, Omega: float, method: str = "ED") -> PeakEstimate:
     if method not in ("ED", "PP-full"):
         raise ParameterDomainError(f"unknown peak method {method!r}")
     if method == "ED":
+        if not omega / Omega <= ED_PEAK_MAX_RATIO:
+            raise ParameterDomainError(
+                f"omega/Omega = {omega / Omega:g} is above {ED_PEAK_MAX_RATIO:g}, where the "
+                f"rounding floor of the ED peak passes 1e-6 in g_bar")
         return _find_peak_ed(omega, Omega)
 
     base = ModelParams(omega, Omega, 0.0)

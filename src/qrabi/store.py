@@ -27,7 +27,7 @@ SCHEMA_VERSION = 1
 # changing one turns exactly the records computed by its older numerics into
 # misses. Change a family's version whenever a computation of it that feeds
 # a record changes.
-CODE_VERSIONS = {"ed": "qrabi-0.1.0+ed-energy-grid", "pp": "qrabi-0.1.0+pp-one-rerun-rule"}
+CODE_VERSIONS = {"ed": "qrabi-0.1.0+ed-row-batches", "pp": "qrabi-0.1.0+pp-one-rerun-rule"}
 MAGIC = "#qrm-sweep"
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qrabi import observables, polaron, qfi, store
+from qrabi import edsolver, observables, polaron, qfi, store
 from qrabi.cli import main
 from qrabi.errors import NonconvergenceError
 
@@ -105,13 +105,13 @@ def test_qfi_sweep_with_failed_point_is_not_cached(runner, tmp_path, monkeypatch
     # the cutoff limit: 1 failed point of 11, written as NaN, which must not be
     # cached or exit 0
     calls = []
-    real = observables.ground_state_response
+    real = edsolver.cell_cutoffs
 
-    def counted(params, neighbour=None):
+    def counted(params):
         calls.append(params.g_bar)
-        return real(params, neighbour=neighbour)
+        return real(params)
 
-    monkeypatch.setattr(observables, "ground_state_response", counted)
+    monkeypatch.setattr(edsolver, "cell_cutoffs", counted)
     cache = tmp_path / "cache"
     args = ["qfi-sweep", "-w", "0.001", "--gbar-min", "5.5", "--gbar-max", "8.0",
             "--gbar-steps", "11", "--out", str(tmp_path / "q"), "--cache", str(cache)]
@@ -451,6 +451,28 @@ def test_failed_peak_is_explicit(runner, tmp_path):
     assert {f["order"] for f in payload["fits"]} == {2}
 
 
+def test_peak_above_the_ed_ratio_limit_fails_explicitly(runner, tmp_path):
+    # past qfi.ED_PEAK_MAX_RATIO the peak search refuses the ratio before any
+    # solve: gc writes g_cF = NaN at status 1, fit leaves the ratio out, and
+    # both exit 3 whatever the rounding of F_Q there
+    cache = tmp_path / "cache"
+    out = tmp_path / "gc.csv"
+    result = _invoke(runner, ["gc", "--with-peaks", "-w", "1e20", "--out", str(out),
+                              "--cache", str(cache)])
+    assert result.exit_code == 3
+    assert "omega/Omega = 1e+20: QFI peak search failed" in result.stderr
+    rec = store.load(out)
+    assert rec.column("status").tolist() == [1.0]
+    assert np.isnan(rec.column("g_cF")[0]) and np.isnan(rec.column("gcF_over_gc2")[0])
+    assert not list(cache.glob("*.sweep"))
+
+    fit = tmp_path / "fit.json"
+    result = _invoke(runner, ["fit", "-w", "1e20", "--out", str(fit), "--cache", str(cache)])
+    assert result.exit_code == 3
+    assert "omega/Omega = 1e+20: QFI peak search failed" in result.stderr
+    assert not fit.exists()
+
+
 def test_gc_without_peaks_writes_nan_at_status_0(runner, tmp_path):
     # no peak was asked for: g_cF and its ratio are NaN, and nothing failed
     out = tmp_path / "gc.csv"
@@ -561,7 +583,7 @@ def _map(runner, tmp_path, cache, name="map"):
     return result.exit_code, files
 
 
-def _raising(params, neighbour=None):
+def _raising(params):
     raise AssertionError("a cached map row was recomputed")
 
 
@@ -576,7 +598,7 @@ def test_map_replay_reads_the_cached_rows(runner, tmp_path, monkeypatch):
         assert rec.meta["grid"] == [1.0, 1.8, 9]
         assert rec.columns == list(observables.MAP_ROW_COLUMNS)
         assert np.all(rec.column("residual") <= 1e-8) and np.all(rec.column("cutoff") > 0)
-    monkeypatch.setattr(observables, "ground_state_response", _raising)
+    monkeypatch.setattr(edsolver, "cell_cutoffs", _raising)
     code, replay = _map(runner, tmp_path, cache, "replay")
     assert code == 0
     assert replay == cold
@@ -585,16 +607,16 @@ def test_map_replay_reads_the_cached_rows(runner, tmp_path, monkeypatch):
 def test_map_row_with_failed_cell_is_not_cached(runner, tmp_path, monkeypatch):
     # one failed cell in the w/W = 0.3 row: the row is empty in every file,
     # only the w/W = 0.1 row is cached, and a rerun computes the failed row again
-    real = observables.ground_state_response
+    real = edsolver.cell_cutoffs
     calls = []
 
-    def flaky(params, neighbour=None):
+    def flaky(params):
         calls.append(params.omega)
         if params.omega > 0.2 and params.g_bar > 1.7:
             raise NonconvergenceError("cutoff limit reached")
-        return real(params, neighbour=neighbour)
+        return real(params)
 
-    monkeypatch.setattr(observables, "ground_state_response", flaky)
+    monkeypatch.setattr(edsolver, "cell_cutoffs", flaky)
     cache = tmp_path / "cache"
     code, files = _map(runner, tmp_path, cache)
     assert code == 3
@@ -606,7 +628,7 @@ def test_map_row_with_failed_cell_is_not_cached(runner, tmp_path, monkeypatch):
     code, _ = _map(runner, tmp_path, cache)
     assert code == 3
     assert len(calls) == 27
-    monkeypatch.setattr(observables, "ground_state_response", real)
+    monkeypatch.setattr(edsolver, "cell_cutoffs", real)
     code, _ = _map(runner, tmp_path, cache)
     assert code == 0
     assert len(list(cache.glob("*.sweep"))) == 2
@@ -638,7 +660,7 @@ def test_corrupt_map_row_record_is_recomputed(runner, tmp_path, monkeypatch):
     assert code == 0
     assert again == fresh
     assert store.load(path).meta["kind"] == "map-row"
-    monkeypatch.setattr(observables, "ground_state_response", _raising)
+    monkeypatch.setattr(edsolver, "cell_cutoffs", _raising)
     assert _map(runner, tmp_path, cache) == (0, fresh)
 
 

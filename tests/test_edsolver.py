@@ -163,6 +163,37 @@ def test_response_displacement_and_slope(ratio, gbar):
     assert response.dx_plus_dg == pytest.approx(central, rel=1e-7)
 
 
+@pytest.mark.parametrize("ratio, gbar", [(1e-4, 2.4), (0.001, 1.3), (0.005, 2.5)])
+def test_a_cell_of_grid_rows_sums_by_dot_products(ratio, gbar):
+    # a cell of GRID_MIN_ROWS rows or more is always solved alone and takes
+    # its energy and F_Q from BLAS dot products, not from segment sums
+    base = ModelParams(ratio, 1.0, 0.0)
+    params = base.with_g(gbar * base.gc0)
+    response = ground_state_response(params)
+    psi, x = response.state.coeffs_plus, response.dvec
+    assert psi.size >= edsolver.GRID_MIN_ROWS
+    diag, off = edsolver.sector_tridiagonal(params, response.state.cutoff)
+    tpsi = edsolver._tridiagonal_apply(diag, off, psi)
+    assert response.state.energy == float(psi @ tpsi) / float(psi @ psi)
+    assert response.fisher_information == 4.0 * float(x @ x)
+
+
+def test_row_engine_solves_a_batch_when_its_first_cell_is_asked_for(monkeypatch):
+    # a row's outcomes come out batch by batch, so a caller that keeps the
+    # values and drops the responses holds one batch at a time: at w/W 0.001
+    # every cell of g_bar 0.5-3 has GRID_MIN_ROWS rows or more and is a batch
+    solved = []
+    real = edsolver._solve_batch
+    monkeypatch.setattr(edsolver, "_solve_batch",
+                        lambda cells, *args: solved.append(len(cells)) or real(cells, *args))
+    base = ModelParams(0.001, 1.0, 0.0)
+    row = edsolver.ground_state_responses(base.with_g(gbar * base.gc0)
+                                          for gbar in np.linspace(0.5, 3.0, 11))
+    for k in range(1, 4):
+        assert isinstance(next(row), edsolver.GroundStateResponse)
+        assert solved == [1] * k
+
+
 def test_response_residual_above_bound_raises(monkeypatch):
     monkeypatch.setattr(edsolver, "RESPONSE_RESIDUAL_TOL", 0.0)
     with pytest.raises(QrabiError, match="residual"):

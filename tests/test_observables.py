@@ -142,14 +142,14 @@ def test_map_row_cells_carry_their_solve(monkeypatch):
     ed = observables.susceptibility_sweep(0.1, 1.0, grid, method="ED")
     assert row[:, 2].tolist() == [s.d_abs_x_dg for s in ed]
 
-    real = observables.ground_state_response
+    real = edsolver.cell_cutoffs
 
-    def flaky(params, neighbour=None):
+    def flaky(params):
         if params.g_bar > 1.7:
             raise NonconvergenceError("cutoff limit reached")
-        return real(params, neighbour=neighbour)
+        return real(params)
 
-    monkeypatch.setattr(observables, "ground_state_response", flaky)
+    monkeypatch.setattr(edsolver, "cell_cutoffs", flaky)
     failed = observables.map_row(0.1, 1.0, grid)
     assert np.array_equal(failed[:4], row[:4])
     assert failed[4, 0] == grid[4] and np.all(np.isnan(failed[4, 1:]))
@@ -175,15 +175,47 @@ def test_map_row_is_independent_of_its_neighbour_brackets(ratio, monkeypatch):
     assert sum(index_calls) > grid.size
 
 
-def test_coincidence_map_failed_row(monkeypatch):
-    real = observables.ground_state_response
+@pytest.mark.parametrize("ratio", [0.5, 0.1, 0.02, 0.005])
+def test_cells_are_bitwise_the_same_alone_and_in_any_row(ratio, monkeypatch):
+    # a cell's F_Q, d|<x>|/dg, cutoff and residual do not depend on the batch
+    # that solves it: alone, in an 11-cell row and in a 21-cell row (whose
+    # every second g_bar is the 11-cell row's) they are equal to the bit, and
+    # so in a 41-cell row. At 0.5, 0.1 and 0.02 every cell has fewer than
+    # GRID_MIN_ROWS rows and a row is one batch, one factorization, up to
+    # BATCH_ROWS rows: the 41-cell rows at 0.1 and 0.02 are split in two. At
+    # 0.005 a row mixes batched cells and cells solved alone. No
+    # factorization is larger than the cap.
+    factored = []
+    real = edsolver.dgttrf
+    monkeypatch.setattr(edsolver, "dgttrf", lambda *a: factored.append(a[1].size) or real(*a))
+    short, long, longest = (observables.map_row(ratio, 1.0, np.linspace(0.5, 1.5, n))
+                            for n in (11, 21, 41))
+    assert max(factored) <= edsolver.BATCH_ROWS
+    if ratio > 0.005:
+        assert factored[:2] == [sum(short[:, 3] + 1), sum(long[:, 3] + 1)]
+        assert sum(factored[2:]) == sum(longest[:, 3] + 1)
+        assert len(factored) == (3 if ratio == 0.5 else 4)
+    else:
+        assert len(factored) < 11 + 21 + 41
+        assert max(short[:, 3]) + 1 >= edsolver.GRID_MIN_ROWS > min(short[:, 3]) + 1
+    base = ModelParams(ratio, 1.0, 0.0)
+    for gbar, *cell in short:
+        response = ground_state_response(base.with_g(gbar * base.gc0))
+        alone = [response.fisher_information, observables._x_and_slope(response)[2],
+                 response.state.cutoff, response.residual]
+        assert cell == alone
+    assert np.array_equal(long[::2], short) and np.array_equal(longest[::4], short)
 
-    def flaky(params, neighbour=None):
+
+def test_coincidence_map_failed_row(monkeypatch):
+    real = edsolver.cell_cutoffs
+
+    def flaky(params):
         if params.omega == 0.3:
             raise NonconvergenceError("cutoff limit reached")
-        return real(params, neighbour=neighbour)
+        return real(params)
 
-    monkeypatch.setattr(observables, "ground_state_response", flaky)
+    monkeypatch.setattr(edsolver, "cell_cutoffs", flaky)
     cmap = _coincidence_map([0.1, 0.3], np.linspace(1.0, 1.8, 9))
     assert cmap.failed_rows == (1,)
     assert np.all(np.isnan(cmap.qfi[1])) and np.isnan(cmap.qfi_argmax[1])
@@ -191,9 +223,9 @@ def test_coincidence_map_failed_row(monkeypatch):
 
 
 def test_coincidence_map_propagates_programming_errors(monkeypatch):
-    def broken(params, neighbour=None):
+    def broken(params):
         raise TypeError("not a numerical failure")
 
-    monkeypatch.setattr(observables, "ground_state_response", broken)
+    monkeypatch.setattr(edsolver, "cell_cutoffs", broken)
     with pytest.raises(TypeError):
         _coincidence_map([0.1], np.linspace(1.0, 1.8, 9))

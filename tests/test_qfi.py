@@ -18,7 +18,7 @@ from conftest import (
 )
 from qrabi import edsolver, polaron, qfi
 from qrabi.critical import DEFAULT_FIT_GRID, gc2
-from qrabi.errors import NonconvergenceError, QrabiError
+from qrabi.errors import NonconvergenceError, ParameterDomainError, QrabiError
 from qrabi.model import ModelParams
 
 
@@ -232,17 +232,33 @@ def test_find_peak_tends_to_the_large_ratio_limit():
     assert abs(est.g_cf / 1e6 - math.sqrt(5.0 / 6.0)) <= 1e-6
 
 
+def test_find_peak_refuses_ratios_above_the_ed_limit(monkeypatch):
+    # the peak is resolved up to ED_PEAK_MAX_RATIO; past it the search raises
+    # before any eigensolve instead of following the rounding of dF/dg_bar
+    calls = []
+    real = edsolver.sector_eigenpairs
+    monkeypatch.setattr(edsolver, "sector_eigenpairs",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    for ratio in (1e10, 1e20):
+        with pytest.raises(ParameterDomainError, match="above"):
+            qfi.find_peak(ratio, 1.0)
+    assert calls == []
+    est = qfi.find_peak(qfi.ED_PEAK_MAX_RATIO, 1.0)
+    assert len(calls) == est.evaluations > 0
+    assert est.g_cf / qfi.ED_PEAK_MAX_RATIO == pytest.approx(math.sqrt(5.0 / 6.0), rel=1e-6)
+
+
 @pytest.mark.parametrize("ratio", DEFAULT_FIT_GRID)
 def test_find_peak_ed_root_search(ratio, monkeypatch):
     calls = 0
-    real = edsolver.ground_state
+    real = edsolver.cell_cutoffs
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(edsolver, "ground_state", counted)
+    monkeypatch.setattr(edsolver, "cell_cutoffs", counted)
     est = qfi.find_peak(ratio, 1.0, method="ED")
     monkeypatch.undo()
     assert calls <= 12
